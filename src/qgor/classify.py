@@ -16,9 +16,16 @@ witness in canonical face order, so failures are reproducible.
 """
 
 from .errors import NotAPseudomanifold, NotPure
-from .homology import FieldSpec, reduced_betti
-from .hochster import depth_report, is_buchsbaum
-from .simplicial_core import FACE_CAP, core, face_key, link
+from .graphs import _components, gamma_graph
+from .homology import QQ, reduced_betti
+from .hochster import (
+    _buchsbaum,
+    _depth_report,
+    _link_dim,
+    _table,
+    local_cohomology_table,
+)
+from .simplicial_core import FACE_CAP, _link_index, core, face_key
 
 
 class NormalPseudomanifoldReport:
@@ -40,27 +47,6 @@ class NormalPseudomanifoldReport:
         )
 
 
-def _is_connected(delta):
-    """Graph connectivity of a complex: nonempty and one vertex component."""
-    verts = delta.vertices()
-    if not verts:
-        return False
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in delta.faces_of_dim(1):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
-
-
 def normal_pseudomanifold_report(delta, cap=FACE_CAP):
     """Purity, normality and the ridge condition, with first witnesses.
 
@@ -72,68 +58,51 @@ def normal_pseudomanifold_report(delta, cap=FACE_CAP):
     """
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
+    return _normal_pseudomanifold(delta, _link_index(delta, cap))
+
+
+def _normal_pseudomanifold(delta, index):
+    """The report read off the face -> link facets index.
+
+    A ridge lies in as many facets as its link has facets.
+    """
     d = delta.dim
     witnesses = {}
-
     pure = delta.is_pure()
     if not pure:
         witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
-
-    normal = True
-    for sigma in delta.faces(cap):
-        if len(sigma) - 1 > d - 2:
-            continue
-        if not _is_connected(link(delta, sigma)):
-            normal = False
-            witnesses["normal"] = sigma
-            break
-
-    ridge_condition = True
-    for ridge in delta.faces_of_dim(d - 1, cap):
-        rs = set(ridge)
-        count = sum(1 for f in delta.facets if rs.issubset(f))
-        if count != 2:
-            ridge_condition = False
-            witnesses["ridge_condition"] = (ridge, count)
-            break
-
+    # faces of dimension at most d - 2 need connected links
+    normal_w = next((s for s, lk in index.items()
+                     if len(s) < d and _components(_vertex_graph(lk)) != 1), None)
+    ridge_w = next(((s, len(lk)) for s, lk in index.items()
+                    if len(s) == d and len(lk) != 2), None)
+    normal, ridge_condition = normal_w is None, ridge_w is None
+    if not normal:
+        witnesses["normal"] = normal_w
+    if not ridge_condition:
+        witnesses["ridge_condition"] = ridge_w
     ok = pure and normal and ridge_condition
     return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
 
 
-def _facet_ridge_edges(delta):
-    """Edges of the facet adjacency graph: facets sharing a ridge."""
-    d = delta.dim
-    facets = delta.facets
-    edges = []
-    for i in range(len(facets)):
-        si = set(facets[i])
-        for j in range(i + 1, len(facets)):
-            if len(si & set(facets[j])) == d:
-                edges.append((i, j))
-    return edges
+def _vertex_graph(facets):
+    """Adjacency on the vertices of a complex, each facet joined as a star;
+    it has one component exactly when the complex is connected."""
+    adj = {v: set() for f in facets for v in f}
+    for f in facets:
+        for v in f[1:]:
+            adj[f[0]].add(v)
+            adj[v].add(f[0])
+    return adj
 
 
 def is_strongly_connected(delta):
     """True when any two facets are joined by a walk across ridges."""
     if not delta.is_pure():
         raise NotPure("strong connectivity is defined for pure complexes")
-    m = len(delta.facets)
-    if m <= 1:
+    if len(delta.facets) <= 1:
         return True
-    parent = list(range(m))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in _facet_ridge_edges(delta):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(i) for i in range(m)}) == 1
+    return _components(gamma_graph(delta, 1).adjacency()) == 1
 
 
 def is_pseudomanifold(delta, cap=FACE_CAP):
@@ -152,42 +121,35 @@ def is_orientable(delta, cap=FACE_CAP):
     """
     if not is_pseudomanifold(delta, cap):
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
-    return reduced_betti(delta, FieldSpec.rationals(), cap)[delta.dim] != 0
+    return reduced_betti(delta, QQ, cap)[delta.dim] != 0
 
 
-def _sphere_betti(betti, dim):
-    """Does a Betti vector equal that of a sphere of the given dimension?"""
-    want = {dim: 1} if dim >= -1 else {}
-    return betti.nonzero() == want
+def _sphere_link(table, sigma):
+    """Does lk sigma have the reduced homology of a sphere of its dimension?
+
+    The empty complex counts as the (-1)-sphere.
+    """
+    return table._betti[sigma].nonzero() == {_link_dim(table._index[sigma]): 1}
 
 
 def is_homology_manifold(delta, field, cap=FACE_CAP):
     """(manifold_flag, sphere_flag) over the given field.
 
     manifold: every nonempty face has a link with the reduced homology
-    of a sphere of the link's dimension (the empty complex counts as
-    the (-1)-sphere, so facet links pass).  sphere: additionally the
-    complex itself has sphere homology.
+    of a sphere of the link's dimension (so facet links pass).  sphere:
+    additionally the complex itself, the link of the empty face, has
+    sphere homology.
     """
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
     if not delta.is_pure():
         raise NotPure("homology manifolds are pure")
-    memo = {}
-    manifold = True
-    for sigma in delta.faces(cap):
-        if not sigma:
-            continue
-        lk = link(delta, sigma)
-        b = memo.get(lk.facets)
-        if b is None:
-            b = reduced_betti(lk, field, cap)
-            memo[lk.facets] = b
-        if not _sphere_betti(b, lk.dim):
-            manifold = False
-            break
-    sphere = manifold and _sphere_betti(reduced_betti(delta, field, cap), delta.dim)
-    return manifold, sphere
+    return _homology_manifold(local_cohomology_table(delta, field, cap))
+
+
+def _homology_manifold(table):
+    manifold = all(_sphere_link(table, sigma) for sigma in table._index if sigma)
+    return manifold, manifold and _sphere_link(table, ())
 
 
 def is_quasi_gorenstein(delta, field, cap=FACE_CAP):
@@ -208,12 +170,17 @@ def is_gorenstein(delta, field, cap=FACE_CAP):
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
     cored = core(delta)
-    if cored.is_empty:
-        return True
-    return (
-        is_quasi_gorenstein(cored, field, cap)
-        and depth_report(cored, field, cap).is_cohen_macaulay
-    )
+    return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field, cap))
+
+
+def _quasi_gorenstein(delta, table):
+    """is_quasi_gorenstein read off the table of delta."""
+    return _normal_pseudomanifold(delta, table._index).ok and table._betti[()][delta.dim] != 0
+
+
+def _gorenstein(cored, table):
+    """A nonempty core with its table: quasi-Gorenstein and Cohen-Macaulay."""
+    return _quasi_gorenstein(cored, table) and _depth_report(table).is_cohen_macaulay
 
 
 class ClassificationReport:
@@ -243,7 +210,11 @@ class ClassificationReport:
             "cohen_macaulay", "quasi_gorenstein", "gorenstein",
         ):
             out[name] = getattr(self, name)
-        out["witnesses"] = {k: _witness_json(v) for k, v in self.witnesses.items()}
+        # Every witness is a face, except the ridge witness (face, count).
+        out["witnesses"] = {
+            k: {"face": list(w[0]), "count": w[1]} if k == "ridge_condition" else list(w)
+            for k, w in self.witnesses.items()
+        }
         return out
 
     def __repr__(self):
@@ -254,46 +225,43 @@ class ClassificationReport:
         return f"ClassificationReport({self.field}, {flags})"
 
 
-def _witness_json(w):
-    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], int) and isinstance(w[0], tuple):
-        return {"face": list(w[0]), "count": w[1]}
-    if isinstance(w, tuple) and all(isinstance(v, int) for v in w):
-        return list(w)
-    return str(w)
-
-
 def classification_report(delta, field, cap=FACE_CAP):
     """Run every predicate once and bundle the outcome.
 
-    Predicates whose preconditions fail are reported false rather than
-    raising: a non-pseudomanifold is not orientable, a non-pure complex
-    is not a homology manifold.
+    One face -> link index and one table over the field serve every
+    predicate; a core that differs from the complex gets its own table,
+    sharing the link Betti vectors already computed.  Predicates whose
+    preconditions fail are reported false rather than raising: a
+    non-pseudomanifold is not orientable, a non-pure complex is not a
+    homology manifold.
     """
-    np_report = normal_pseudomanifold_report(delta, cap)
+    if delta.is_void or delta.is_empty:
+        raise ValueError("classification needs a complex with at least one vertex")
+    memo = {}
+    table = _table(delta, field, cap, memo)
+    np_report = _normal_pseudomanifold(delta, table._index)
     witnesses = dict(np_report.witnesses)
 
     strongly_connected = np_report.pure and is_strongly_connected(delta)
     pseudo = np_report.pure and np_report.ridge_condition and strongly_connected
 
-    betti = reduced_betti(delta, field, cap)
-    orientable = False
-    if pseudo:
-        orientable = reduced_betti(delta, FieldSpec.rationals(), cap)[delta.dim] != 0
+    betti = table._betti[()]
+    orientable = pseudo and (
+        betti if field.is_rationals else reduced_betti(delta, QQ, cap))[delta.dim] != 0
 
-    buchsbaum, bb_witness = is_buchsbaum(delta, field, cap)
+    buchsbaum, bb_witness = _buchsbaum(table)
     if bb_witness is not None:
         witnesses["buchsbaum"] = bb_witness[0]
 
-    if np_report.pure:
-        manifold, sphere = is_homology_manifold(delta, field, cap)
-    else:
-        manifold, sphere = False, False
+    manifold, sphere = _homology_manifold(table) if np_report.pure else (False, False)
 
-    depth = depth_report(delta, field, cap)
+    depth = _depth_report(table)
     if depth.witness is not None:
         witnesses["cohen_macaulay"] = depth.witness[1]
 
-    qg = np_report.ok and betti[delta.dim] != 0
+    cored = core(delta)
+    gorenstein = cored.is_empty or _gorenstein(
+        cored, table if cored == delta else _table(cored, field, cap, memo))
     return ClassificationReport(
         field=field,
         n_vertices=delta.n_vertices,
@@ -308,7 +276,7 @@ def classification_report(delta, field, cap=FACE_CAP):
         homology_manifold=manifold,
         homology_sphere=sphere,
         cohen_macaulay=depth.is_cohen_macaulay,
-        quasi_gorenstein=qg,
-        gorenstein=is_gorenstein(delta, field, cap),
+        quasi_gorenstein=np_report.ok and betti[delta.dim] != 0,
+        gorenstein=gorenstein,
         witnesses=witnesses,
     )

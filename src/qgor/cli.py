@@ -10,6 +10,7 @@ errors, 2 when a capacity limit is hit.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,12 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .graphs import connectivity_report, gamma_graph, removal_experiment
-from .hochster import (
-    a_invariant,
-    depth_report,
-    is_buchsbaum,
-    local_cohomology_table,
-)
+from .hochster import _a_invariant, _buchsbaum, _depth_report, local_cohomology_table
 from .homology import FieldSpec, reduced_betti
 from .liaison import (
     FacetPartition,
@@ -92,9 +88,14 @@ def _parse_field(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_index_list(text):
-    """1-based comma-separated ids -> sorted 0-based index list."""
-    out = []
+def _parse_ids(text, facet_indices=False):
+    """Comma-separated positive ids -> sorted, deduplicated list.
+
+    Facet indices are 1-based on the command line and come back
+    0-based, and an empty facet index list is refused; vertex ids come
+    back as given, and an empty vertex list is allowed.
+    """
+    out = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -104,27 +105,16 @@ def _parse_index_list(text):
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {tok!r}")
         if v <= 0:
-            raise argparse.ArgumentTypeError(f"indices are 1-based positive, got {v}")
-        out.append(v - 1)
-    if not out:
+            raise argparse.ArgumentTypeError(
+                f"indices are 1-based positive, got {v}" if facet_indices
+                else f"vertex ids are positive, got {v}")
+        out.add(v - 1 if facet_indices else v)
+    if facet_indices and not out:
         raise argparse.ArgumentTypeError("empty index list")
-    return sorted(set(out))
+    return sorted(out)
 
 
-def _parse_vertex_list(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            v = int(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {tok!r}")
-        if v <= 0:
-            raise argparse.ArgumentTypeError(f"vertex ids are positive, got {v}")
-        out.append(v)
-    return sorted(set(out))
+_parse_facet_indices = functools.partial(_parse_ids, facet_indices=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,19 +148,19 @@ def _build_parser():
 
     p = sub.add_parser("liaison", parents=[common],
                        help="Lefschetz sequence and linkage checks for a facet partition")
-    p.add_argument("--facets-a", type=_parse_index_list, required=True,
+    p.add_argument("--facets-a", type=_parse_facet_indices, required=True,
                    metavar="I,J,...", help="1-based facet indices of the A block")
 
     p = sub.add_parser("graph", parents=[common],
                        help="facet graph Gamma_t and connectivity")
     p.add_argument("--t", type=int, default=1, help="graph parameter (default 1)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a report")
-    p.add_argument("--remove", type=_parse_index_list, metavar="I,J,...",
+    p.add_argument("--remove", type=_parse_facet_indices, metavar="I,J,...",
                    help="run the removal experiment for this 1-based facet set")
 
     p = sub.add_parser("collapse", parents=[common],
                        help="collapse away a set of forbidden vertices")
-    p.add_argument("--forbid", type=_parse_vertex_list, required=True,
+    p.add_argument("--forbid", type=_parse_ids, required=True,
                    metavar="V,W,...", help="vertex ids to eliminate")
     return parser
 
@@ -231,14 +221,14 @@ def _cmd_homology(delta, args):
 
 def _cmd_hochster(delta, args):
     table = local_cohomology_table(delta, args.field)
-    depth = depth_report(delta, args.field)
-    buchsbaum, _ = is_buchsbaum(delta, args.field)
+    depth = _depth_report(table)
+    buchsbaum, _ = _buchsbaum(table)
     payload = {
         "field": args.field.spec_string(),
         "table": table.to_json(),
         "depth": depth.depth,
         "cohen_macaulay": depth.is_cohen_macaulay,
-        "a_invariant": a_invariant(delta, args.field),
+        "a_invariant": _a_invariant(table),
         "buchsbaum": buchsbaum,
     }
     lines = [f"field: {args.field}", f"krull dimension: {table.d}"]
@@ -319,25 +309,24 @@ def _cmd_graph(delta, args):
 
 def _cmd_collapse(delta, args):
     result = collapse_onto(delta, args.forbid)
+    payload = result.to_json()
     if isinstance(result, CollapseTrace):
+        trace = result
         verified = verify_trace(result, args.field)
-        payload = result.to_json()
         payload.update({"outcome": "success", "verified": verified})
         lines = ["SUCCESS",
                  f"steps: {len(result.steps)}",
                  f"end: {[list(f) for f in result.end.facets]}",
                  f"betti preserved over {args.field}: {_flag(verified)}"]
-        for beta, gamma in result.steps:
-            lines.append(f"  collapse ({','.join(map(str, beta))}) < ({','.join(map(str, gamma))})")
     else:
-        payload = result.to_json()
+        trace = result.partial_trace
         payload["outcome"] = "failure"
         lines = ["FAILURE",
                  f"reason: {result.reason}",
                  f"stuck at: {[list(f) for f in result.stuck_complex.facets]}",
-                 f"steps taken: {len(result.partial_trace.steps)}"]
-        for beta, gamma in result.partial_trace.steps:
-            lines.append(f"  collapse ({','.join(map(str, beta))}) < ({','.join(map(str, gamma))})")
+                 f"steps taken: {len(trace.steps)}"]
+    lines += [f"  collapse ({','.join(map(str, beta))}) < ({','.join(map(str, gamma))})"
+              for beta, gamma in trace.steps]
     _emit(payload, args.json, lines)
     return 0
 

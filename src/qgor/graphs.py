@@ -35,13 +35,7 @@ class GammaGraph:
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return sorted(self.adjacency()[i])
 
     def adjacency(self):
         adj = {i: set() for i in range(len(self.facets))}
@@ -138,7 +132,12 @@ class ConnectivityReport:
 
 
 def _components(adj, skip=frozenset()):
-    """Connected-component count of the graph minus a vertex set."""
+    """Connected-component count of the graph minus a vertex set.
+
+    adj maps each vertex to its neighbours.  This is the one
+    connectivity helper: facet graphs here, and link connectivity and
+    strong connectivity in classify, all count components with it.
+    """
     alive = [v for v in adj if v not in skip]
     seen = set()
     count = 0

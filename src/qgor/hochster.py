@@ -6,15 +6,19 @@ multidegree -sigma piece of H^i_m(k[Delta]) has
     dim_k H^i_m(k[Delta])_{-sigma} = dim_k H~^{i - |sigma| - 1}(lk sigma; k)
 
 for every face sigma (the empty face included), and every other
-multidegree vanishes.  This module is bookkeeping on top of that
-formula: the graded table, depth and the Reisner Cohen-Macaulay
-criterion, the a-invariant, the Buchsbaum predicate and the Serre
-condition (S_l).  Over a field the cohomology dimensions of a link
-equal its homology dimensions, so link Betti vectors serve throughout.
+multidegree vanishes.  So the table is the reduced homology of every
+link, and it is the one place where link homology is computed: once
+per (complex, field), over the face -> link index, with links that
+coincide as facet lists sharing one Betti vector.  Depth and the
+Reisner Cohen-Macaulay criterion, the a-invariant, the Buchsbaum
+predicate and the Serre condition (S_l) here, and the manifold,
+Gorenstein and liaison checks elsewhere, are reads of that table.
+Over a field the cohomology dimensions of a link equal its homology
+dimensions, so link Betti vectors serve throughout.
 """
 
 from .homology import reduced_betti
-from .simplicial_core import FACE_CAP, face, face_key, link
+from .simplicial_core import FACE_CAP, SimplicialComplex, _link_index, face, face_key, link
 
 
 class LocalCohomologyTable:
@@ -22,9 +26,12 @@ class LocalCohomologyTable:
 
     Only nonzero entries are stored.  total(i, j) aggregates over the
     squarefree multidegrees with |sigma| = -j; positive j never occurs.
+    A table built by local_cohomology_table also keeps, for every face
+    in canonical order, its link facets (_index) and the link's Betti
+    vector (_betti); the predicates below read those.
     """
 
-    __slots__ = ("d", "n_vertices", "_entries")
+    __slots__ = ("d", "n_vertices", "_entries", "_index", "_betti")
 
     def __init__(self, d, n_vertices, entries):
         self.d = d
@@ -96,26 +103,38 @@ class DepthReport:
 
 
 def local_cohomology_table(delta, field, cap=FACE_CAP):
-    """The full Hochster table of delta over the given field.
+    """The full Hochster table of delta over the given field."""
+    return _table(delta, field, cap, {})
 
-    One link homology computation per face; links that coincide as
-    facet lists share a memoized Betti vector.
+
+def _table(delta, field, cap, memo):
+    """The table of delta; memo maps link facets to Betti vectors over field.
+
+    Tables built within one call over one field share a memo, so a link
+    common to them (Delta and Delta_B away from A, a complex and its
+    core) is computed once.
     """
     if delta.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ring")
-    d = delta.dim + 1
+    index = _link_index(delta, cap)
+    betti = {}
     entries = {}
-    memo = {}
-    for sigma in delta.faces(cap):
-        lk = link(delta, sigma)
-        b = memo.get(lk.facets)
+    for sigma, lk in index.items():
+        b = memo.get(lk)
         if b is None:
-            b = reduced_betti(lk, field, cap)
-            memo[lk.facets] = b
+            b = memo[lk] = reduced_betti(SimplicialComplex(delta.n_vertices, lk), field, cap)
+        betti[sigma] = b
         for r, dim_r in b.dims.items():
             if dim_r:
                 entries[(r + len(sigma) + 1, sigma)] = dim_r
-    return LocalCohomologyTable(d, delta.n_vertices, entries)
+    table = LocalCohomologyTable(delta.dim + 1, delta.n_vertices, entries)
+    table._index, table._betti = index, betti
+    return table
+
+
+def _link_dim(link_facets):
+    """Dimension of a link given by its canonically ordered facets."""
+    return len(link_facets[-1]) - 1
 
 
 def depth_report(delta, field, cap=FACE_CAP):
@@ -125,10 +144,12 @@ def depth_report(delta, field, cap=FACE_CAP):
     depth = d.  The witness is the first table entry below d (in
     canonical order), None when CM.
     """
-    table = local_cohomology_table(delta, field, cap)
+    return _depth_report(local_cohomology_table(delta, field, cap))
+
+
+def _depth_report(table):
     depth = table.min_i()
-    below = [(i, s) for i, s, _ in table.entries() if i < table.d]
-    witness = below[0] if below else None
+    witness = next(((i, s) for i, s, _ in table.entries() if i < table.d), None)
     return DepthReport(depth, depth == table.d, witness)
 
 
@@ -158,11 +179,28 @@ def a_invariant(delta, field, cap=FACE_CAP):
     is never positive; it is 0 exactly when the complex itself has
     nonzero top reduced homology.
     """
-    table = local_cohomology_table(delta, field, cap)
-    sizes = [len(s) for i, s, _ in table.entries() if i == table.d]
+    return _a_invariant(local_cohomology_table(delta, field, cap))
+
+
+def _a_invariant(table):
     # A maximal-dimension facet always contributes H~^{-1} of an empty
     # link at i = d, so the top module is never zero.
-    return -min(sizes)
+    return -min(len(s) for i, s in table._entries if i == table.d)
+
+
+def _low_homology(table, ell=None, nonempty=False):
+    """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
+    -1 <= i < dim lk sigma and, when ell is given, i < ell - 1; None if
+    there is none.  nonempty skips the empty face."""
+    for sigma, lk in table._index.items():
+        if nonempty and not sigma:
+            continue
+        b = table._betti[sigma]
+        top = _link_dim(lk) if ell is None else min(ell - 1, _link_dim(lk))
+        for i in range(-1, top):
+            if b[i]:
+                return sigma, i
+    return None
 
 
 def is_buchsbaum(delta, field, cap=FACE_CAP):
@@ -172,21 +210,12 @@ def is_buchsbaum(delta, field, cap=FACE_CAP):
     pair or None.  The empty face is exempt, which is what separates
     Buchsbaum from Cohen-Macaulay here.
     """
-    if delta.is_void:
-        raise ValueError("the void complex has no Stanley-Reisner ring")
-    memo = {}
-    for sigma in delta.faces(cap):
-        if not sigma:
-            continue
-        lk = link(delta, sigma)
-        b = memo.get(lk.facets)
-        if b is None:
-            b = reduced_betti(lk, field, cap)
-            memo[lk.facets] = b
-        for i in range(-1, lk.dim):
-            if b[i]:
-                return False, (sigma, i)
-    return True, None
+    return _buchsbaum(local_cohomology_table(delta, field, cap))
+
+
+def _buchsbaum(table):
+    witness = _low_homology(table, nonempty=True)
+    return witness is None, witness
 
 
 def serre_condition(delta, field, ell, cap=FACE_CAP):
@@ -200,16 +229,4 @@ def serre_condition(delta, field, ell, cap=FACE_CAP):
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    if delta.is_void:
-        raise ValueError("the void complex has no Stanley-Reisner ring")
-    memo = {}
-    for sigma in delta.faces(cap):
-        lk = link(delta, sigma)
-        b = memo.get(lk.facets)
-        if b is None:
-            b = reduced_betti(lk, field, cap)
-            memo[lk.facets] = b
-        for i in range(-1, min(ell - 1, lk.dim)):
-            if b[i]:
-                return False
-    return True
+    return _low_homology(local_cohomology_table(delta, field, cap), ell) is None

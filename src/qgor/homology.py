@@ -22,14 +22,29 @@ from .errors import CapacityExceeded, NotASubcomplex
 from .simplicial_core import FACE_CAP, check_face_budget
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound.
+_PRIME_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; exact for p < _PRIME_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,8 +54,11 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"{p} is not a prime")
+        if p is not None:
+            if p >= _PRIME_LIMIT:
+                raise ValueError(f"primes must be below {_PRIME_LIMIT}, got {p}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not a prime")
         self.p = p
 
     @classmethod

@@ -20,11 +20,11 @@ carries the alternating sums of both readings rather than hiding the
 discrepancy.
 """
 
-from .classify import is_quasi_gorenstein
+from .classify import _quasi_gorenstein, is_quasi_gorenstein
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
-from .hochster import depth_report, is_buchsbaum, local_cohomology_table
+from .hochster import _buchsbaum, _depth_report, _table, is_buchsbaum, local_cohomology_table
 from .homology import reduced_betti, relative_betti
-from .simplicial_core import FACE_CAP, face_key, link, restrict_to_facets
+from .simplicial_core import FACE_CAP, face_key, restrict_to_facets
 
 
 class FacetPartition:
@@ -104,6 +104,11 @@ class LefschetzReport:
 
 
 def _sides(delta, partition):
+    """Delta_A and Delta_B, after checking that the partition applies."""
+    if delta.is_void or delta.is_empty:
+        raise ValueError("liaison needs a complex with facets")
+    if not delta.is_pure():
+        raise NotPure("facet partitions are defined for pure complexes")
     partition.validate_for(delta)
     delta_a = restrict_to_facets(delta, partition.a)
     delta_b = restrict_to_facets(delta, partition.b)
@@ -116,15 +121,12 @@ def lefschetz_report(delta, partition, field, cap=FACE_CAP):
     Always produced; the hypothesis flags record whether the sequence
     is actually guaranteed to be exact for this input.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("liaison needs a complex with facets")
-    if not delta.is_pure():
-        raise NotPure("facet partitions are defined for pure complexes")
     delta_a, delta_b = _sides(delta, partition)
     d = delta.dim
 
+    table_a = local_cohomology_table(delta_a, field, cap)
     b_delta = reduced_betti(delta, field, cap)
-    b_a = reduced_betti(delta_a, field, cap)
+    b_a = table_a._betti[()]
     b_b = reduced_betti(delta_b, field, cap)
 
     terms = [("H~^0(Delta_B)", b_b[0])]
@@ -149,7 +151,7 @@ def lefschetz_report(delta, partition, field, cap=FACE_CAP):
 
     hypotheses = {
         "quasi_gorenstein": is_quasi_gorenstein(delta, field, cap),
-        "buchsbaum_A": is_buchsbaum(delta_a, field, cap)[0],
+        "buchsbaum_A": _buchsbaum(table_a)[0],
     }
     return LefschetzReport(
         d=d,
@@ -205,42 +207,38 @@ def link_restriction_check(delta, partition, field, cap=FACE_CAP):
     nonempty sigma of Delta outside Delta_B it asks that the ambient
     link cohomology vanishes in the same range.  The range stops where
     purity arguments stop: beyond it the claim fails already for a
-    facet cut out of the boundary of a 3-simplex.
+    facet cut out of the boundary of a 3-simplex.  By Hochster's
+    formula this is the comparison of the tables of Delta and Delta_B
+    below degree dim Delta + 1 at the nonempty faces.
 
     Always runs; hypotheses_met reports whether the guarantee applies.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("liaison needs a complex with facets")
-    if not delta.is_pure():
-        raise NotPure("facet partitions are defined for pure complexes")
     delta_a, delta_b = _sides(delta, partition)
-    d = delta.dim
-
-    witnesses = []
-    b_faces = set(delta_b.faces(cap))
-    for sigma in delta.faces(cap):
-        if not sigma:
-            continue
-        top = d - len(sigma)
-        if top <= -1:
-            continue
-        ambient = reduced_betti(link(delta, sigma), field, cap)
-        if sigma in b_faces:
-            restricted = reduced_betti(link(delta_b, sigma), field, cap)
-            for i in range(-1, top):
-                if restricted[i] != ambient[i]:
-                    witnesses.append((sigma, i, True, restricted[i], ambient[i]))
-        else:
-            for i in range(-1, top):
-                if ambient[i] != 0:
-                    witnesses.append((sigma, i, False, 0, ambient[i]))
-
-    hypotheses_met = (
-        is_quasi_gorenstein(delta, field, cap)
-        and is_buchsbaum(delta_a, field, cap)[0]
+    memo = {}
+    table = _table(delta, field, cap, memo)
+    table_b = _table(delta_b, field, cap, memo)
+    witnesses = sorted(
+        ((sigma, i - len(sigma) - 1, sigma in table_b._index, dim_b, dim)
+         for i, sigma, dim, dim_b in _differences(table, table_b) if sigma),
+        key=lambda w: (face_key(w[0]), w[1]),
     )
-    witnesses.sort(key=lambda w: (face_key(w[0]), w[1]))
+    hypotheses_met = (
+        _quasi_gorenstein(delta, table)
+        and _buchsbaum(_table(delta_a, field, cap, memo))[0]
+    )
     return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
+
+
+def _differences(table, table_b):
+    """(i, sigma, dim for Delta, dim for Delta_B) wherever the two tables
+    differ below the Krull dimension of Delta, in no particular order."""
+    keys = {k for t in (table, table_b) for k in t._entries if k[0] < table.d}
+    out = []
+    for i, sigma in keys:
+        dim, dim_b = table.entry(i, sigma), table_b.entry(i, sigma)
+        if dim != dim_b:
+            out.append((i, sigma, dim, dim_b))
+    return out
 
 
 class CmLinkageReport:
@@ -282,30 +280,15 @@ def cm_linkage_check(delta, partition, field, cap=FACE_CAP):
     carried out, so failed hypotheses come back annotated rather than
     as errors.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("liaison needs a complex with facets")
-    if not delta.is_pure():
-        raise NotPure("facet partitions are defined for pure complexes")
     delta_a, delta_b = _sides(delta, partition)
-    d = delta.dim + 1
-
-    table = local_cohomology_table(delta, field, cap)
-    table_b = local_cohomology_table(delta_b, field, cap)
-    below = {(i, s): v for (i, s, v) in table.entries() if i < d}
-    below_b = {(i, s): v for (i, s, v) in table_b.entries() if i < d}
-
-    witness = None
-    if below != below_b:
-        keys = sorted(set(below) | set(below_b), key=lambda k: (k[0], face_key(k[1])))
-        for key in keys:
-            lhs, rhs = below.get(key, 0), below_b.get(key, 0)
-            if lhs != rhs:
-                witness = (key[0], key[1], lhs, rhs)
-                break
-
+    memo = {}
+    table = _table(delta, field, cap, memo)
+    table_b = _table(delta_b, field, cap, memo)
+    witness = min(_differences(table, table_b),
+                  key=lambda w: (w[0], face_key(w[1])), default=None)
     hypotheses = {
-        "quasi_gorenstein": is_quasi_gorenstein(delta, field, cap),
-        "cm_A": depth_report(delta_a, field, cap).is_cohen_macaulay,
+        "quasi_gorenstein": _quasi_gorenstein(delta, table),
+        "cm_A": _depth_report(_table(delta_a, field, cap, memo)).is_cohen_macaulay,
     }
     return CmLinkageReport(
         ok=witness is None,
@@ -324,10 +307,6 @@ def tconn_check(delta, partition, field, cap=FACE_CAP):
     verdict is H~^0(Delta_B) = 0, and False would falsify the
     underlying connectedness statement for this instance.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("liaison needs a complex with facets")
-    if not delta.is_pure():
-        raise NotPure("facet partitions are defined for pure complexes")
     delta_a, delta_b = _sides(delta, partition)
 
     failed = []

@@ -214,16 +214,42 @@ def link(delta, sigma):
     """The link lk(sigma) = {tau : tau disjoint from sigma, tau + sigma a face}.
 
     Stays on the same ambient vertex set.  The link of the empty face is
-    the complex itself; the link of a facet is the empty complex.
+    the complex itself; the link of a facet is the empty complex.  Its
+    facets are the F - sigma over the facets F containing sigma: these
+    are maximal, distinct and inherit the canonical order, so no
+    absorption pass is needed.
 
     Raises NotAFace when sigma is not a face of delta.
     """
     s = face(sigma)
-    if not delta.is_face(s):
-        raise NotAFace(f"{list(s)} is not a face")
     ss = set(s)
-    new_facets = [tuple(v for v in f if v not in ss) for f in delta.facets if ss.issubset(f)]
-    return from_facets(new_facets, delta.n_vertices)
+    facets = tuple(tuple(v for v in f if v not in ss) for f in delta.facets if ss.issubset(f))
+    if not facets:
+        raise NotAFace(f"{list(s)} is not a face")
+    return SimplicialComplex(delta.n_vertices, facets)
+
+
+def _link_index(delta, cap=FACE_CAP):
+    """Every face mapped to the facets of its link, in canonical face order.
+
+    One pass over the facets: each subset sigma of a facet F files
+    F - sigma under sigma.  As in link(), those lists are already the
+    canonical link facets.  Refuses the same inputs as faces().
+    """
+    check_face_budget(delta.facets, cap)
+    index = {}
+    for f in delta.facets:
+        n = len(f)
+        for k in range(n + 1):
+            # The k-subsets of f in lexicographic order are the complements
+            # of its (n-k)-subsets in reverse lexicographic order.
+            rests = list(combinations(f, n - k))
+            rests.reverse()
+            for s, rest in zip(combinations(f, k), rests):
+                index.setdefault(s, []).append(rest)
+        if len(index) > cap:
+            raise CapacityExceeded(f"more than {cap} faces")
+    return {s: tuple(index[s]) for s in sorted(index, key=face_key)}
 
 
 def restrict_to_facets(delta, indices):

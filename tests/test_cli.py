@@ -206,6 +206,32 @@ def test_cli_exit_one(tmp_path, capsys):
         assert err.strip(), argv
 
 
+def test_cli_large_prime_field(capsys):
+    code, out, err = _run(capsys, "homology", _fixture_path("csaszar-torus"),
+                          "--field", "1152921504606846883", "--json")
+    assert code == 0, err
+    assert json.loads(out)["betti"] == {"0": 0, "1": 2, "2": 1}
+    code, _, err = _run(capsys, "homology", _fixture_path("csaszar-torus"),
+                        "--field", str(2 ** 89 - 1))
+    assert code == 1 and "below" in err
+
+
+def test_cli_id_lists(capsys):
+    # facet indices: refused when empty, 1-based in and out; vertex
+    # lists may be empty
+    code, _, err = _run(capsys, "liaison", _fixture_path("four-cycle"), "--facets-a", ",")
+    assert code == 1 and "empty index list" in err
+    code, _, err = _run(capsys, "graph", _fixture_path("four-cycle"), "--remove", "")
+    assert code == 1 and "empty index list" in err
+    payload = _run_json(capsys, "graph", _fixture_path("csaszar-torus"),
+                        "--remove", "3,1,3", "--json")
+    assert payload["removal"]["b"] == [1, 3]
+    payload = _run_json(capsys, "collapse", _fixture_path("four-cycle"), "--forbid", "", "--json")
+    assert payload["outcome"] == "success" and payload["steps"] == []
+    code, _, err = _run(capsys, "collapse", _fixture_path("four-cycle"), "--forbid", "0")
+    assert code == 1 and "vertex ids are positive" in err
+
+
 def test_cli_exit_two_on_capacity(tmp_path, capsys):
     wide = tmp_path / "wide.cplx"
     wide.write_text(" ".join(str(v) for v in range(1, 26)) + "\n")

@@ -16,7 +16,6 @@ from qgor import (
     is_quasi_gorenstein,
     removal_experiment,
 )
-from qgor.classify import _facet_ridge_edges
 from qgor.fixtures import corpus, get_fixture
 
 FIELDS_QG = [QQ]
@@ -67,10 +66,17 @@ def test_gamma_monotone_in_t():
 
 
 def test_gamma_one_equals_ridge_adjacency():
+    # independent of Gamma_t's intersection sizes: file each facet under
+    # its ridges, then join the facets filed under a common ridge
     for fx in corpus():
         delta = fx.complex()
         g = gamma_graph(delta, 1)
-        assert g.edges == frozenset(_facet_ridge_edges(delta)), fx.name
+        by_ridge = {}
+        for i, f in enumerate(delta.facets):
+            for ridge in combinations(f, len(f) - 1):
+                by_ridge.setdefault(ridge, []).append(i)
+        ridge_edges = {pair for facets in by_ridge.values() for pair in combinations(facets, 2)}
+        assert g.edges == frozenset(ridge_edges), fx.name
 
 
 def test_connectivity_report_complete_graph():

@@ -1,6 +1,7 @@
 """Boundary matrices, ranks, reduced and relative Betti numbers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,38 @@ def test_field_spec_parse():
         FieldSpec.parse("gf2")
     assert GF3.spec_string() == "3"
     assert str(QQ) == "Q"
+
+
+BIG_PRIME = "1152921504606846883"  # 2**60 - 93
+
+
+def test_field_spec_parses_a_large_prime_quickly():
+    started = time.perf_counter()
+    assert FieldSpec.parse(BIG_PRIME).p == int(BIG_PRIME)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_field_spec_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 3825123056546413051 (19 digits) is a
+    # strong pseudoprime to every base up to 23, and 3317044064679887385961981,
+    # the first one to all thirteen bases up to 41, is past the supported range
+    for composite in ("561", "3825123056546413051", "318665857834031151167461",
+                      str(int(BIG_PRIME) * 3)):
+        with pytest.raises(ValueError, match="not a prime"):
+            FieldSpec.parse(composite)
+    with pytest.raises(ValueError, match="below"):
+        FieldSpec.parse("3317044064679887385961981")
+    with pytest.raises(ValueError, match="below"):
+        FieldSpec.prime(2 ** 89 - 1)  # a Mersenne prime above the range
+
+
+def test_primality_matches_trial_division():
+    from qgor.homology import _is_prime
+
+    def slow(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 3000) if _is_prime(n)] == [n for n in range(-3, 3000) if slow(n)]
 
 
 def test_betti_vector_behaves_like_sparse_map():

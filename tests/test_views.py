@@ -1,0 +1,206 @@
+"""Every link predicate against a naive per-face reference.
+
+The library reads CM, depth, the a-invariant, Buchsbaum, (S_l), the
+manifold flags, normality and the liaison comparisons off one Hochster
+table and one face -> link index per complex and field.  The references
+below recompute each of them face by face from qgor.link and the
+independent oracle_betti, on seeded random complexes on at most seven
+vertices and on the corpus.
+"""
+
+import random
+
+import pytest
+
+import qgor.classify
+import qgor.hochster
+import qgor.liaison
+from qgor import (
+    CapacityExceeded,
+    GF2,
+    GF3,
+    QQ,
+    FacetPartition,
+    a_invariant,
+    classification_report,
+    cm_linkage_check,
+    depth_report,
+    from_facets,
+    is_buchsbaum,
+    is_homology_manifold,
+    link,
+    link_restriction_check,
+    normal_pseudomanifold_report,
+    serre_condition,
+)
+from qgor.fixtures import corpus, oracle_betti
+
+FIELDS = [QQ, GF2, GF3]
+
+
+def _random_complexes(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        pure = rng.random() < 0.5
+        size = rng.randint(1, min(n, 4))
+        facets = [rng.sample(range(1, n + 1), size if pure else rng.randint(1, min(n, 4)))
+                  for _ in range(rng.randint(1, 7))]
+        out.append(from_facets(facets, n))
+    return out
+
+
+COMPLEXES = [fx.complex() for fx in corpus()] + _random_complexes(20221023, 40)
+
+
+def _links(delta, field):
+    """(sigma, dim lk sigma, Betti vector of lk sigma) for every face, in order."""
+    out = []
+    for sigma in delta.faces():
+        lk = link(delta, sigma)
+        out.append((sigma, lk.dim, oracle_betti(lk, field)))
+    return out
+
+
+def _first_low(links, bound, nonempty=False):
+    for sigma, dim, b in links:
+        if nonempty and not sigma:
+            continue
+        for i in range(-1, bound(dim)):
+            if b[i]:
+                return sigma, i
+    return None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_table_views_match_per_face_reference(field):
+    for delta in COMPLEXES:
+        if delta.is_empty:
+            continue
+        links = _links(delta, field)
+        d = delta.dim + 1
+        tag = (delta, field)
+
+        witness = _first_low(links, lambda dim: dim, nonempty=True)
+        assert is_buchsbaum(delta, field) == (witness is None, witness), tag
+        for ell in (1, 2, 3):
+            want = _first_low(links, lambda dim: min(ell - 1, dim)) is None
+            assert serre_condition(delta, field, ell) == want, (tag, ell)
+
+        degrees = [r + len(sigma) + 1 for sigma, _, b in links for r in b.nonzero()]
+        report = depth_report(delta, field)
+        assert report.depth == min(degrees), tag
+        reisner = _first_low(links, lambda dim: dim) is None
+        assert report.is_cohen_macaulay == reisner == (min(degrees) == d), tag
+        top = [len(sigma) for sigma, _, b in links if b[d - len(sigma) - 1]]
+        assert a_invariant(delta, field) == -min(top), tag
+
+        if delta.is_pure():
+            sphere = [b.nonzero() == {dim: 1} for _, dim, b in links]
+            manifold = all(sphere[1:])
+            assert is_homology_manifold(delta, field) == (manifold, manifold and sphere[0]), tag
+
+
+def test_normal_pseudomanifold_matches_per_face_reference():
+    for delta in COMPLEXES:
+        if delta.is_empty:
+            continue
+        d = delta.dim
+        report = normal_pseudomanifold_report(delta)
+        # connected and nonempty <=> no reduced homology in degrees -1, 0
+        disconnected = [sigma for sigma in delta.faces() if len(sigma) - 1 <= d - 2
+                        and oracle_betti(link(delta, sigma), GF2).nonzero().keys() & {-1, 0}]
+        assert report.normal == (not disconnected), delta
+        assert report.witnesses.get("normal") == (disconnected[0] if disconnected else None), delta
+        counts = [(r, sum(1 for f in delta.facets if set(r) <= set(f)))
+                  for r in delta.faces_of_dim(d - 1)]
+        bad = [rc for rc in counts if rc[1] != 2]
+        assert report.ridge_condition == (not bad), delta
+        assert report.witnesses.get("ridge_condition") == (bad[0] if bad else None), delta
+
+
+def _partitions(delta, rng):
+    m = len(delta.facets)
+    sizes = range(1, m)
+    for k in rng.sample(sizes, min(2, len(sizes))):
+        yield FacetPartition.complementary(delta, rng.sample(range(m), k))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_liaison_comparisons_match_per_face_reference(field):
+    rng = random.Random(7)
+    for delta in COMPLEXES:
+        if delta.is_empty or not delta.is_pure():
+            continue
+        d = delta.dim
+        for partition in _partitions(delta, rng):
+            delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
+            b_faces = set(delta_b.faces())
+            want = []
+            table_diff = []
+            for sigma in delta.faces():
+                ambient = oracle_betti(link(delta, sigma), field)
+                restricted = (oracle_betti(link(delta_b, sigma), field) if sigma in b_faces
+                              else None)
+                for r in range(-1, d - len(sigma)):
+                    da, db = ambient[r], restricted[r] if restricted is not None else 0
+                    if da != db:
+                        table_diff.append((r + len(sigma) + 1, sigma, da, db))
+                        if sigma:
+                            want.append((sigma, r, sigma in b_faces, db, da))
+            report = link_restriction_check(delta, partition, field)
+            assert report.witnesses == want, (delta, partition, field)
+            assert report.ok == (not want)
+            first = min(table_diff, key=lambda w: (w[0], len(w[1]), w[1]), default=None)
+            assert cm_linkage_check(delta, partition, field).witness == first, (delta, partition)
+
+
+def _count_betti(monkeypatch):
+    counts = {}
+    original = qgor.hochster.reduced_betti
+
+    def counting(delta, field, cap=qgor.FACE_CAP):
+        key = (delta.facets, field.p)
+        counts[key] = counts.get(key, 0) + 1
+        return original(delta, field, cap)
+
+    for module in (qgor.hochster, qgor.classify, qgor.liaison):
+        monkeypatch.setattr(module, "reduced_betti", counting)
+    return counts
+
+
+def test_each_link_computed_once_per_call(monkeypatch):
+    counts = _count_betti(monkeypatch)
+    cases = [fx.complex() for fx in corpus() if not fx.complex().is_empty]
+    for delta in cases + _random_complexes(5, 10):
+        for field in FIELDS:
+            counts.clear()
+            classification_report(delta, field)
+            assert counts and max(counts.values()) == 1, (delta, field, counts)
+            if delta.is_pure() and len(delta.facets) > 1:
+                counts.clear()
+                link_restriction_check(delta, FacetPartition.complementary(delta, [0]), field)
+                assert max(counts.values()) == 1, (delta, field, counts)
+
+
+def test_index_links_equal_absorbed_links():
+    for delta in COMPLEXES:
+        index = qgor.simplicial_core._link_index(delta)
+        assert list(index) == delta.faces()
+        for sigma, facets in index.items():
+            assert facets == from_facets(facets, delta.n_vertices).facets == link(delta, sigma).facets
+            assert facets == tuple(sorted(
+                (tuple(v for v in f if v not in sigma) for f in delta.facets if set(sigma) <= set(f)),
+                key=lambda f: (len(f), f)))
+
+
+def test_index_refuses_what_faces_refuses():
+    wide = from_facets([range(1, 6)])  # one facet with 32 subsets
+    two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
+    for delta, cap in ((wide, 16), (two, 20)):
+        with pytest.raises(CapacityExceeded):
+            delta.faces(cap)
+        with pytest.raises(CapacityExceeded):
+            qgor.simplicial_core._link_index(delta, cap)
+    assert len(qgor.simplicial_core._link_index(two, 31)) == 31
