@@ -59,9 +59,6 @@ class LocalCohomologyTable:
             agg[key] = agg.get(key, 0) + v
         return sorted((i, j, v) for (i, j), v in agg.items())
 
-    def max_i(self):
-        return max((i for i, _ in self._entries), default=None)
-
     def min_i(self):
         return min((i for i, _ in self._entries), default=None)
 

@@ -5,18 +5,19 @@ Boundary matrices use the standard sign convention
     d[v_0 < ... < v_i] = sum_j (-1)^j [v_0 < ... < v_j-hat < ... < v_i]
 
 on ascending vertex order, with the augmentation row included at i = 0,
-so Betti numbers are reduced.  All arithmetic is exact: rank over the
-rationals runs fraction-free (Bareiss) on integers, rank over GF(p)
-reduces eagerly mod p.  Pivoting is deterministic (leftmost column,
-then lowest row), so every matrix and rank is reproducible.
+so Betti numbers are reduced.  One builder writes these matrices as
+sparse columns, for the reduced complex and for the relative one (the
+faces of Delta not in Gamma), and one column reduction on the lowest
+nonzero row computes every rank over every field.  All arithmetic is
+exact: integers over Q, residues over GF(p).  The order of the columns
+and pivots is fixed, so every matrix and rank is reproducible.
 
 Over a field the dimensions of cohomology equal those of homology in
 each degree (universal coefficients), so the Betti vectors computed
 here serve for both H~_i and H~^i.
 """
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .errors import CapacityExceeded, NotASubcomplex
 from .simplicial_core import FACE_CAP, check_face_budget
@@ -147,89 +148,83 @@ class BettiVector:
 
 
 class ExactMatrix:
-    """Dense matrix with exact entries over a FieldSpec.
+    """Sparse matrix with exact integer entries over a FieldSpec.
 
-    Entries are ints or Fractions over the rationals and ints in
-    0..p-1 over GF(p).  Only what homology needs: shape, entries, rank.
+    columns[c] is a {row: nonzero int} dict.  The constructor drops
+    zero entries and, over GF(p), reduces the rest into 1..p-1, so every
+    stored entry is a nonzero field element.  Only what homology needs:
+    shape, columns, rank.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "columns")
 
-    def __init__(self, field, rows, cols, entries):
+    def __init__(self, field, rows, cols, columns):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = [list(r) for r in entries]
-        assert len(self.entries) == rows and all(len(r) == cols for r in self.entries)
+        self.columns = [_nonzero(col, field.p) for col in columns]
+        if len(self.columns) != cols or any(r not in range(rows) for c in self.columns for r in c):
+            raise ValueError(f"columns do not fit a {rows} x {cols} matrix")
 
     def __repr__(self):
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
 
 
+def _nonzero(col, p):
+    """The nonzero entries of a column, reduced mod p over GF(p)."""
+    if p is not None:
+        return {r: x % p for r, x in col.items() if x % p}
+    return {r: x for r, x in col.items() if x}
+
+
 def rank(matrix):
-    """Exact rank of an ExactMatrix.
+    """Exact rank of an ExactMatrix by column reduction on the lowest row.
 
-    Rationals: denominators are cleared rowwise, then fraction-free
-    Bareiss elimination keeps every intermediate value an integer (the
-    exact divisions are Sylvester's identity).  GF(p): ordinary Gaussian
-    elimination with eager reduction.
+    Columns are reduced left to right.  A column whose lowest nonzero
+    row is already the pivot of a reduced column is replaced by
+    a*col - b*pivot_col, which clears that row; a column that reaches a
+    new lowest row becomes its pivot, and one that vanishes is
+    dependent.  The rank is the number of pivots.  Over GF(p) entries
+    stay reduced mod p; over Q they stay integers, each new column
+    divided by the gcd of its entries, which keeps them small.
     """
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    if matrix.field.is_rationals:
-        return _rank_bareiss(matrix.entries)
-    return _rank_mod_p(matrix.entries, matrix.field.p)
+    p = matrix.field.p
+    pivots = {}
+    for col in matrix.columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            a, b = pivot[low], col[low]
+            col = _nonzero({r: a * col.get(r, 0) - b * pivot.get(r, 0)
+                            for r in col.keys() | pivot.keys()}, p)
+            if p is None and col:
+                g = gcd(*col.values())
+                col = {r: x // g for r, x in col.items()}
+    return len(pivots)
 
 
-def _rank_bareiss(entries):
-    m = []
-    for row in entries:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        m.append([int(x * den) for x in row])
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        piv = m[r][col]
-        for i in range(r + 1, n_rows):
-            factor = m[i][col]
-            for j in range(col + 1, n_cols):
-                m[i][j] = (piv * m[i][j] - factor * m[r][j]) // prev
-            m[i][col] = 0
-        prev = piv
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _boundary(cols, rows, field, cap, kind="boundary matrix"):
+    """The matrix of d from the faces cols to the faces rows, one size below.
 
-def _rank_mod_p(entries, p):
-    m = [[x % p for x in row] for row in entries]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][col], -1, p)
-        for i in range(r + 1, n_rows):
-            factor = (m[i][col] * inv) % p
-            if factor:
-                row_r = m[r]
-                row_i = m[i]
-                for j in range(col, n_cols):
-                    row_i[j] = (row_i[j] - factor * row_r[j]) % p
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    Column c holds (-1)^j at the row of cols[c] minus its j-th vertex.
+    A face missing from rows is skipped: with rows the faces of Delta
+    not in Gamma this is the relative boundary.
+    """
+    if len(rows) * len(cols) > cap:
+        raise CapacityExceeded(f"{kind} with {len(rows)} x {len(cols)} entries, cap is {cap}")
+    row_index = {f: k for k, f in enumerate(rows)}
+    columns = []
+    for f in cols:
+        col = {}
+        for j in range(len(f)):
+            r = row_index.get(f[:j] + f[j + 1:])
+            if r is not None:
+                col[r] = -1 if j % 2 else 1
+        columns.append(col)
+    return ExactMatrix(field, len(rows), len(cols), columns)
 
 
 def boundary_matrix(delta, i, field, cap=FACE_CAP):
@@ -239,21 +234,17 @@ def boundary_matrix(delta, i, field, cap=FACE_CAP):
     The (-1)-faces list is the empty face alone, which makes the i = 0
     matrix the augmentation row of the reduced chain complex.
     """
-    cols = delta.faces_of_dim(i, cap)
-    rows = delta.faces_of_dim(i - 1, cap)
-    if len(rows) * len(cols) > cap:
-        raise CapacityExceeded(
-            f"boundary matrix with {len(rows)} x {len(cols)} entries, cap is {cap}"
-        )
-    row_index = {f: k for k, f in enumerate(rows)}
-    p = field.p
-    entries = [[0] * len(cols) for _ in rows]
-    for c, f in enumerate(cols):
-        for j in range(len(f)):
-            sub = f[:j] + f[j + 1:]
-            sign = -1 if j % 2 else 1
-            entries[row_index[sub]][c] = sign % p if p is not None else sign
-    return ExactMatrix(field, len(rows), len(cols), entries)
+    return _boundary(delta.faces_of_dim(i, cap), delta.faces_of_dim(i - 1, cap), field, cap)
+
+
+def _betti(chains, field, cap, kind="boundary matrix"):
+    """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top, where
+    chains maps each degree to its faces (a missing degree has none)."""
+    top = max(chains)
+    ranks = {j: rank(_boundary(chains[j], chains.get(j - 1, []), field, cap, kind))
+             for j in range(0, top + 1)}
+    ranks[top + 1] = 0
+    return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
 
 
 def reduced_betti(delta, field, cap=FACE_CAP):
@@ -269,13 +260,7 @@ def reduced_betti(delta, field, cap=FACE_CAP):
     if d == -1:
         return BettiVector({-1: 1})
     check_face_budget(delta.facets, cap)
-    counts = {j: len(delta.faces_of_dim(j, cap)) for j in range(-1, d + 1)}
-    ranks = {j: rank(boundary_matrix(delta, j, field, cap)) for j in range(0, d + 1)}
-    ranks[d + 1] = 0
-    dims = {}
-    for j in range(0, d + 1):
-        dims[j] = (counts[j] - ranks[j]) - ranks[j + 1]
-    return BettiVector(dims)
+    return _betti({j: delta.faces_of_dim(j, cap) for j in range(-1, d + 1)}, field, cap)
 
 
 def relative_betti(delta, gamma, field, cap=FACE_CAP):
@@ -296,37 +281,9 @@ def relative_betti(delta, gamma, field, cap=FACE_CAP):
     if delta.is_void or delta.is_empty:
         return BettiVector({})
     check_face_budget(delta.facets, cap)
-    d = delta.dim
     gamma_faces = set(gamma.faces(cap))
     rel = {
         j: [f for f in delta.faces_of_dim(j, cap) if f not in gamma_faces]
-        for j in range(0, d + 1)
+        for j in range(0, delta.dim + 1)
     }
-    p = field.p
-
-    def rel_rank(j):
-        cols = rel.get(j, [])
-        rows = rel.get(j - 1, [])
-        if not cols or not rows:
-            return 0
-        if len(rows) * len(cols) > cap:
-            raise CapacityExceeded(
-                f"relative boundary matrix with {len(rows)} x {len(cols)} entries, cap is {cap}"
-            )
-        row_index = {f: k for k, f in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for c, f in enumerate(cols):
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1:]
-                r = row_index.get(sub)
-                if r is None:
-                    continue
-                sign = -1 if k % 2 else 1
-                entries[r][c] = sign % p if p is not None else sign
-        return rank(ExactMatrix(field, len(rows), len(cols), entries))
-
-    ranks = {j: rel_rank(j) for j in range(0, d + 2)}
-    dims = {}
-    for j in range(0, d + 1):
-        dims[j] = (len(rel[j]) - ranks[j]) - ranks[j + 1]
-    return BettiVector(dims)
+    return _betti(rel, field, cap, "relative boundary matrix")

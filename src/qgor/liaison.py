@@ -20,7 +20,7 @@ carries the alternating sums of both readings rather than hiding the
 discrepancy.
 """
 
-from .classify import _quasi_gorenstein, is_quasi_gorenstein
+from .classify import _quasi_gorenstein, is_quasi_gorenstein, normal_pseudomanifold_report
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
 from .hochster import _buchsbaum, _depth_report, _table, is_buchsbaum, local_cohomology_table
 from .homology import reduced_betti, relative_betti
@@ -150,7 +150,7 @@ def lefschetz_report(delta, partition, field, cap=FACE_CAP):
     duality_pairs = [(i, rel[i], b_a[d - i]) for i in range(1, d)]
 
     hypotheses = {
-        "quasi_gorenstein": is_quasi_gorenstein(delta, field, cap),
+        "quasi_gorenstein": normal_pseudomanifold_report(delta, cap).ok and b_delta[d] != 0,
         "buchsbaum_A": _buchsbaum(table_a)[0],
     }
     return LefschetzReport(

@@ -28,6 +28,7 @@ from qgor import (
     from_facets,
     is_buchsbaum,
     is_homology_manifold,
+    lefschetz_report,
     link,
     link_restriction_check,
     normal_pseudomanifold_report,
@@ -180,8 +181,12 @@ def test_each_link_computed_once_per_call(monkeypatch):
             assert counts and max(counts.values()) == 1, (delta, field, counts)
             if delta.is_pure() and len(delta.facets) > 1:
                 counts.clear()
-                link_restriction_check(delta, FacetPartition.complementary(delta, [0]), field)
+                partition = FacetPartition.complementary(delta, [0])
+                link_restriction_check(delta, partition, field)
                 assert max(counts.values()) == 1, (delta, field, counts)
+                counts.clear()
+                lefschetz_report(delta, partition, field)
+                assert counts[(delta.facets, field.p)] == 1, (delta, field, counts)
 
 
 def test_index_links_equal_absorbed_links():

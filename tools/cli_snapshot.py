@@ -1,7 +1,7 @@
 """Write the CLI output for the whole fixture corpus to one file.
 
 Runs every fixtures/*.cplx file through every subcommand (with the
-option sets below), over --field q and --field 2, in text and --json
+option sets below), over --field q, 2 and 3, in text and --json
 mode, and records each run's exit code, stdout and stderr.  Two
 checkouts that behave the same produce byte-identical files, so a
 refactor can be checked with a plain diff:
@@ -39,7 +39,7 @@ RUNS = (
     ("graph", "--remove", "0"),
     ("collapse", "--forbid", "1,x"),
 )
-FIELDS = ("q", "2")
+FIELDS = ("q", "2", "3")
 
 
 def snapshot(root):
