@@ -5,15 +5,23 @@ nonempty face properly contained in exactly one face of the complex;
 that face is then automatically a facet gamma with dim gamma =
 dim beta + 1, and removing the pair preserves the homotopy type.
 
-collapse_onto eliminates a set of forbidden vertices one at a time:
-for the smallest forbidden vertex v still present, its link is
-collapsed greedily down to a single preferred vertex v', mirroring
-every link collapse inside the ambient complex (if (beta, gamma) is
-free in lk v then (beta+v, gamma+v) is free in the complex, since
-faces over beta+v are exactly the link faces over beta, joined with
-v).  The run ends with the pair ({v}, {v,v'}) and moves on.  A stuck
-state is returned as a Failure value, not raised: on inputs violating
-the procedure's hypotheses that is the expected, informative outcome.
+Both free pairs and facets are read off one cover map, which sends
+each face to the faces one vertex larger that contain it.  In a
+complex, a nonempty face is free exactly when it has one cover: a
+face two vertices above beta would give beta two covers.  A face is
+a facet exactly when it has no cover.
+
+collapse_onto eliminates a set of forbidden vertices one at a time,
+smallest first: the link of v is collapsed greedily down to a single
+preferred vertex v', mirroring every link collapse inside the ambient
+complex (if (beta, gamma) is free in lk v then (beta+v, gamma+v) is
+free in the complex, since faces over beta+v are exactly the link
+faces over beta, joined with v).  The run ends with the pair
+({v}, {v,v'}) and moves on.  So each finished vertex removes exactly
+its own star, and a finished run ends at the faces avoiding every
+forbidden vertex.  A stuck state is returned as a Failure value, not
+raised: on inputs violating the procedure's hypotheses that is the
+expected, informative outcome.
 """
 
 from .errors import InvalidStep
@@ -71,45 +79,35 @@ class Failure:
         return f"Failure({self.reason!r}, after {len(self.partial_trace.steps)} steps)"
 
 
-def _proper_superfaces(beta, face_set):
-    bs = set(beta)
-    return [g for g in face_set if len(g) > len(beta) and bs.issubset(g)]
+def _covers(face_set):
+    """Each face mapped to the faces one vertex larger that contain it.
+
+    One pass over the faces; face_set must be closed under subsets.
+    """
+    covers = {f: [] for f in face_set}
+    for g in face_set:
+        for i in range(len(g)):
+            covers[g[:i] + g[i + 1:]].append(g)
+    return covers
 
 
 def _free_pairs(face_set):
-    """Sorted (beta, gamma) pairs with beta nonempty and one superface.
+    """Sorted (beta, gamma) pairs with beta nonempty and gamma its one cover.
 
     The empty face is never free: removing it together with a lone
     vertex would change reduced homology in degree -1.
     """
-    pairs = []
-    for beta in face_set:
-        if not beta:
-            continue
-        sup = _proper_superfaces(beta, face_set)
-        if len(sup) == 1:
-            pairs.append((beta, sup[0]))
-    return sorted(pairs, key=lambda p: (face_key(p[0]), face_key(p[1])))
-
-
-def _facets_of(face_set):
-    return tuple(sorted(
-        (f for f in face_set if not _proper_superfaces(f, face_set)),
-        key=face_key,
-    ))
+    pairs = [(b, up[0]) for b, up in _covers(face_set).items() if b and len(up) == 1]
+    return sorted(pairs, key=lambda p: face_key(p[0]))
 
 
 def _to_complex(face_set, n_vertices):
-    facets = _facets_of(face_set)
-    if facets == ((),):
-        return SimplicialComplex(n_vertices, ((),))
-    return SimplicialComplex(n_vertices, tuple(f for f in facets if f))
+    facets = sorted((f for f, up in _covers(face_set).items() if not up), key=face_key)
+    return SimplicialComplex(n_vertices, facets)
 
 
 def free_faces(delta, cap=FACE_CAP):
     """All free pairs of the complex, in canonical order."""
-    if delta.is_void:
-        return []
     return _free_pairs(set(delta.faces(cap)))
 
 
@@ -124,22 +122,16 @@ def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
     that does not delete v'.
     """
     forbidden = set(forbidden_vertices)
-    target = faces_avoiding(delta_a, forbidden)
     current = set(delta_a.faces(cap))
     steps = []
 
-    def state():
-        return _to_complex(current, delta_a.n_vertices)
-
     def fail(reason):
-        trace = CollapseTrace(delta_a, state(), steps)
-        return Failure(state(), trace, reason)
+        stuck = _to_complex(current, delta_a.n_vertices)
+        return Failure(stuck, CollapseTrace(delta_a, stuck, steps), reason)
 
-    while True:
-        present = sorted({v for f in current for v in f} & forbidden)
-        if not present:
-            break
-        v = present[0]
+    # Each finished vertex removes exactly its own star, so the other
+    # forbidden vertices stay present until their turn.
+    for v in sorted(forbidden.intersection(delta_a.vertices())):
         link_faces = {tuple(w for w in f if w != v) for f in current if v in f}
         link_verts = {w for f in link_faces for w in f}
         if not link_verts:
@@ -148,30 +140,19 @@ def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
         v_prime = outside[0] if outside else min(link_verts)
 
         while link_faces != {(), (v_prime,)}:
-            pick = None
-            for beta, gamma in _free_pairs(link_faces):
-                if beta != (v_prime,):
-                    pick = (beta, gamma)
-                    break
+            pick = next((p for p in _free_pairs(link_faces) if p[0] != (v_prime,)), None)
             if pick is None:
-                return fail(
-                    f"link of vertex {v} is stuck with no usable free face"
-                )
-            beta, gamma = pick
-            link_faces.discard(beta)
-            link_faces.discard(gamma)
-            current.discard(face(beta + (v,)))
-            current.discard(face(gamma + (v,)))
-            steps.append((face(beta + (v,)), face(gamma + (v,))))
+                return fail(f"link of vertex {v} is stuck with no usable free face")
+            link_faces.difference_update(pick)
+            beta, gamma = (face(f + (v,)) for f in pick)
+            current.difference_update((beta, gamma))
+            steps.append((beta, gamma))
 
-        current.discard((v,))
-        current.discard(face((v, v_prime)))
-        steps.append(((v,), face((v, v_prime))))
+        edge = face((v, v_prime))
+        current.difference_update(((v,), edge))
+        steps.append(((v,), edge))
 
-    end = state()
-    if end != target:
-        return fail("collapse removed the forbidden vertices but left extra faces")
-    return CollapseTrace(delta_a, end, steps)
+    return CollapseTrace(delta_a, faces_avoiding(delta_a, forbidden), steps)
 
 
 def verify_trace(trace, field, cap=FACE_CAP):
@@ -186,7 +167,8 @@ def verify_trace(trace, field, cap=FACE_CAP):
     for k, (beta, gamma) in enumerate(trace.steps):
         if beta not in current or gamma not in current:
             raise InvalidStep(k, f"pair ({beta}, {gamma}) is not in the complex")
-        sup = _proper_superfaces(beta, current)
+        bs = set(beta)
+        sup = [g for g in current if len(g) > len(beta) and bs.issubset(g)]
         if not beta or sup != [gamma]:
             raise InvalidStep(k, f"face {beta} is not free with coface {gamma}")
         current.discard(beta)

@@ -1,10 +1,14 @@
 """Free faces, guided collapses, trace verification."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from qgor import (
     GF2,
     QQ,
+    CapacityExceeded,
     CollapseTrace,
     Failure,
     InvalidStep,
@@ -18,6 +22,30 @@ from qgor import (
 from qgor.fixtures import corpus, get_fixture
 
 FIELDS = [QQ, GF2]
+
+
+def _random_complexes(seed, count):
+    """Seeded complexes on at most 7 vertices, each with a random forbidden set."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        facets = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+                  for _ in range(rng.randint(1, 6))]
+        forbidden = {v for v in range(1, n + 1) if rng.random() < 0.4}
+        out.append((from_facets(facets, n), forbidden))
+    return out
+
+
+def _collapse_cases():
+    """Every fixture against every subset of its vertices, then random cases."""
+    for fx in corpus():
+        delta = fx.complex()
+        verts = delta.vertices()
+        for k in range(len(verts) + 1):
+            for forbidden in combinations(verts, k):
+                yield delta, set(forbidden)
+    yield from _random_complexes(20261018, 300)
 
 
 def test_free_faces_of_single_triangle():
@@ -171,3 +199,47 @@ def test_trace_serialization_round_trip():
         [(tuple(s["free"]), tuple(s["coface"])) for s in payload["steps"]],
     )
     assert verify_trace(rebuilt, QQ)
+
+
+def test_every_outcome_replays():
+    # A success replays to the faces avoiding the forbidden set; a stuck
+    # run replays to its stuck state, which its trace records as the end.
+    outcomes = {CollapseTrace: 0, Failure: 0}
+    for delta, forbidden in _collapse_cases():
+        result = collapse_onto(delta, forbidden)
+        outcomes[type(result)] += 1
+        if isinstance(result, CollapseTrace):
+            trace = result
+            assert trace.end == faces_avoiding(delta, forbidden), (delta, forbidden)
+        else:
+            trace = result.partial_trace
+            assert result.stuck_complex == trace.end, (delta, forbidden)
+        assert trace.start == delta
+        assert verify_trace(trace, GF2) is True, (delta, forbidden)
+    assert outcomes[CollapseTrace] > 100 and outcomes[Failure] > 100
+
+
+def test_free_faces_match_the_definition():
+    # One cover is the same as one proper superface: the nonempty faces
+    # with exactly one proper superface, each paired with it.
+    cases = [fx.complex() for fx in corpus()]
+    cases += [delta for delta, _ in _random_complexes(7, 200)]
+    for delta in cases:
+        faces = delta.faces()
+        expected = []
+        for beta in faces:
+            sup = [g for g in faces if len(g) > len(beta) and set(beta) <= set(g)]
+            if beta and len(sup) == 1:
+                expected.append((beta, sup[0]))
+        assert free_faces(delta) == expected, delta
+
+
+def test_collapse_refuses_what_faces_refuses():
+    two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
+    with pytest.raises(CapacityExceeded):
+        two.faces(20)
+    with pytest.raises(CapacityExceeded):
+        collapse_onto(two, {1}, cap=20)
+    with pytest.raises(CapacityExceeded):
+        free_faces(two, cap=20)
+    assert isinstance(collapse_onto(two, {1}, cap=31), CollapseTrace)

@@ -33,6 +33,7 @@ RUNS = (
     ("graph", "--dot"),
     ("graph", "--remove", "1"),
     ("collapse", "--forbid", "1"),
+    ("collapse", "--forbid", "1,2,5"),
     ("collapse", "--forbid", ""),
     # usage errors of the id-list options
     ("liaison", "--facets-a", ""),
