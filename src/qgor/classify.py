@@ -156,9 +156,15 @@ def is_quasi_gorenstein(delta, field, cap=FACE_CAP):
     """Normal pseudomanifold with nonvanishing top homology over the field."""
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
-    if not normal_pseudomanifold_report(delta, cap).ok:
-        return False
-    return reduced_betti(delta, field, cap)[delta.dim] != 0
+    return _quasi_gorenstein(delta, _link_index(delta, cap),
+                             lambda: reduced_betti(delta, field, cap))
+
+
+def _quasi_gorenstein(delta, index, betti):
+    """The one definition: a normal pseudomanifold, read off its face ->
+    link index, with H~_dim(delta) != 0.  betti() gives the Betti vector
+    of delta and is called only for a normal pseudomanifold."""
+    return _normal_pseudomanifold(delta, index).ok and betti()[delta.dim] != 0
 
 
 def is_gorenstein(delta, field, cap=FACE_CAP):
@@ -173,14 +179,10 @@ def is_gorenstein(delta, field, cap=FACE_CAP):
     return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field, cap))
 
 
-def _quasi_gorenstein(delta, table):
-    """is_quasi_gorenstein read off the table of delta."""
-    return _normal_pseudomanifold(delta, table._index).ok and table._betti[()][delta.dim] != 0
-
-
 def _gorenstein(cored, table):
     """A nonempty core with its table: quasi-Gorenstein and Cohen-Macaulay."""
-    return _quasi_gorenstein(cored, table) and _depth_report(table).is_cohen_macaulay
+    return (_quasi_gorenstein(cored, table._index, lambda: table._betti[()])
+            and _depth_report(table).is_cohen_macaulay)
 
 
 class ClassificationReport:
@@ -276,7 +278,7 @@ def classification_report(delta, field, cap=FACE_CAP):
         homology_manifold=manifold,
         homology_sphere=sphere,
         cohen_macaulay=depth.is_cohen_macaulay,
-        quasi_gorenstein=np_report.ok and betti[delta.dim] != 0,
+        quasi_gorenstein=_quasi_gorenstein(delta, table._index, lambda: betti),
         gorenstein=gorenstein,
         witnesses=witnesses,
     )

@@ -27,13 +27,7 @@ from .errors import (
 from .graphs import connectivity_report, gamma_graph, removal_experiment
 from .hochster import _a_invariant, _buchsbaum, _depth_report, local_cohomology_table
 from .homology import FieldSpec, reduced_betti
-from .liaison import (
-    FacetPartition,
-    cm_linkage_check,
-    lefschetz_report,
-    link_restriction_check,
-    tconn_check,
-)
+from .liaison import FacetPartition, _Liaison
 from .simplicial_core import from_facets
 
 
@@ -244,13 +238,13 @@ def _cmd_hochster(delta, args):
 
 def _cmd_liaison(delta, args):
     partition = FacetPartition.complementary(delta, args.facets_a)
-    report = lefschetz_report(delta, partition, args.field)
+    liaison = _Liaison(delta, partition, args.field)
+    report = liaison.lefschetz_report()
     payload = report.to_json()
-    payload["link_restriction"] = link_restriction_check(delta, partition, args.field).to_json()
-    payload["cm_linkage"] = cm_linkage_check(delta, partition, args.field).to_json()
+    payload["link_restriction"] = liaison.link_restriction_check().to_json()
+    payload["cm_linkage"] = liaison.cm_linkage_check().to_json()
     try:
-        payload["tconn"] = {"ok": tconn_check(delta, partition, args.field),
-                            "hypotheses_failed": []}
+        payload["tconn"] = {"ok": liaison.tconn_check(), "hypotheses_failed": []}
     except HypothesesNotMet as exc:
         payload["tconn"] = {"ok": None, "hypotheses_failed": list(exc.failed)}
     lines = [f"field: {args.field}", f"d: {report.d}",

@@ -104,16 +104,18 @@ def local_cohomology_table(delta, field, cap=FACE_CAP):
     return _table(delta, field, cap, {})
 
 
-def _table(delta, field, cap, memo):
+def _table(delta, field, cap, memo, index=None):
     """The table of delta; memo maps link facets to Betti vectors over field.
 
     Tables built within one call over one field share a memo, so a link
     common to them (Delta and Delta_B away from A, a complex and its
-    core) is computed once.
+    core) is computed once.  A caller that already holds delta's face ->
+    link index passes it as index.
     """
     if delta.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ring")
-    index = _link_index(delta, cap)
+    if index is None:
+        index = _link_index(delta, cap)
     betti = {}
     entries = {}
     for sigma, lk in index.items():

@@ -275,15 +275,15 @@ def relative_betti(delta, gamma, field, cap=FACE_CAP):
 
     Raises NotASubcomplex when a facet of gamma is not a face of delta.
     """
-    for f in gamma.facets:
-        if f and not delta.is_face(f):
-            raise NotASubcomplex(f"{list(f)} is not a face of the ambient complex")
-    if delta.is_void or delta.is_empty:
-        return BettiVector({})
     check_face_budget(delta.facets, cap)
+    # degrees 0..dim delta; none for the void or the empty complex
+    chains = {j: delta.faces_of_dim(j, cap) for j in range(max(map(len, delta.facets), default=0))}
+    faces = {f for fs in chains.values() for f in fs}
+    for f in gamma.facets:
+        if f and f not in faces:
+            raise NotASubcomplex(f"{list(f)} is not a face of the ambient complex")
+    if not chains:
+        return BettiVector({})
     gamma_faces = set(gamma.faces(cap))
-    rel = {
-        j: [f for f in delta.faces_of_dim(j, cap) if f not in gamma_faces]
-        for j in range(0, delta.dim + 1)
-    }
+    rel = {j: [f for f in fs if f not in gamma_faces] for j, fs in chains.items()}
     return _betti(rel, field, cap, "relative boundary matrix")

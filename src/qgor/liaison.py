@@ -18,13 +18,20 @@ The customary printed form of the sequence ends in H~_1(Delta_A), but
 degree reasoning forces H~_0(Delta_A) in the last slot; the report
 carries the alternating sums of both readings rather than hiding the
 discrepancy.
+
+All four checks (the sequence, link restriction, CM linkage, the
+connectedness of Delta_B) read one liaison evaluation, which computes
+H~(Delta), H~(Delta_B), every link and every table at most once, on
+first use; quasi-Gorenstein is the one definition in classify.
 """
 
-from .classify import _quasi_gorenstein, is_quasi_gorenstein, normal_pseudomanifold_report
+from functools import cached_property
+
+from .classify import _quasi_gorenstein
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
-from .hochster import _buchsbaum, _depth_report, _table, is_buchsbaum, local_cohomology_table
+from .hochster import _buchsbaum, _depth_report, _table
 from .homology import reduced_betti, relative_betti
-from .simplicial_core import FACE_CAP, face_key, restrict_to_facets
+from .simplicial_core import FACE_CAP, _link_index, face_key, restrict_to_facets
 
 
 class FacetPartition:
@@ -53,9 +60,7 @@ class FacetPartition:
     def validate_for(self, delta):
         m = len(delta.facets)
         if self.a | self.b != frozenset(range(m)):
-            raise InvalidPartition(
-                f"blocks must cover all {m} facet indices exactly"
-            )
+            raise InvalidPartition(f"blocks must cover all {m} facet indices exactly")
 
     def __repr__(self):
         return f"FacetPartition(a={sorted(self.a)}, b={sorted(self.b)})"
@@ -88,82 +93,15 @@ class LefschetzReport:
             "alternating_sum": self.alternating_sum,
             "alternating_sum_printed": self.alternating_sum_printed,
             "neighbor_bound_ok": self.neighbor_bound_ok,
-            "duality_pairs": [
-                {"i": i, "relative": rel, "a_side": a_side}
-                for i, rel, a_side in self.duality_pairs
-            ],
+            "duality_pairs": [{"i": i, "relative": rel, "a_side": a_side}
+                              for i, rel, a_side in self.duality_pairs],
             "duality_ok": self.duality_ok,
             "hypotheses": dict(self.hypotheses),
         }
 
     def __repr__(self):
-        return (
-            f"LefschetzReport(d={self.d}, alternating_sum={self.alternating_sum}, "
-            f"duality_ok={self.duality_ok}, hypotheses={self.hypotheses})"
-        )
-
-
-def _sides(delta, partition):
-    """Delta_A and Delta_B, after checking that the partition applies."""
-    if delta.is_void or delta.is_empty:
-        raise ValueError("liaison needs a complex with facets")
-    if not delta.is_pure():
-        raise NotPure("facet partitions are defined for pure complexes")
-    partition.validate_for(delta)
-    delta_a = restrict_to_facets(delta, partition.a)
-    delta_b = restrict_to_facets(delta, partition.b)
-    return delta_a, delta_b
-
-
-def lefschetz_report(delta, partition, field, cap=FACE_CAP):
-    """Dimensions of the duality sequence plus exactness diagnostics.
-
-    Always produced; the hypothesis flags record whether the sequence
-    is actually guaranteed to be exact for this input.
-    """
-    delta_a, delta_b = _sides(delta, partition)
-    d = delta.dim
-
-    table_a = local_cohomology_table(delta_a, field, cap)
-    b_delta = reduced_betti(delta, field, cap)
-    b_a = table_a._betti[()]
-    b_b = reduced_betti(delta_b, field, cap)
-
-    terms = [("H~^0(Delta_B)", b_b[0])]
-    for i in range(1, d):
-        terms.append((f"H~_{d - i}(Delta_A)", b_a[d - i]))
-        terms.append((f"H~^{i}(Delta)", b_delta[i]))
-        terms.append((f"H~^{i}(Delta_B)", b_b[i]))
-    terms.append(("H~_0(Delta_A)", b_a[0]))
-
-    alt = sum(dim if k % 2 == 0 else -dim for k, (_, dim) in enumerate(terms))
-    printed_last = b_a[1]
-    alt_printed = alt - (1 if (len(terms) - 1) % 2 == 0 else -1) * (b_a[0] - printed_last)
-
-    dims = [dim for _, dim in terms]
-    neighbor_ok = all(
-        dims[k] <= (dims[k - 1] if k else 0) + (dims[k + 1] if k + 1 < len(dims) else 0)
-        for k in range(len(dims))
-    )
-
-    rel = relative_betti(delta, delta_b, field, cap)
-    duality_pairs = [(i, rel[i], b_a[d - i]) for i in range(1, d)]
-
-    hypotheses = {
-        "quasi_gorenstein": normal_pseudomanifold_report(delta, cap).ok and b_delta[d] != 0,
-        "buchsbaum_A": _buchsbaum(table_a)[0],
-    }
-    return LefschetzReport(
-        d=d,
-        field=field,
-        partition=partition,
-        terms=terms,
-        alternating_sum=alt,
-        alternating_sum_printed=alt_printed,
-        neighbor_bound_ok=neighbor_ok,
-        duality_pairs=duality_pairs,
-        hypotheses=hypotheses,
-    )
+        return (f"LefschetzReport(d={self.d}, alternating_sum={self.alternating_sum}, "
+                f"duality_ok={self.duality_ok}, hypotheses={self.hypotheses})")
 
 
 class LinkRestrictionReport:
@@ -183,62 +121,14 @@ class LinkRestrictionReport:
         return {
             "ok": self.ok,
             "hypotheses_met": self.hypotheses_met,
-            "witnesses": [
-                {"sigma": list(s), "i": i, "in_b": in_b,
-                 "dim_restricted": db, "dim_ambient": da}
-                for s, i, in_b, db, da in self.witnesses
-            ],
+            "witnesses": [{"sigma": list(s), "i": i, "in_b": in_b,
+                           "dim_restricted": db, "dim_ambient": da}
+                          for s, i, in_b, db, da in self.witnesses],
         }
 
     def __repr__(self):
-        return (
-            f"LinkRestrictionReport(ok={self.ok}, "
-            f"witnesses={len(self.witnesses)}, "
-            f"hypotheses_met={self.hypotheses_met})"
-        )
-
-
-def link_restriction_check(delta, partition, field, cap=FACE_CAP):
-    """Compare links of Delta_B faces with their ambient links.
-
-    For every nonempty sigma in Delta_B and every i with
-    -1 <= i < dim Delta - |sigma| the check asks
-    dim H~^i(lk_{Delta_B} sigma) = dim H~^i(lk_Delta sigma); for
-    nonempty sigma of Delta outside Delta_B it asks that the ambient
-    link cohomology vanishes in the same range.  The range stops where
-    purity arguments stop: beyond it the claim fails already for a
-    facet cut out of the boundary of a 3-simplex.  By Hochster's
-    formula this is the comparison of the tables of Delta and Delta_B
-    below degree dim Delta + 1 at the nonempty faces.
-
-    Always runs; hypotheses_met reports whether the guarantee applies.
-    """
-    delta_a, delta_b = _sides(delta, partition)
-    memo = {}
-    table = _table(delta, field, cap, memo)
-    table_b = _table(delta_b, field, cap, memo)
-    witnesses = sorted(
-        ((sigma, i - len(sigma) - 1, sigma in table_b._index, dim_b, dim)
-         for i, sigma, dim, dim_b in _differences(table, table_b) if sigma),
-        key=lambda w: (face_key(w[0]), w[1]),
-    )
-    hypotheses_met = (
-        _quasi_gorenstein(delta, table)
-        and _buchsbaum(_table(delta_a, field, cap, memo))[0]
-    )
-    return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
-
-
-def _differences(table, table_b):
-    """(i, sigma, dim for Delta, dim for Delta_B) wherever the two tables
-    differ below the Krull dimension of Delta, in no particular order."""
-    keys = {k for t in (table, table_b) for k in t._entries if k[0] < table.d}
-    out = []
-    for i, sigma in keys:
-        dim, dim_b = table.entry(i, sigma), table_b.entry(i, sigma)
-        if dim != dim_b:
-            out.append((i, sigma, dim, dim_b))
-    return out
+        return (f"LinkRestrictionReport(ok={self.ok}, witnesses={len(self.witnesses)}, "
+                f"hypotheses_met={self.hypotheses_met})")
 
 
 class CmLinkageReport:
@@ -256,20 +146,153 @@ class CmLinkageReport:
         return self.ok
 
     def to_json(self):
-        out = {
-            "ok": self.ok,
-            "hypotheses_met": self.hypotheses_met,
-            "hypotheses": dict(self.hypotheses),
-        }
+        out = {"ok": self.ok, "hypotheses_met": self.hypotheses_met,
+               "hypotheses": dict(self.hypotheses), "witness": None}
         if self.witness is not None:
             i, sigma, lhs, rhs = self.witness
             out["witness"] = {"i": i, "sigma": list(sigma), "delta": lhs, "delta_b": rhs}
-        else:
-            out["witness"] = None
         return out
 
     def __repr__(self):
         return f"CmLinkageReport(ok={self.ok}, hypotheses_met={self.hypotheses_met})"
+
+
+class _Liaison:
+    """One (Delta, partition, field, cap).  The constructor checks that the
+    partition applies and builds Delta_A and Delta_B; the rest is computed
+    on first use, every Betti vector through one memo keyed by facets (the
+    link of the empty face is the complex itself, so tables share it)."""
+
+    def __init__(self, delta, partition, field, cap=FACE_CAP):
+        if delta.is_void or delta.is_empty:
+            raise ValueError("liaison needs a complex with facets")
+        if not delta.is_pure():
+            raise NotPure("facet partitions are defined for pure complexes")
+        partition.validate_for(delta)
+        self.delta, self.partition, self.field, self.cap = delta, partition, field, cap
+        self.delta_a = restrict_to_facets(delta, partition.a)
+        self.delta_b = restrict_to_facets(delta, partition.b)
+        self._memo = {}
+
+    def betti(self, complex_):
+        if complex_.facets not in self._memo:
+            self._memo[complex_.facets] = reduced_betti(complex_, self.field, self.cap)
+        return self._memo[complex_.facets]
+
+    @cached_property
+    def index(self):
+        return _link_index(self.delta, self.cap)
+
+    @cached_property
+    def tables(self):
+        return (_table(self.delta, self.field, self.cap, self._memo, self.index),
+                _table(self.delta_b, self.field, self.cap, self._memo))
+
+    @cached_property
+    def table_a(self):
+        return _table(self.delta_a, self.field, self.cap, self._memo)
+
+    @cached_property
+    def quasi_gorenstein(self):
+        return _quasi_gorenstein(self.delta, self.index, lambda: self.betti(self.delta))
+
+    @cached_property
+    def buchsbaum_a(self):
+        return _buchsbaum(self.table_a)[0]
+
+    @cached_property
+    def differences(self):
+        """(i, sigma, dim for Delta, dim for Delta_B) wherever the two tables
+        differ below the Krull dimension of Delta, in no particular order."""
+        table, table_b = self.tables
+        keys = {k for t in (table, table_b) for k in t._entries if k[0] < table.d}
+        dims = ((i, sigma, table.entry(i, sigma), table_b.entry(i, sigma)) for i, sigma in keys)
+        return [w for w in dims if w[2] != w[3]]
+
+    def lefschetz_report(self):
+        d = self.delta.dim
+        b_a = self.table_a._betti[()]
+        b_delta, b_b = self.betti(self.delta), self.betti(self.delta_b)
+
+        terms = [("H~^0(Delta_B)", b_b[0])]
+        for i in range(1, d):
+            terms.append((f"H~_{d - i}(Delta_A)", b_a[d - i]))
+            terms.append((f"H~^{i}(Delta)", b_delta[i]))
+            terms.append((f"H~^{i}(Delta_B)", b_b[i]))
+        terms.append(("H~_0(Delta_A)", b_a[0]))
+
+        alt = sum(dim if k % 2 == 0 else -dim for k, (_, dim) in enumerate(terms))
+        alt_printed = alt - (1 if (len(terms) - 1) % 2 == 0 else -1) * (b_a[0] - b_a[1])
+
+        dims = [dim for _, dim in terms]
+        neighbor_ok = all(
+            dims[k] <= (dims[k - 1] if k else 0) + (dims[k + 1] if k + 1 < len(dims) else 0)
+            for k in range(len(dims))
+        )
+
+        rel = relative_betti(self.delta, self.delta_b, self.field, self.cap)
+        duality_pairs = [(i, rel[i], b_a[d - i]) for i in range(1, d)]
+
+        hypotheses = {"quasi_gorenstein": self.quasi_gorenstein, "buchsbaum_A": self.buchsbaum_a}
+        return LefschetzReport(
+            d=d, field=self.field, partition=self.partition, terms=terms,
+            alternating_sum=alt, alternating_sum_printed=alt_printed,
+            neighbor_bound_ok=neighbor_ok, duality_pairs=duality_pairs, hypotheses=hypotheses,
+        )
+
+    def link_restriction_check(self):
+        in_b = self.tables[1]._index
+        witnesses = sorted(
+            ((sigma, i - len(sigma) - 1, sigma in in_b, dim_b, dim)
+             for i, sigma, dim, dim_b in self.differences if sigma),
+            key=lambda w: (face_key(w[0]), w[1]),
+        )
+        hypotheses_met = self.quasi_gorenstein and self.buchsbaum_a
+        return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
+
+    def cm_linkage_check(self):
+        witness = min(self.differences, key=lambda w: (w[0], face_key(w[1])), default=None)
+        hypotheses = {"quasi_gorenstein": self.quasi_gorenstein,
+                      "cm_A": _depth_report(self.table_a).is_cohen_macaulay}
+        return CmLinkageReport(ok=witness is None, hypotheses_met=all(hypotheses.values()),
+                               hypotheses=hypotheses, witness=witness)
+
+    def tconn_check(self):
+        a, d = len(self.partition.a), self.delta.dim
+        failed = [premise for premise, held in (
+            ("Delta is quasi-Gorenstein", self.quasi_gorenstein),
+            ("Delta_A is Buchsbaum", self.buchsbaum_a),
+            (f"|A| = {a} < dim Delta + 1 = {d + 1}", a < d + 1)) if not held]
+        if failed:
+            raise HypothesesNotMet(failed)
+        return self.betti(self.delta_b)[0] == 0
+
+
+def lefschetz_report(delta, partition, field, cap=FACE_CAP):
+    """Dimensions of the duality sequence plus exactness diagnostics.
+
+    Always produced; the hypothesis flags record whether the sequence
+    is actually guaranteed to be exact for this input.
+    """
+    return _Liaison(delta, partition, field, cap).lefschetz_report()
+
+
+def link_restriction_check(delta, partition, field, cap=FACE_CAP):
+    """Compare links of Delta_B faces with their ambient links.
+
+    For every nonempty sigma in Delta_B and every i with
+    -1 <= i < dim Delta - |sigma| the check asks
+    dim H~^i(lk_{Delta_B} sigma) = dim H~^i(lk_Delta sigma); for
+    nonempty sigma of Delta outside Delta_B it asks that the ambient
+    link cohomology vanishes in the same range.  The range stops where
+    purity arguments stop: beyond it the claim fails already for a
+    facet cut out of the boundary of a 3-simplex.  By Hochster's
+    formula this is the comparison of the tables of Delta and Delta_B
+    below degree dim Delta + 1 at the nonempty faces.
+
+    Always runs; hypotheses_met reports whether the guarantee applies.
+    """
+    return _Liaison(delta, partition, field, cap).link_restriction_check()
 
 
 def cm_linkage_check(delta, partition, field, cap=FACE_CAP):
@@ -280,22 +303,7 @@ def cm_linkage_check(delta, partition, field, cap=FACE_CAP):
     carried out, so failed hypotheses come back annotated rather than
     as errors.
     """
-    delta_a, delta_b = _sides(delta, partition)
-    memo = {}
-    table = _table(delta, field, cap, memo)
-    table_b = _table(delta_b, field, cap, memo)
-    witness = min(_differences(table, table_b),
-                  key=lambda w: (w[0], face_key(w[1])), default=None)
-    hypotheses = {
-        "quasi_gorenstein": _quasi_gorenstein(delta, table),
-        "cm_A": _depth_report(_table(delta_a, field, cap, memo)).is_cohen_macaulay,
-    }
-    return CmLinkageReport(
-        ok=witness is None,
-        hypotheses_met=all(hypotheses.values()),
-        hypotheses=hypotheses,
-        witness=witness,
-    )
+    return _Liaison(delta, partition, field, cap).cm_linkage_check()
 
 
 def tconn_check(delta, partition, field, cap=FACE_CAP):
@@ -307,15 +315,4 @@ def tconn_check(delta, partition, field, cap=FACE_CAP):
     verdict is H~^0(Delta_B) = 0, and False would falsify the
     underlying connectedness statement for this instance.
     """
-    delta_a, delta_b = _sides(delta, partition)
-
-    failed = []
-    if not is_quasi_gorenstein(delta, field, cap):
-        failed.append("Delta is quasi-Gorenstein")
-    if not is_buchsbaum(delta_a, field, cap)[0]:
-        failed.append("Delta_A is Buchsbaum")
-    if not len(partition.a) < delta.dim + 1:
-        failed.append(f"|A| = {len(partition.a)} < dim Delta + 1 = {delta.dim + 1}")
-    if failed:
-        raise HypothesesNotMet(failed)
-    return reduced_betti(delta_b, field, cap)[0] == 0
+    return _Liaison(delta, partition, field, cap).tconn_check()

@@ -266,7 +266,8 @@ def restrict_to_facets(delta, indices):
             raise IndexOutOfRange(
                 f"facet index {i} out of range for {len(delta.facets)} facets"
             )
-    return from_facets([delta.facets[i] for i in idx], delta.n_vertices)
+    # facets of a canonical complex, kept in order, are again canonical
+    return SimplicialComplex(delta.n_vertices, [delta.facets[i] for i in idx])
 
 
 def faces_avoiding(delta, forbidden_vertices):

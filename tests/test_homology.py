@@ -277,6 +277,19 @@ def test_relative_betti_rejects_nonsubcomplexes():
     with pytest.raises(NotASubcomplex):
         relative_betti(delta, other, QQ)
 
+    moebius = get_fixture("paper-moebius").complex()
+    assert (1, 2, 3) in moebius.facets
+    # an edge, a proper face of a facet, is a subcomplex; the strip
+    # relative to a contractible edge keeps the circle's homology
+    edge = from_facets([[1, 2]], moebius.n_vertices)
+    assert relative_betti(moebius, edge, QQ).nonzero() == {1: 1}
+    # every vertex of {1, 3, 4} and of {2, 4, 5} is in the strip, neither
+    # triangle is; the message names the first of them in canonical order
+    other = from_facets([[1, 2], [1, 3, 4], [2, 4, 5]], moebius.n_vertices)
+    assert not any({1, 3, 4} <= set(f) or {2, 4, 5} <= set(f) for f in moebius.facets)
+    with pytest.raises(NotASubcomplex, match=r"^\[1, 3, 4\] is not a face of the ambient complex$"):
+        relative_betti(moebius, other, QQ)
+
 
 def test_relative_betti_long_exact_sequence_euler_identity():
     # chi(Delta, Gamma) = chi~(Delta) - chi~(Gamma) for every pair

@@ -1,5 +1,7 @@
 """Canonical complexes, links, restrictions, cores, non-faces."""
 
+import random
+
 import pytest
 
 from qgor import (
@@ -135,6 +137,17 @@ def test_restrict_to_facets():
     cycle = get_fixture("four-cycle").complex()
     edge = restrict_to_facets(cycle, [0])
     assert edge.facets == (cycle.facets[0],)
+
+    # a selection of canonical facets is the complex they generate
+    rng = random.Random(20240601)
+    for fx in corpus():
+        delta = fx.complex()
+        m = len(delta.facets)
+        selections = [range(m), [0], [m - 1]]
+        selections += [rng.sample(range(m), rng.randint(1, m)) for _ in range(10)]
+        for idx in selections:
+            want = from_facets([delta.facets[i] for i in idx], delta.n_vertices)
+            assert restrict_to_facets(delta, idx) == want, (fx.name, sorted(idx))
 
 
 def test_restrict_to_facets_errors():

@@ -5,14 +5,18 @@ manifold flags, normality and the liaison comparisons off one Hochster
 table and one face -> link index per complex and field.  The references
 below recompute each of them face by face from qgor.link and the
 independent oracle_betti, on seeded random complexes on at most seven
-vertices and on the corpus.
+vertices and on the corpus.  The counting tests pin that each link is
+computed once per call, and once per `qgor liaison` run, whose payload
+equals the four public liaison checks called one by one.
 """
 
+import json
 import random
 
 import pytest
 
 import qgor.classify
+import qgor.cli
 import qgor.hochster
 import qgor.liaison
 from qgor import (
@@ -21,6 +25,7 @@ from qgor import (
     GF3,
     QQ,
     FacetPartition,
+    HypothesesNotMet,
     a_invariant,
     classification_report,
     cm_linkage_check,
@@ -33,6 +38,7 @@ from qgor import (
     link_restriction_check,
     normal_pseudomanifold_report,
     serre_condition,
+    tconn_check,
 )
 from qgor.fixtures import corpus, oracle_betti
 
@@ -171,7 +177,14 @@ def _count_betti(monkeypatch):
     return counts
 
 
-def test_each_link_computed_once_per_call(monkeypatch):
+def _facet_file(tmp_path, delta):
+    path = tmp_path / "delta.cplx"
+    path.write_text(f"n={delta.n_vertices}\n" + "".join(
+        " ".join(map(str, f)) + "\n" for f in delta.facets))
+    return str(path)
+
+
+def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
     counts = _count_betti(monkeypatch)
     cases = [fx.complex() for fx in corpus() if not fx.complex().is_empty]
     for delta in cases + _random_complexes(5, 10):
@@ -187,6 +200,32 @@ def test_each_link_computed_once_per_call(monkeypatch):
                 counts.clear()
                 lefschetz_report(delta, partition, field)
                 assert counts[(delta.facets, field.p)] == 1, (delta, field, counts)
+                # a standalone check reads only Delta, Delta_B and Delta_A's links
+                delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
+                delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
+                allowed = {(c, field.p) for c in (delta.facets, delta_b.facets)}
+                allowed |= {(link(delta_a, s).facets, field.p) for s in delta_a.faces()}
+                for check in (lefschetz_report, tconn_check):
+                    counts.clear()
+                    try:
+                        check(delta, partition, field)
+                    except HypothesesNotMet:
+                        pass
+                    assert set(counts) <= allowed, (check, delta, field, counts)
+                    assert max(counts.values()) == 1, (check, delta, field, counts)
+    # one qgor liaison run computes each (complex, field) once
+    pure = [d for d in cases + _random_complexes(5, 40) if d.is_pure() and len(d.facets) > 1]
+    for delta in pure:
+        path = _facet_file(tmp_path, delta)
+        for a in ("1", "1,2"):
+            for field in ("q", "2", "3"):
+                counts.clear()
+                code = qgor.cli.main(["liaison", path, "--facets-a", a, "--field", field])
+                capsys.readouterr()
+                if code == 0:
+                    assert max(counts.values()) == 1, (delta, a, field, counts)
+                else:
+                    assert len(delta.facets) == 2 and a == "1,2", (delta, a, field)
 
 
 def test_index_links_equal_absorbed_links():
@@ -209,3 +248,32 @@ def test_index_refuses_what_faces_refuses():
         with pytest.raises(CapacityExceeded):
             qgor.simplicial_core._link_index(delta, cap)
     assert len(qgor.simplicial_core._link_index(two, 31)) == 31
+
+
+def _standalone_payload(delta, partition, field):
+    """What `qgor liaison --json` prints, assembled from the four public checks."""
+    out = lefschetz_report(delta, partition, field).to_json()
+    out["link_restriction"] = link_restriction_check(delta, partition, field).to_json()
+    out["cm_linkage"] = cm_linkage_check(delta, partition, field).to_json()
+    try:
+        out["tconn"] = {"ok": tconn_check(delta, partition, field), "hypotheses_failed": []}
+    except HypothesesNotMet as exc:
+        out["tconn"] = {"ok": None, "hypotheses_failed": list(exc.failed)}
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_liaison_run_matches_standalone_checks(field, tmp_path, capsys):
+    for delta in COMPLEXES:
+        if not delta.is_pure() or len(delta.facets) < 2:
+            continue
+        path = _facet_file(tmp_path, delta)
+        for a in ([0], [0, 1]):
+            if len(a) == len(delta.facets):
+                continue
+            code = qgor.cli.main(["liaison", path, "--facets-a", ",".join(str(i + 1) for i in a),
+                                  "--field", field.spec_string(), "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 0, (delta, a)
+            partition = FacetPartition.complementary(delta, a)
+            assert payload == _standalone_payload(delta, partition, field), (delta, a)

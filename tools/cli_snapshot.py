@@ -28,6 +28,7 @@ RUNS = (
     ("hochster",),
     ("liaison", "--facets-a", "1"),
     ("liaison", "--facets-a", "1,2"),
+    ("liaison", "--facets-a", "1,2,3"),
     ("graph",),
     ("graph", "--t", "2"),
     ("graph", "--dot"),
