@@ -156,15 +156,15 @@ def is_quasi_gorenstein(delta, field, cap=FACE_CAP):
     """Normal pseudomanifold with nonvanishing top homology over the field."""
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
-    return _quasi_gorenstein(delta, _link_index(delta, cap),
+    return _quasi_gorenstein(delta, _normal_pseudomanifold(delta, _link_index(delta, cap)),
                              lambda: reduced_betti(delta, field, cap))
 
 
-def _quasi_gorenstein(delta, index, betti):
-    """The one definition: a normal pseudomanifold, read off its face ->
-    link index, with H~_dim(delta) != 0.  betti() gives the Betti vector
-    of delta and is called only for a normal pseudomanifold."""
-    return _normal_pseudomanifold(delta, index).ok and betti()[delta.dim] != 0
+def _quasi_gorenstein(delta, report, betti):
+    """The one definition: a normal pseudomanifold (as delta's report
+    says) with H~_dim(delta) != 0.  betti() gives the Betti vector of
+    delta and is called only for a normal pseudomanifold."""
+    return report.ok and betti()[delta.dim] != 0
 
 
 def is_gorenstein(delta, field, cap=FACE_CAP):
@@ -179,9 +179,11 @@ def is_gorenstein(delta, field, cap=FACE_CAP):
     return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field, cap))
 
 
-def _gorenstein(cored, table):
-    """A nonempty core with its table: quasi-Gorenstein and Cohen-Macaulay."""
-    return (_quasi_gorenstein(cored, table._index, lambda: table._betti[()])
+def _gorenstein(cored, table, report=None):
+    """A nonempty core with its table: quasi-Gorenstein and Cohen-Macaulay.
+    report is the core's normal-pseudomanifold report, if already held."""
+    report = report or _normal_pseudomanifold(cored, table._index)
+    return (_quasi_gorenstein(cored, report, lambda: table._betti[()])
             and _depth_report(table).is_cohen_macaulay)
 
 
@@ -230,12 +232,12 @@ class ClassificationReport:
 def classification_report(delta, field, cap=FACE_CAP):
     """Run every predicate once and bundle the outcome.
 
-    One face -> link index and one table over the field serve every
-    predicate; a core that differs from the complex gets its own table,
-    sharing the link Betti vectors already computed.  Predicates whose
-    preconditions fail are reported false rather than raising: a
-    non-pseudomanifold is not orientable, a non-pure complex is not a
-    homology manifold.
+    One face -> link index, normal-pseudomanifold pass and table over
+    the field serve every predicate; a core unlike the complex gets its
+    own pass and table, sharing the link Betti vectors computed so far.
+    Predicates whose preconditions fail are reported false rather than
+    raising: a non-pseudomanifold is not orientable, a non-pure complex
+    is not a homology manifold.
     """
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
@@ -262,8 +264,8 @@ def classification_report(delta, field, cap=FACE_CAP):
         witnesses["cohen_macaulay"] = depth.witness[1]
 
     cored = core(delta)
-    gorenstein = cored.is_empty or _gorenstein(
-        cored, table if cored == delta else _table(cored, field, cap, memo))
+    gorenstein = cored.is_empty or (_gorenstein(delta, table, np_report) if cored == delta
+                                    else _gorenstein(cored, _table(cored, field, cap, memo)))
     return ClassificationReport(
         field=field,
         n_vertices=delta.n_vertices,
@@ -278,7 +280,7 @@ def classification_report(delta, field, cap=FACE_CAP):
         homology_manifold=manifold,
         homology_sphere=sphere,
         cohen_macaulay=depth.is_cohen_macaulay,
-        quasi_gorenstein=_quasi_gorenstein(delta, table._index, lambda: betti),
+        quasi_gorenstein=_quasi_gorenstein(delta, np_report, lambda: betti),
         gorenstein=gorenstein,
         witnesses=witnesses,
     )

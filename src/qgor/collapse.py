@@ -11,28 +11,22 @@ complex, a nonempty face is free exactly when it has one cover: a
 face two vertices above beta would give beta two covers.  A face is
 a facet exactly when it has no cover.
 
-collapse_onto eliminates a set of forbidden vertices one at a time,
-smallest first: the link of v is collapsed greedily down to a single
-preferred vertex v', mirroring every link collapse inside the ambient
-complex (if (beta, gamma) is free in lk v then (beta+v, gamma+v) is
-free in the complex, since faces over beta+v are exactly the link
-faces over beta, joined with v).  The run ends with the pair
-({v}, {v,v'}) and moves on.  So each finished vertex removes exactly
-its own star, and a finished run ends at the faces avoiding every
-forbidden vertex.  A stuck state is returned as a Failure value, not
-raised: on inputs violating the procedure's hypotheses that is the
-expected, informative outcome.
+collapse_onto eliminates the forbidden vertices one at a time,
+smallest first, on one cover map that each removal updates.  The star
+of v (everything above {v}) collapses in the complex itself, and the
+pair ({v}, {v,v'}) for a neighbour v' comes last.  The covers of a
+face sigma containing v are those of sigma - v in lk v, joined with v:
+so sigma != {v} is free exactly when sigma - v is free in lk v, and
+as adding v keeps faces of one size in canonical order, the steps are
+those of collapsing lk v onto {v'}, joined with v.  Finishing v
+removes exactly its star, so a finished run ends at the faces avoiding
+every forbidden vertex.  A stuck run returns a Failure value: on
+inputs outside the procedure's hypotheses it is the expected outcome.
 """
 
 from .errors import InvalidStep
 from .homology import reduced_betti
-from .simplicial_core import (
-    FACE_CAP,
-    SimplicialComplex,
-    face,
-    face_key,
-    faces_avoiding,
-)
+from .simplicial_core import FACE_CAP, SimplicialComplex, face, face_key
 
 
 class CollapseTrace:
@@ -101,8 +95,9 @@ def _free_pairs(face_set):
     return sorted(pairs, key=lambda p: face_key(p[0]))
 
 
-def _to_complex(face_set, n_vertices):
-    facets = sorted((f for f, up in _covers(face_set).items() if not up), key=face_key)
+def _to_complex(covers, n_vertices):
+    """The complex whose facets are the faces with no cover."""
+    facets = sorted((f for f, up in covers.items() if not up), key=face_key)
     return SimplicialComplex(n_vertices, facets)
 
 
@@ -112,47 +107,52 @@ def free_faces(delta, cap=FACE_CAP):
 
 
 def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
-    """Collapse away the forbidden vertices, one link at a time.
+    """Collapse away the forbidden vertices, one star at a time.
 
-    Returns a CollapseTrace whose end equals
-    faces_avoiding(delta_a, forbidden_vertices), or a Failure with the
-    stuck state.  Tie-breaks are fixed: smallest forbidden vertex
-    first; the link's target vertex v' prefers non-forbidden ids, then
-    smallest; inner collapses take the canonically first free pair
-    that does not delete v'.
+    Returns a CollapseTrace whose end is the faces avoiding every
+    forbidden vertex, or a Failure with the stuck state.  Tie-breaks
+    are fixed: smallest forbidden vertex first; its target neighbour v'
+    prefers non-forbidden ids, then smallest; inner collapses take the
+    canonically first free face of the star other than {v} and {v,v'}.
     """
     forbidden = set(forbidden_vertices)
-    current = set(delta_a.faces(cap))
+    covers = _covers(delta_a.faces(cap))
     steps = []
 
     def fail(reason):
-        stuck = _to_complex(current, delta_a.n_vertices)
+        stuck = _to_complex(covers, delta_a.n_vertices)
         return Failure(stuck, CollapseTrace(delta_a, stuck, steps), reason)
 
-    # Each finished vertex removes exactly its own star, so the other
-    # forbidden vertices stay present until their turn.
+    # Finishing v removes only its star: later forbidden vertices stay.
     for v in sorted(forbidden.intersection(delta_a.vertices())):
-        link_faces = {tuple(w for w in f if w != v) for f in current if v in f}
-        link_verts = {w for f in link_faces for w in f}
+        link_verts = {w for g in covers[(v,)] for w in g if w != v}
         if not link_verts:
             return fail(f"vertex {v} has an empty link; it cannot be collapsed away")
-        outside = sorted(link_verts - forbidden)
-        v_prime = outside[0] if outside else min(link_verts)
-
-        while link_faces != {(), (v_prime,)}:
-            pick = next((p for p in _free_pairs(link_faces) if p[0] != (v_prime,)), None)
-            if pick is None:
+        edge = face((v, min(link_verts - forbidden, default=min(link_verts))))
+        star, level = set(), {(v,)}
+        while level:
+            star |= level
+            level = {g for f in level for g in covers[f]}
+        # {v,v'} is never the free face, and {v} has one cover only once
+        # the star is down to {v} and {v,v'}: that pair comes last.
+        star.discard(edge)
+        free = {f for f in star if len(covers[f]) == 1}
+        while star:
+            if not free:
                 return fail(f"link of vertex {v} is stuck with no usable free face")
-            link_faces.difference_update(pick)
-            beta, gamma = (face(f + (v,)) for f in pick)
-            current.difference_update((beta, gamma))
+            beta = min(free, key=face_key)
+            gamma = covers[beta][0]
             steps.append((beta, gamma))
+            star.difference_update((beta, gamma))
+            # gamma has no cover and beta only gamma, so only the faces
+            # just below them lose a cover
+            below = [(f[:i] + f[i + 1:], f) for f in (gamma, beta) for i in range(len(f))]
+            for g, f in below:
+                covers[g].remove(f)
+            del covers[beta], covers[gamma]
+            free = {f for f in free.union(g for g, _ in below) if f in star and len(covers[f]) == 1}
 
-        edge = face((v, v_prime))
-        current.difference_update(((v,), edge))
-        steps.append(((v,), edge))
-
-    return CollapseTrace(delta_a, faces_avoiding(delta_a, forbidden), steps)
+    return CollapseTrace(delta_a, _to_complex(covers, delta_a.n_vertices), steps)
 
 
 def verify_trace(trace, field, cap=FACE_CAP):
@@ -173,7 +173,7 @@ def verify_trace(trace, field, cap=FACE_CAP):
             raise InvalidStep(k, f"face {beta} is not free with coface {gamma}")
         current.discard(beta)
         current.discard(gamma)
-    if _to_complex(current, trace.start.n_vertices) != trace.end:
+    if _to_complex(_covers(current), trace.start.n_vertices) != trace.end:
         raise InvalidStep(len(trace.steps), "replayed end differs from recorded end")
     b_start = reduced_betti(trace.start, field, cap)
     b_end = reduced_betti(trace.end, field, cap)

@@ -10,7 +10,6 @@ Gamma_2 never disconnects Gamma_1.
 """
 
 from .errors import GammaTwoNotIsolated, IndexOutOfRange, NotPure, TOutOfRange
-from .simplicial_core import FACE_CAP
 
 
 class GammaGraph:
@@ -215,7 +214,7 @@ def connectivity_report(graph):
     return ConnectivityReport(components, two_connected, points, trivial)
 
 
-def removal_experiment(delta, b_indices, cap=FACE_CAP):
+def removal_experiment(delta, b_indices):
     """Does deleting the facet set B (edgeless in Gamma_2) disconnect Gamma_1?
 
     Returns True when Gamma_1 minus B is connected.  B must induce no

@@ -126,9 +126,6 @@ class BettiVector:
     def nonzero(self):
         return {j: d for j, d in self.dims.items() if d}
 
-    def degrees(self):
-        return sorted(self.dims)
-
     def euler(self):
         """Reduced Euler characteristic sum_j (-1)^j dim H~_j."""
         return sum((-1) ** j * d for j, d in self.dims.items())

@@ -27,7 +27,7 @@ first use; quasi-Gorenstein is the one definition in classify.
 
 from functools import cached_property
 
-from .classify import _quasi_gorenstein
+from .classify import _normal_pseudomanifold, _quasi_gorenstein
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
 from .hochster import _buchsbaum, _depth_report, _table
 from .homology import reduced_betti, relative_betti
@@ -194,7 +194,8 @@ class _Liaison:
 
     @cached_property
     def quasi_gorenstein(self):
-        return _quasi_gorenstein(self.delta, self.index, lambda: self.betti(self.delta))
+        return _quasi_gorenstein(self.delta, _normal_pseudomanifold(self.delta, self.index),
+                                 lambda: self.betti(self.delta))
 
     @cached_property
     def buchsbaum_a(self):

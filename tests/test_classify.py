@@ -2,6 +2,7 @@
 
 import pytest
 
+import qgor
 from qgor import (
     GF2,
     GF3,
@@ -191,3 +192,26 @@ def test_non_pseudomanifold_reports_false_instead_of_raising():
     assert not r.strongly_connected
     r = classification_report(get_fixture("paper-moebius").complex(), QQ)
     assert not r.orientable
+
+
+def test_report_runs_one_normal_pseudomanifold_pass_per_complex(monkeypatch):
+    # The complex and, when it differs, its nonempty core: one pass each.
+    passes = []
+    original = qgor.classify._normal_pseudomanifold
+
+    def counting(delta, index):
+        passes.append(delta)
+        return original(delta, index)
+
+    monkeypatch.setattr(qgor.classify, "_normal_pseudomanifold", counting)
+    distinct = {"csaszar-torus": 1, "rp2-6": 1, "cone-four-cycle": 2, "paper-cex1": 2}
+    for fx in corpus():
+        delta = fx.complex()
+        if delta.is_empty:
+            continue
+        complexes = {delta, core(delta)} - {from_facets([()], delta.n_vertices)}
+        assert len(complexes) == distinct.get(fx.name, len(complexes)), fx.name
+        for field in FIELDS:
+            passes.clear()
+            classification_report(delta, field)
+            assert sorted(passes, key=repr) == sorted(complexes, key=repr), (fx.name, field)

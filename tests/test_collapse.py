@@ -1,7 +1,10 @@
 """Free faces, guided collapses, trace verification."""
 
+import hashlib
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +246,60 @@ def test_collapse_refuses_what_faces_refuses():
     with pytest.raises(CapacityExceeded):
         free_faces(two, cap=20)
     assert isinstance(collapse_onto(two, {1}, cap=31), CollapseTrace)
+
+
+def _perfbench_gen():
+    """The benchmark's seeded generators, loaded from perfbench/gen.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _steps_digest(trace):
+    return hashlib.sha256(repr(trace.steps).encode()).hexdigest()
+
+
+def test_collapse_cone_over_sd3_fan_off_its_apex():
+    # One star of 665 steps: the cone over sd^3 of a fan of two triangles.
+    gen = _perfbench_gen()
+    cone = gen.cone(gen.sd(gen.sd(gen.sd(gen.cone(gen.sd(gen.simplex(2)))))))
+    apex = {cone.n_vertices}
+    assert len(cone.faces()) == 2660
+    trace = collapse_onto(cone, apex)
+    assert isinstance(trace, CollapseTrace)
+    assert len(trace.steps) == 665
+    assert trace.end == faces_avoiding(cone, apex)
+    assert _steps_digest(trace) == "c54bffe3b1a200e050fa6acc5b78f514a74e5f7c82b51ad3456bccc36607213b"
+    assert verify_trace(trace, GF2)
+
+
+def test_collapse_ball_in_sd2_sphere_away_from_its_complement():
+    # The radius-3 ball about vertex 1 in the 1-skeleton of sd^2 of the
+    # boundary of the 4-simplex (the facets with every vertex within
+    # distance 3), collapsed away from the vertices of the other facets.
+    # verify_trace is skipped: its reference scan is O(steps x faces).
+    gen = _perfbench_gen()
+    sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
+    neighbours = {}
+    for f in sphere.facets:
+        for v in f:
+            neighbours.setdefault(v, set()).update(f)
+    dist, queue = {1: 0}, [1]
+    for v in queue:  # breadth first: the queue grows while it is read
+        for w in neighbours[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    inside = [f for f in sphere.facets if max(dist[v] for v in f) <= 3]
+    outside = [f for f in sphere.facets if max(dist[v] for v in f) > 3]
+    ball = from_facets(inside, sphere.n_vertices)
+    forbidden = {v for f in outside for v in f}
+    assert len(ball.facets) == 1440
+    assert len(forbidden.intersection(ball.vertices())) == 242
+    trace = collapse_onto(ball, forbidden)
+    assert isinstance(trace, CollapseTrace)
+    assert len(trace.steps) == 2138
+    assert trace.end == faces_avoiding(ball, forbidden)
+    assert _steps_digest(trace) == "d67b0ce84f6aa47ffe819f1518e44373bb877e2ba7bb752084f0b07724b302c0"

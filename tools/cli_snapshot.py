@@ -30,7 +30,9 @@ RUNS = (
     ("liaison", "--facets-a", "1,2"),
     ("liaison", "--facets-a", "1,2,3"),
     ("graph",),
+    ("graph", "--t", "0"),
     ("graph", "--t", "2"),
+    ("graph", "--t", "3"),
     ("graph", "--dot"),
     ("graph", "--remove", "1"),
     ("collapse", "--forbid", "1"),
