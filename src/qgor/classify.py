@@ -16,7 +16,7 @@ witness in canonical face order, so failures are reproducible.
 """
 
 from .errors import NotAPseudomanifold, NotPure
-from .graphs import _components, gamma_graph
+from .graphs import _components, _vertex_graph, gamma_graph
 from .homology import QQ, reduced_betti
 from .hochster import (
     _buchsbaum,
@@ -83,17 +83,6 @@ def _normal_pseudomanifold(delta, index):
         witnesses["ridge_condition"] = ridge_w
     ok = pure and normal and ridge_condition
     return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
-
-
-def _vertex_graph(facets):
-    """Adjacency on the vertices of a complex, each facet joined as a star;
-    it has one component exactly when the complex is connected."""
-    adj = {v: set() for f in facets for v in f}
-    for f in facets:
-        for v in f[1:]:
-            adj[f[0]].add(v)
-            adj[v].add(f[0])
-    return adj
 
 
 def is_strongly_connected(delta):

@@ -164,15 +164,23 @@ def verify_trace(trace, field, cap=FACE_CAP):
     verdict is reserved for the homology comparison.
     """
     current = set(trace.start.faces(cap))
+    # the replay's own vertex -> faces index: every superface of beta
+    # holds beta's first vertex
+    holding = {}
+    for f in current:
+        for v in f:
+            holding.setdefault(v, set()).add(f)
     for k, (beta, gamma) in enumerate(trace.steps):
         if beta not in current or gamma not in current:
             raise InvalidStep(k, f"pair ({beta}, {gamma}) is not in the complex")
         bs = set(beta)
-        sup = [g for g in current if len(g) > len(beta) and bs.issubset(g)]
-        if not beta or sup != [gamma]:
+        if not beta or [g for g in holding[beta[0]]
+                        if len(g) > len(beta) and bs.issubset(g)] != [gamma]:
             raise InvalidStep(k, f"face {beta} is not free with coface {gamma}")
-        current.discard(beta)
-        current.discard(gamma)
+        for f in (beta, gamma):
+            current.discard(f)
+            for v in f:
+                holding[v].discard(f)
     if _to_complex(_covers(current), trace.start.n_vertices) != trace.end:
         raise InvalidStep(len(trace.steps), "replayed end differs from recorded end")
     b_start = reduced_betti(trace.start, field, cap)

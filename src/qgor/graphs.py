@@ -134,8 +134,9 @@ def _components(adj, skip=frozenset()):
     """Connected-component count of the graph minus a vertex set.
 
     adj maps each vertex to its neighbours.  This is the one
-    connectivity helper: facet graphs here, and link connectivity and
-    strong connectivity in classify, all count components with it.
+    connectivity helper: facet graphs here, link connectivity and
+    strong connectivity in classify, and H~_0 of graphs in homology all
+    count components with it.
     """
     alive = [v for v in adj if v not in skip]
     seen = set()
@@ -153,6 +154,19 @@ def _components(adj, skip=frozenset()):
                     seen.add(w)
                     stack.append(w)
     return count
+
+
+def _vertex_graph(facets):
+    """Adjacency on the vertices of a complex, each facet joined as a star;
+    it has one component exactly when the complex is connected.  For a
+    complex of dimension at most 1 it is the complex itself as a graph.
+    """
+    adj = {v: set() for f in facets for v in f}
+    for f in facets:
+        for v in f[1:]:
+            adj[f[0]].add(v)
+            adj[v].add(f[0])
+    return adj
 
 
 def _articulation_points(adj):

@@ -12,6 +12,13 @@ nonzero row computes every rank over every field.  All arithmetic is
 exact: integers over Q, residues over GF(p).  The order of the columns
 and pivots is fixed, so every matrix and rank is reproducible.
 
+Two kinds of complex need no matrix, and reduced_betti answers them
+before any is built, exactly over every field: a cone (all facets share
+a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
+E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c.  In a
+manifold of dimension at most 3 every link below a vertex link is a
+graph, and in a cone every link of a face missing the apex is a cone.
+
 Over a field the dimensions of cohomology equal those of homology in
 each degree (universal coefficients), so the Betti vectors computed
 here serve for both H~_i and H~^i.
@@ -20,6 +27,7 @@ here serve for both H~_i and H~^i.
 from math import gcd
 
 from .errors import CapacityExceeded, NotASubcomplex
+from .graphs import _components, _vertex_graph
 from .simplicial_core import FACE_CAP, check_face_budget
 
 
@@ -250,6 +258,11 @@ def reduced_betti(delta, field, cap=FACE_CAP):
     dim H~_j = nullity(d_j) - rank(d_{j+1}) on the reduced (augmented)
     chain complex.  The empty complex has {-1: 1}; ordinary complexes
     report degrees 0..dim (H~_{-1} vanishes once there is a vertex).
+    Two cases are answered without elimination, after the facet-size
+    screen: a cone (every facet holds a common vertex, as a one-facet
+    complex does) has every entry 0, and a graph (dimension at most 1)
+    with V vertices, E edges and c components has H~_0 = c - 1 and
+    H~_1 = E - V + c.
     """
     if delta.is_void:
         raise ValueError("the void complex has no homology")
@@ -257,6 +270,13 @@ def reduced_betti(delta, field, cap=FACE_CAP):
     if d == -1:
         return BettiVector({-1: 1})
     check_face_budget(delta.facets, cap)
+    if set(delta.facets[0]).intersection(*delta.facets[1:]):
+        return BettiVector(dict.fromkeys(range(d + 1), 0))
+    if d <= 1:
+        adj = _vertex_graph(delta.facets)
+        c = _components(adj)
+        edges = sum(len(f) == 2 for f in delta.facets)
+        return BettiVector({0: c - 1, 1: edges - len(adj) + c} if d else {0: c - 1})
     return _betti({j: delta.faces_of_dim(j, cap) for j in range(-1, d + 1)}, field, cap)
 
 

@@ -286,9 +286,7 @@ def core(delta):
     """
     if delta.is_void:
         raise ValueError("the void complex has no core")
-    cone = set(delta.facets[0])
-    for f in delta.facets[1:]:
-        cone &= set(f)
+    cone = set(delta.facets[0]).intersection(*delta.facets[1:])
     if not cone:
         return delta
     return from_facets([tuple(v for v in f if v not in cone) for f in delta.facets], delta.n_vertices)

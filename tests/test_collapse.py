@@ -1,12 +1,11 @@
 """Free faces, guided collapses, trace verification."""
 
 import hashlib
-import importlib.util
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
+from _perfbench import gen
 
 from qgor import (
     GF2,
@@ -248,22 +247,12 @@ def test_collapse_refuses_what_faces_refuses():
     assert isinstance(collapse_onto(two, {1}, cap=31), CollapseTrace)
 
 
-def _perfbench_gen():
-    """The benchmark's seeded generators, loaded from perfbench/gen.py."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def _steps_digest(trace):
     return hashlib.sha256(repr(trace.steps).encode()).hexdigest()
 
 
 def test_collapse_cone_over_sd3_fan_off_its_apex():
     # One star of 665 steps: the cone over sd^3 of a fan of two triangles.
-    gen = _perfbench_gen()
     cone = gen.cone(gen.sd(gen.sd(gen.sd(gen.cone(gen.sd(gen.simplex(2)))))))
     apex = {cone.n_vertices}
     assert len(cone.faces()) == 2660
@@ -279,8 +268,6 @@ def test_collapse_ball_in_sd2_sphere_away_from_its_complement():
     # The radius-3 ball about vertex 1 in the 1-skeleton of sd^2 of the
     # boundary of the 4-simplex (the facets with every vertex within
     # distance 3), collapsed away from the vertices of the other facets.
-    # verify_trace is skipped: its reference scan is O(steps x faces).
-    gen = _perfbench_gen()
     sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
     neighbours = {}
     for f in sphere.facets:
@@ -303,3 +290,4 @@ def test_collapse_ball_in_sd2_sphere_away_from_its_complement():
     assert len(trace.steps) == 2138
     assert trace.end == faces_avoiding(ball, forbidden)
     assert _steps_digest(trace) == "d67b0ce84f6aa47ffe819f1518e44373bb877e2ba7bb752084f0b07724b302c0"
+    assert verify_trace(trace, GF2)

@@ -4,10 +4,15 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from _perfbench import gen
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgor import (
+    FACE_CAP,
     GF2,
     GF3,
     QQ,
@@ -15,14 +20,18 @@ from qgor import (
     ExactMatrix,
     FieldSpec,
     NotASubcomplex,
+    SimplicialComplex,
     boundary_matrix,
+    classification_report,
     from_facets,
+    homology,
+    local_cohomology_table,
     rank,
     reduced_betti,
     relative_betti,
     restrict_to_facets,
 )
-from qgor.fixtures import corpus, get_fixture
+from qgor.fixtures import corpus, get_fixture, oracle_betti
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -314,3 +323,114 @@ def test_relative_betti_hand_checked_pair():
     boundary = from_facets([[1, 2], [1, 3], [2, 4], [3, 4]], 4)
     rel = relative_betti(delta, boundary, QQ)
     assert rel.nonzero() == {2: 1}
+
+
+# Shortcuts: reduced_betti answers cones and graphs without a boundary
+# matrix.  Each family below is seeded through the benchmark's
+# generators; the answer must match the elimination path and the dense
+# oracle byte for byte (zero degrees included), and must come from the
+# path the family is meant to take.
+
+SHORTCUT_FIELDS = [QQ, GF2, GF3, FieldSpec.prime(32003)]
+
+
+def _any_complex(rng):
+    """Facets of mixed sizes on at most 7 vertices."""
+    n = rng.randint(1, 7)
+    return from_facets([rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+                        for _ in range(rng.randint(1, 6))], n)
+
+
+def _cone(rng):
+    return gen.cone(_any_complex(rng))
+
+
+def _one_facet(rng):
+    n = rng.randint(1, 9)
+    if rng.random() < 0.5:
+        return gen.simplex(n)
+    return from_facets([rng.sample(range(1, n + 1), rng.randint(1, n))], n + rng.randint(0, 2))
+
+
+def _points(rng):
+    n = rng.randint(1, 9)
+    return from_facets([[v] for v in rng.sample(range(1, n + 1), rng.randint(1, n))], n)
+
+
+def _graph(rng):
+    """Up to three random graphs side by side, plus isolated vertices."""
+    facets, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(2, 6)
+        edges = gen.random_pure(rng, size, 1, rng.randint(1, size * (size - 1) // 2))
+        facets += [tuple(v + n for v in f) for f in edges.facets]
+        n += size
+    isolated = rng.randint(0, 3)
+    facets += [(n + k,) for k in range(1, isolated + 1)]
+    return from_facets(facets, n + isolated)
+
+
+def _general(rng):
+    """A complex of dimension at least 2 whose facets share no vertex."""
+    pick = rng.randrange(6)
+    if pick == 0:
+        delta = gen.random_pure(rng, 7, rng.randint(2, 3), rng.randint(2, 8))
+    elif pick == 1:
+        delta = gen.suspension(_graph(rng))
+    elif pick == 2:
+        delta = gen.add_dangling_edge(gen.random_pure(rng, 6, 2, rng.randint(2, 6)), 1)
+    elif pick == 3:
+        delta = gen.join(_points(rng), _points(rng))
+    elif pick == 4:
+        delta = rng.choice([gen.torus(), gen.rp2(), gen.simplex_boundary(rng.randint(4, 6)),
+                            gen.cross_polytope_boundary(3), gen.sd(gen.simplex_boundary(4))])
+    else:
+        delta = _any_complex(rng)
+    if delta.dim < 2 or set(delta.facets[0]).intersection(*delta.facets[1:]):
+        # a disjoint triangle and point lift the dimension and break any cone
+        n = delta.n_vertices
+        delta = from_facets(list(delta.facets) + [(n + 1, n + 2, n + 3), (n + 4,)], n + 4)
+    return delta
+
+
+FAMILIES = {"cone": _cone, "one-facet": _one_facet, "points": _points,
+            "graph": _graph, "general": _general}
+
+
+def _eliminated(delta, field):
+    """reduced_betti's answer through the one elimination path."""
+    chains = {j: delta.faces_of_dim(j) for j in range(-1, delta.dim + 1)}
+    return homology._betti(chains, field, FACE_CAP)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), rng=st.randoms(use_true_random=False))
+def test_shortcuts_match_elimination_and_oracle(family, rng):
+    delta = FAMILIES[family](rng)
+    for field in SHORTCUT_FIELDS:
+        with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+            got = reduced_betti(delta, field).to_json()
+        assert (spy.call_count > 0) == (family == "general"), (family, delta)
+        assert got == _eliminated(delta, field).to_json(), (delta, field)
+        assert got == oracle_betti(delta, field).to_json(), (delta, field)
+        assert list(got) == [str(j) for j in range(delta.dim + 1)]
+
+
+def test_simplex13_table_and_report_need_no_elimination():
+    # every one of the 8,192 links of a simplex is a simplex, so a cone
+    simplex = gen.simplex(13)
+    with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+        table = local_cohomology_table(simplex, GF2)
+        report = classification_report(simplex, GF2)
+    assert table.to_json()["entries"] == [{"i": 13, "sigma": list(range(1, 14)), "dim": 1}]
+    assert report.gorenstein and report.cohen_macaulay
+    assert spy.call_count == 0
+
+
+def test_long_cycle_is_a_graph():
+    # 4,100 x 4,100 entries is past the default cap of the boundary builder;
+    # the facets are built directly, as they are already canonical
+    cycle = SimplicialComplex(4100, sorted((i, i % 4100 + 1) for i in range(1, 4101)))
+    with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+        assert reduced_betti(cycle, QQ).to_json() == {"0": 0, "1": 1}
+    assert spy.call_count == 0
