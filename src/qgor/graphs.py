@@ -7,7 +7,20 @@ Gamma_1 is the dual graph (adjacency across ridges), and
 Gamma_{dimDelta+1} is complete.  removal_experiment checks the
 connectedness statement: deleting a set of facets that is edgeless in
 Gamma_2 never disconnects Gamma_1.
+
+gamma_graph costs what its output costs rather than one intersection
+per facet pair: with k = dimDelta + 1 - t, two facets are adjacent
+exactly when they share a k-subset, so each facet is filed under its
+k-subsets and only facets filed together are paired.  For k <= 0 the
+graph is complete and is written down directly.  Filing costs
+C(dimDelta + 1, k) subsets per facet whatever the output, so when that
+exceeds the number of facet pairs the pairwise scan runs instead.
+connectivity_report reads a complete graph off its edge count, without
+a depth-first search.
 """
+
+from itertools import combinations
+from math import comb
 
 from .errors import GammaTwoNotIsolated, IndexOutOfRange, NotPure, TOutOfRange
 
@@ -15,8 +28,9 @@ from .errors import GammaTwoNotIsolated, IndexOutOfRange, NotPure, TOutOfRange
 class GammaGraph:
     """The graph Gamma_t on the facets of a pure complex.
 
-    Vertices are 0-based facet indices into the canonical facet order;
-    serialized forms use 1-based indices to match the CLI convention.
+    Vertices are 0-based facet indices into the canonical facet order,
+    and edges are pairs (i, j) with i < j; serialized forms use 1-based
+    indices to match the CLI convention.
     """
 
     __slots__ = ("t", "facets", "edges")
@@ -76,7 +90,13 @@ class GammaGraph:
 
 
 def gamma_graph(delta, t):
-    """Build Gamma_t: facets adjacent iff |sigma cap tau| >= dimDelta+1-t."""
+    """Build Gamma_t: facets adjacent iff |sigma cap tau| >= dimDelta+1-t.
+
+    With k = dimDelta + 1 - t: k <= 0 gives the complete graph; otherwise
+    facets are paired through the k-subsets they share, unless filing
+    every facet under its C(dimDelta + 1, k) subsets would cost more
+    than intersecting every pair of facets, which is then done instead.
+    """
     if delta.is_void or delta.is_empty:
         raise ValueError("Gamma_t needs a complex with at least one facet vertex")
     if not delta.is_pure():
@@ -85,14 +105,38 @@ def gamma_graph(delta, t):
     if not 0 <= t <= d + 1:
         raise TOutOfRange(f"t must lie in 0..{d + 1}, got {t}")
     facets = delta.facets
-    threshold = d + 1 - t
-    edges = []
-    sets = [set(f) for f in facets]
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if len(sets[i] & sets[j]) >= threshold:
-                edges.append((i, j))
+    m = len(facets)
+    k = d + 1 - t
+    if k <= 0:
+        edges = combinations(range(m), 2)
+    elif m * comb(d + 1, k) > m * (m - 1) // 2:
+        edges = _pairwise_edges(facets, k)
+    else:
+        edges = _shared_subset_edges(facets, k)
     return GammaGraph(t, facets, edges)
+
+
+def _pairwise_edges(facets, k):
+    """The pairs i < j of facets sharing at least k vertices, by intersecting
+    every pair."""
+    sets = [set(f) for f in facets]
+    return [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
+            if len(sets[i] & sets[j]) >= k]
+
+
+def _shared_subset_edges(facets, k):
+    """The pairs i < j of facets sharing at least k vertices, by filing each
+    facet under its k-subsets; facet indices enter each bucket in
+    increasing order, so every pair comes out as i < j."""
+    buckets = {}
+    for i, f in enumerate(facets):
+        for s in combinations(f, k):
+            buckets.setdefault(s, []).append(i)
+    edges = set()
+    for bucket in buckets.values():
+        if len(bucket) > 1:
+            edges.update(combinations(bucket, 2))
+    return edges
 
 
 class ConnectivityReport:
@@ -216,10 +260,19 @@ def _articulation_points(adj):
 
 
 def connectivity_report(graph):
-    adj = graph.adjacency()
-    components = _components(adj)
-    points = _articulation_points(adj)
+    """Components, articulation points and 2-connectivity of a facet graph.
+
+    A GammaGraph holds only pairs i < j < n, so n(n-1)/2 edges means the
+    complete graph: one component (none when n = 0) and no articulation
+    point, with no adjacency built and no depth-first search.
+    """
     n = graph.n_vertices
+    if len(graph.edges) == n * (n - 1) // 2:
+        components, points = min(n, 1), []
+    else:
+        adj = graph.adjacency()
+        components = _components(adj)
+        points = _articulation_points(adj)
     trivial = n <= 2
     if trivial:
         two_connected = components == 1

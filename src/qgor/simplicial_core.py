@@ -200,12 +200,23 @@ def from_facets(raw_facets, n_vertices=None):
                 f"vertex id {top} in facet {list(offender)} exceeds n_vertices={n_vertices}"
             )
 
-    # Absorption: keep only inclusion-maximal faces.
+    # Absorption: keep only inclusion-maximal faces.  Larger faces come
+    # first, so a face is absorbed exactly when a kept facet contains it;
+    # such a facet lies in the star of every vertex of the face, so only
+    # the star of its rarest vertex (the fewest kept facets) is searched.
     maximal = []
+    star = {}
     for f in sorted(set(cleaned), key=len, reverse=True):
-        fs = set(f)
-        if not any(fs.issubset(m) for m in maximal):
+        if not f:
+            if not maximal:
+                maximal.append(f)
+            continue
+        rarest = min(f, key=lambda v: len(star.get(v, ())))
+        fs = frozenset(f)
+        if not any(fs <= m for m in star.get(rarest, ())):
             maximal.append(f)
+            for v in f:
+                star.setdefault(v, []).append(fs)
     maximal.sort(key=face_key)
     return SimplicialComplex(n_vertices, maximal)
 

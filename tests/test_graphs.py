@@ -1,10 +1,17 @@
 """Gamma_t facet graphs, 2-connectivity, removal experiments."""
 
+import random
 from itertools import combinations
+from math import comb
+from unittest import mock
 
 import pytest
+from _perfbench import gen
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgor import (
+    GammaGraph,
     GammaTwoNotIsolated,
     IndexOutOfRange,
     NotPure,
@@ -13,7 +20,9 @@ from qgor import (
     connectivity_report,
     from_facets,
     gamma_graph,
+    graphs,
     is_quasi_gorenstein,
+    is_strongly_connected,
     removal_experiment,
 )
 from qgor.fixtures import corpus, get_fixture
@@ -77,6 +86,118 @@ def test_gamma_one_equals_ridge_adjacency():
                 by_ridge.setdefault(ridge, []).append(i)
         ridge_edges = {pair for facets in by_ridge.values() for pair in combinations(facets, 2)}
         assert g.edges == frozenset(ridge_edges), fx.name
+
+
+# Gamma_t against its definition.  gamma_graph pairs facets through shared
+# k-subsets (k = dim + 1 - t), writes the complete graph down for k <= 0,
+# and falls back to intersecting every pair when filing each facet under
+# its C(dim + 1, k) subsets would cost more than the m(m-1)/2 pairs.
+
+
+def _random_pure(rng):
+    n = rng.randint(1, 9)
+    d = rng.randint(0, min(n - 1, 4))
+    return gen.random_pure(rng, n, d, rng.randint(1, min(comb(n, d + 1), 30)))
+
+
+def _wide(rng):
+    """Two 22-vertex facets: filing them under their 11-subsets alone
+    would take seconds and hundreds of MB, where one intersection answers."""
+    overlap = rng.randint(0, 21)
+    return from_facets([range(1, 23), range(23 - overlap, 45 - overlap)])
+
+
+GAMMA_FAMILIES = {
+    "random": _random_pure,
+    "cone": lambda rng: gen.cone(_random_pure(rng)),
+    "join": lambda rng: gen.join(gen.random_pure(rng, 4, rng.randint(0, 2), rng.randint(1, 4)),
+                                 gen.random_pure(rng, 4, rng.randint(0, 1), rng.randint(1, 4))),
+    "wide": _wide,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(family=st.sampled_from(sorted(GAMMA_FAMILIES)), rng=st.randoms(use_true_random=False))
+@example(family="wide", rng=random.Random(0))
+def test_gamma_matches_pairwise_definition(family, rng):
+    delta = GAMMA_FAMILIES[family](rng)
+    d, m = delta.dim, len(delta.facets)
+    for t in range(d + 2):
+        k = d + 1 - t
+        want = {(i, j) for i, j in combinations(range(m), 2)
+                if len(set(delta.facets[i]) & set(delta.facets[j])) >= k}
+        with mock.patch.object(graphs, "_pairwise_edges", wraps=graphs._pairwise_edges) as pairwise, \
+                mock.patch.object(graphs, "_shared_subset_edges",
+                                  wraps=graphs._shared_subset_edges) as shared:
+            got = gamma_graph(delta, t)
+        assert got.edges == want, (delta, t)
+        bounded = k > 0 and m * comb(d + 1, k) > m * (m - 1) // 2
+        assert pairwise.call_count == int(bounded), (delta, t)
+        assert shared.call_count == int(k > 0 and not bounded), (delta, t)
+        if family == "wide" and k > 0:
+            assert pairwise.call_count == 1, t
+
+
+class _CountHidden:
+    """A graph's adjacency behind an edge count above the complete graph's,
+    so connectivity_report has to run its depth-first search."""
+
+    def __init__(self, graph):
+        self.n_vertices = graph.n_vertices
+        self.edges = [None] * (graph.n_vertices ** 2 + 1)
+        self.adjacency = graph.adjacency
+
+
+def _report_and_search(graph):
+    with mock.patch.object(graphs, "_articulation_points",
+                           wraps=graphs._articulation_points) as spy:
+        report = connectivity_report(graph)
+    return report, spy.call_count > 0
+
+
+def test_complete_graph_report_matches_the_search():
+    points = [gamma_graph(from_facets([[v] for v in range(1, n + 1)]), 1) for n in range(1, 7)]
+    tops = [gamma_graph(fx.complex(), fx.complex().dim + 1) for fx in corpus()]
+    for g in points + tops:
+        assert len(g.edges) == g.n_vertices * (g.n_vertices - 1) // 2
+        fast, searched = _report_and_search(g)
+        assert not searched, g
+        slow, searched = _report_and_search(_CountHidden(g))
+        assert searched, g
+        assert fast.to_json() == slow.to_json(), g
+        assert repr(fast) == repr(slow), g
+        assert fast.trivial == (g.n_vertices <= 2)
+    for n in range(2, 7):
+        full = gamma_graph(from_facets([[v] for v in range(1, n + 1)]), 1)
+        for edge in full.edges:
+            g = GammaGraph(full.t, full.facets, full.edges - {edge})
+            report, searched = _report_and_search(g)
+            assert searched, (n, edge)
+            assert report.components == (2 if n == 2 else 1), (n, edge)
+
+
+def test_gamma_on_sd3_torus():
+    # 3,024 facets: intersecting every pair took about 1 s per Gamma_t
+    surface = gen.sd(gen.sd(gen.sd(gen.torus())))
+    m = len(surface.facets)
+    degree = {}
+    for f in surface.facets:
+        for v in f:
+            degree[v] = degree.get(v, 0) + 1
+    # a closed surface: each edge lies in two triangles, and a pair
+    # sharing an edge shares two vertices, so the vertex sum counts it twice
+    ridges = 3 * m // 2
+    share_vertex = sum(comb(k, 2) for k in degree.values()) - ridges
+    counts = [len(gamma_graph(surface, t).edges) for t in range(3)]
+    assert counts == [0, ridges, share_vertex] == [0, 4536, 30912]
+    assert is_strongly_connected(surface)
+    removal, used = [], set()
+    for i, f in enumerate(surface.facets):
+        if not used & set(f):
+            removal.append(i)
+            used |= set(f)
+    assert len(removal) > 100
+    assert removal_experiment(surface, removal)
 
 
 def test_connectivity_report_complete_graph():

@@ -85,6 +85,17 @@ def test_from_facets_idempotent_on_corpus():
         assert again == delta, fx.name
 
 
+def test_from_facets_absorbs_like_pairwise_containment():
+    # the reference tests every face against every other one
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        raw = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(0, 12))]
+        faces = {face(f) for f in raw}
+        maximal = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+        assert from_facets(raw, n).facets == tuple(sorted(maximal, key=lambda f: (len(f), f))), raw
+
+
 def test_link_of_vertex_in_sphere():
     delta = get_fixture("boundary-3-simplex").complex()
     lk = link(delta, (1,))
