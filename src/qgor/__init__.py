@@ -30,7 +30,6 @@ from .simplicial_core import (
     faces_avoiding,
     from_facets,
     link,
-    minimal_nonfaces,
     restrict_to_facets,
 )
 from .homology import (
@@ -98,7 +97,7 @@ __all__ = [
     "NotAFace", "NotAPseudomanifold", "NotASubcomplex", "NotPure",
     "ParseError", "QgorError", "TooLarge", "TOutOfRange", "VertexOutOfRange",
     "FACE_CAP", "SimplicialComplex", "core", "face", "faces_avoiding",
-    "from_facets", "link", "minimal_nonfaces", "restrict_to_facets",
+    "from_facets", "link", "restrict_to_facets",
     "GF2", "GF3", "QQ", "BettiVector", "ExactMatrix", "FieldSpec",
     "boundary_matrix", "rank", "reduced_betti", "relative_betti",
     "DepthReport", "LocalCohomologyTable", "a_invariant",

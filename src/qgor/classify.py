@@ -25,7 +25,7 @@ from .hochster import (
     _table,
     local_cohomology_table,
 )
-from .simplicial_core import FACE_CAP, _link_index, core, face_key
+from .simplicial_core import _link_index, core, face_key
 
 
 class NormalPseudomanifoldReport:
@@ -47,7 +47,7 @@ class NormalPseudomanifoldReport:
         )
 
 
-def normal_pseudomanifold_report(delta, cap=FACE_CAP):
+def normal_pseudomanifold_report(delta):
     """Purity, normality and the ridge condition, with first witnesses.
 
     Normality asks that lk(sigma) be connected for every face sigma of
@@ -58,7 +58,7 @@ def normal_pseudomanifold_report(delta, cap=FACE_CAP):
     """
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
-    return _normal_pseudomanifold(delta, _link_index(delta, cap))
+    return _normal_pseudomanifold(delta, _link_index(delta))
 
 
 def _normal_pseudomanifold(delta, index):
@@ -94,23 +94,23 @@ def is_strongly_connected(delta):
     return _components(gamma_graph(delta, 1).adjacency()) == 1
 
 
-def is_pseudomanifold(delta, cap=FACE_CAP):
+def is_pseudomanifold(delta):
     """Pure + strongly connected + every ridge in exactly two facets."""
     if delta.is_void or delta.is_empty or not delta.is_pure():
         return False
-    report = normal_pseudomanifold_report(delta, cap)
+    report = normal_pseudomanifold_report(delta)
     return report.ridge_condition and is_strongly_connected(delta)
 
 
-def is_orientable(delta, cap=FACE_CAP):
+def is_orientable(delta):
     """Orientability of a pseudomanifold via rational top homology.
 
     Raises NotAPseudomanifold when the input is not a pseudomanifold
     (the notion presumes one).
     """
-    if not is_pseudomanifold(delta, cap):
+    if not is_pseudomanifold(delta):
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
-    return reduced_betti(delta, QQ, cap)[delta.dim] != 0
+    return reduced_betti(delta, QQ)[delta.dim] != 0
 
 
 def _sphere_link(table, sigma):
@@ -121,7 +121,7 @@ def _sphere_link(table, sigma):
     return table._betti[sigma].nonzero() == {_link_dim(table._index[sigma]): 1}
 
 
-def is_homology_manifold(delta, field, cap=FACE_CAP):
+def is_homology_manifold(delta, field):
     """(manifold_flag, sphere_flag) over the given field.
 
     manifold: every nonempty face has a link with the reduced homology
@@ -133,7 +133,7 @@ def is_homology_manifold(delta, field, cap=FACE_CAP):
         raise ValueError("classification needs a complex with at least one vertex")
     if not delta.is_pure():
         raise NotPure("homology manifolds are pure")
-    return _homology_manifold(local_cohomology_table(delta, field, cap))
+    return _homology_manifold(local_cohomology_table(delta, field))
 
 
 def _homology_manifold(table):
@@ -141,12 +141,12 @@ def _homology_manifold(table):
     return manifold, manifold and _sphere_link(table, ())
 
 
-def is_quasi_gorenstein(delta, field, cap=FACE_CAP):
+def is_quasi_gorenstein(delta, field):
     """Normal pseudomanifold with nonvanishing top homology over the field."""
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
-    return _quasi_gorenstein(delta, _normal_pseudomanifold(delta, _link_index(delta, cap)),
-                             lambda: reduced_betti(delta, field, cap))
+    return _quasi_gorenstein(delta, _normal_pseudomanifold(delta, _link_index(delta)),
+                             lambda: reduced_betti(delta, field))
 
 
 def _quasi_gorenstein(delta, report, betti):
@@ -156,7 +156,7 @@ def _quasi_gorenstein(delta, report, betti):
     return report.ok and betti()[delta.dim] != 0
 
 
-def is_gorenstein(delta, field, cap=FACE_CAP):
+def is_gorenstein(delta, field):
     """Gorenstein = the core is quasi-Gorenstein and Cohen-Macaulay.
 
     Cone points are free ring variables, so they are stripped first;
@@ -165,7 +165,7 @@ def is_gorenstein(delta, field, cap=FACE_CAP):
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
     cored = core(delta)
-    return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field, cap))
+    return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field))
 
 
 def _gorenstein(cored, table, report=None):
@@ -218,7 +218,7 @@ class ClassificationReport:
         return f"ClassificationReport({self.field}, {flags})"
 
 
-def classification_report(delta, field, cap=FACE_CAP):
+def classification_report(delta, field):
     """Run every predicate once and bundle the outcome.
 
     One face -> link index, normal-pseudomanifold pass and table over
@@ -231,7 +231,7 @@ def classification_report(delta, field, cap=FACE_CAP):
     if delta.is_void or delta.is_empty:
         raise ValueError("classification needs a complex with at least one vertex")
     memo = {}
-    table = _table(delta, field, cap, memo)
+    table = _table(delta, field, memo)
     np_report = _normal_pseudomanifold(delta, table._index)
     witnesses = dict(np_report.witnesses)
 
@@ -240,7 +240,7 @@ def classification_report(delta, field, cap=FACE_CAP):
 
     betti = table._betti[()]
     orientable = pseudo and (
-        betti if field.is_rationals else reduced_betti(delta, QQ, cap))[delta.dim] != 0
+        betti if field.is_rationals else reduced_betti(delta, QQ))[delta.dim] != 0
 
     buchsbaum, bb_witness = _buchsbaum(table)
     if bb_witness is not None:
@@ -254,7 +254,7 @@ def classification_report(delta, field, cap=FACE_CAP):
 
     cored = core(delta)
     gorenstein = cored.is_empty or (_gorenstein(delta, table, np_report) if cored == delta
-                                    else _gorenstein(cored, _table(cored, field, cap, memo)))
+                                    else _gorenstein(cored, _table(cored, field, memo)))
     return ClassificationReport(
         field=field,
         n_vertices=delta.n_vertices,

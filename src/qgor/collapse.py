@@ -26,7 +26,7 @@ inputs outside the procedure's hypotheses it is the expected outcome.
 
 from .errors import InvalidStep
 from .homology import reduced_betti
-from .simplicial_core import FACE_CAP, SimplicialComplex, face, face_key
+from .simplicial_core import SimplicialComplex, face, face_key
 
 
 class CollapseTrace:
@@ -101,12 +101,12 @@ def _to_complex(covers, n_vertices):
     return SimplicialComplex(n_vertices, facets)
 
 
-def free_faces(delta, cap=FACE_CAP):
+def free_faces(delta):
     """All free pairs of the complex, in canonical order."""
-    return _free_pairs(set(delta.faces(cap)))
+    return _free_pairs(set(delta.faces()))
 
 
-def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
+def collapse_onto(delta_a, forbidden_vertices):
     """Collapse away the forbidden vertices, one star at a time.
 
     Returns a CollapseTrace whose end is the faces avoiding every
@@ -116,7 +116,7 @@ def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
     canonically first free face of the star other than {v} and {v,v'}.
     """
     forbidden = set(forbidden_vertices)
-    covers = _covers(delta_a.faces(cap))
+    covers = _covers(delta_a.faces())
     steps = []
 
     def fail(reason):
@@ -155,7 +155,7 @@ def collapse_onto(delta_a, forbidden_vertices, cap=FACE_CAP):
     return CollapseTrace(delta_a, _to_complex(covers, delta_a.n_vertices), steps)
 
 
-def verify_trace(trace, field, cap=FACE_CAP):
+def verify_trace(trace, field):
     """Replay a trace and compare Betti vectors of start and end.
 
     Structural problems raise InvalidStep with the offending index:
@@ -163,7 +163,7 @@ def verify_trace(trace, field, cap=FACE_CAP):
     final state that differs from the recorded end.  The boolean
     verdict is reserved for the homology comparison.
     """
-    current = set(trace.start.faces(cap))
+    current = set(trace.start.faces())
     # the replay's own vertex -> faces index: every superface of beta
     # holds beta's first vertex
     holding = {}
@@ -183,6 +183,6 @@ def verify_trace(trace, field, cap=FACE_CAP):
                 holding[v].discard(f)
     if _to_complex(_covers(current), trace.start.n_vertices) != trace.end:
         raise InvalidStep(len(trace.steps), "replayed end differs from recorded end")
-    b_start = reduced_betti(trace.start, field, cap)
-    b_end = reduced_betti(trace.end, field, cap)
+    b_start = reduced_betti(trace.start, field)
+    b_end = reduced_betti(trace.end, field)
     return b_start == b_end

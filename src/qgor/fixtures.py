@@ -5,10 +5,10 @@ minimal 6-vertex projective plane, the 7-vertex Csaszar torus) together
 with a handful of complexes taken verbatim from the research literature
 on quasi-Gorenstein complexes (the 5-vertex Moebius strip and two
 counterexample pairs for the collapse lemma).  Fixture facet lists are
-data, never recomputed; everything derived about them is frozen in
-the generated module _expected (written by tools/freeze_expected.py
-from this oracle plus plain set arithmetic) and re-derived by the test
-suite.
+data, never recomputed; everything derived about them is frozen in the
+"expected" block of fixtures/manifest.json (written by
+tools/freeze_expected.py from this oracle plus plain set arithmetic)
+and re-derived by the test suite.
 
 oracle_betti is deliberately naive and shares no code with the homology
 module: its own bitmask face enumeration, dense Gauss-Jordan over
@@ -19,7 +19,6 @@ fixture before any value is trusted.
 
 from fractions import Fraction
 
-from ._expected import EXPECTED
 from .errors import TooLarge
 from .homology import BettiVector
 from .simplicial_core import from_facets
@@ -30,9 +29,9 @@ ORACLE_FACE_LIMIT = 4096
 
 
 class Fixture:
-    """A named corpus member: facet data plus frozen expected values."""
+    """A named corpus member: its facet data and where it comes from."""
 
-    __slots__ = ("name", "n_vertices", "facets", "provenance", "description", "expected")
+    __slots__ = ("name", "n_vertices", "facets", "provenance", "description")
 
     def __init__(self, name, n_vertices, facets, provenance, description):
         self.name = name
@@ -40,22 +39,9 @@ class Fixture:
         self.facets = [sorted(f) for f in facets]
         self.provenance = provenance
         self.description = description
-        self.expected = EXPECTED.get(name, {})
 
     def complex(self):
         return from_facets(self.facets, self.n_vertices)
-
-    def expected_for(self, field):
-        """Expected values over one field, resolving the "*" shorthand.
-
-        Accepts a FieldSpec or a spec string; returns a dict with keys
-        betti, flags, depth, a_invariant (whichever are recorded).
-        """
-        key = field if isinstance(field, str) else field.spec_string()
-        return {
-            kind: per_field.get(key, per_field.get("*"))
-            for kind, per_field in self.expected.items()
-        }
 
     def facet_file_text(self):
         """Render the .cplx facet file content for this fixture.

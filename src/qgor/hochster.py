@@ -18,7 +18,7 @@ dimensions, so link Betti vectors serve throughout.
 """
 
 from .homology import reduced_betti
-from .simplicial_core import FACE_CAP, SimplicialComplex, _link_index, face, face_key, link
+from .simplicial_core import SimplicialComplex, _link_index, face, face_key, link
 
 
 class LocalCohomologyTable:
@@ -99,12 +99,12 @@ class DepthReport:
         )
 
 
-def local_cohomology_table(delta, field, cap=FACE_CAP):
+def local_cohomology_table(delta, field):
     """The full Hochster table of delta over the given field."""
-    return _table(delta, field, cap, {})
+    return _table(delta, field, {})
 
 
-def _table(delta, field, cap, memo, index=None):
+def _table(delta, field, memo, index=None):
     """The table of delta; memo maps link facets to Betti vectors over field.
 
     Tables built within one call over one field share a memo, so a link
@@ -115,13 +115,13 @@ def _table(delta, field, cap, memo, index=None):
     if delta.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ring")
     if index is None:
-        index = _link_index(delta, cap)
+        index = _link_index(delta)
     betti = {}
     entries = {}
     for sigma, lk in index.items():
         b = memo.get(lk)
         if b is None:
-            b = memo[lk] = reduced_betti(SimplicialComplex(delta.n_vertices, lk), field, cap)
+            b = memo[lk] = reduced_betti(SimplicialComplex(delta.n_vertices, lk), field)
         betti[sigma] = b
         for r, dim_r in b.dims.items():
             if dim_r:
@@ -136,14 +136,14 @@ def _link_dim(link_facets):
     return len(link_facets[-1]) - 1
 
 
-def depth_report(delta, field, cap=FACE_CAP):
+def depth_report(delta, field):
     """Depth and Cohen-Macaulayness from the table.
 
     depth = min { i : H^i_m(k[Delta]) != 0 }; Cohen-Macaulay means
     depth = d.  The witness is the first table entry below d (in
     canonical order), None when CM.
     """
-    return _depth_report(local_cohomology_table(delta, field, cap))
+    return _depth_report(local_cohomology_table(delta, field))
 
 
 def _depth_report(table):
@@ -152,7 +152,7 @@ def _depth_report(table):
     return DepthReport(depth, depth == table.d, witness)
 
 
-def cohen_macaulay_direct(delta, field, cap=FACE_CAP):
+def cohen_macaulay_direct(delta, field):
     """Reisner's criterion checked directly on links, without the table.
 
     k[Delta] is Cohen-Macaulay iff H~_i(lk sigma; k) = 0 for every face
@@ -162,23 +162,23 @@ def cohen_macaulay_direct(delta, field, cap=FACE_CAP):
     """
     if delta.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ring")
-    for sigma in delta.faces(cap):
+    for sigma in delta.faces():
         lk = link(delta, sigma)
-        b = reduced_betti(lk, field, cap)
+        b = reduced_betti(lk, field)
         for i in range(-1, lk.dim):
             if b[i]:
                 return False
     return True
 
 
-def a_invariant(delta, field, cap=FACE_CAP):
+def a_invariant(delta, field):
     """The a-invariant: the top degree j with total(d, j) nonzero.
 
     Equals -min{ |sigma| : H~^{d - |sigma| - 1}(lk sigma; k) != 0 } and
     is never positive; it is 0 exactly when the complex itself has
     nonzero top reduced homology.
     """
-    return _a_invariant(local_cohomology_table(delta, field, cap))
+    return _a_invariant(local_cohomology_table(delta, field))
 
 
 def _a_invariant(table):
@@ -202,14 +202,14 @@ def _low_homology(table, ell=None, nonempty=False):
     return None
 
 
-def is_buchsbaum(delta, field, cap=FACE_CAP):
+def is_buchsbaum(delta, field):
     """Buchsbaum test: links of nonempty faces have no low homology.
 
     Returns (flag, witness) where witness is a violating (sigma, i)
     pair or None.  The empty face is exempt, which is what separates
     Buchsbaum from Cohen-Macaulay here.
     """
-    return _buchsbaum(local_cohomology_table(delta, field, cap))
+    return _buchsbaum(local_cohomology_table(delta, field))
 
 
 def _buchsbaum(table):
@@ -217,7 +217,7 @@ def _buchsbaum(table):
     return witness is None, witness
 
 
-def serre_condition(delta, field, ell, cap=FACE_CAP):
+def serre_condition(delta, field, ell):
     """The link-vanishing form of Serre's condition (S_ell).
 
     True iff H~_i(lk sigma; k) = 0 for every face sigma (the empty face
@@ -228,4 +228,4 @@ def serre_condition(delta, field, ell, cap=FACE_CAP):
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    return _low_homology(local_cohomology_table(delta, field, cap), ell) is None
+    return _low_homology(local_cohomology_table(delta, field), ell) is None

@@ -26,9 +26,10 @@ here serve for both H~_i and H~^i.
 
 from math import gcd
 
+from . import simplicial_core
 from .errors import CapacityExceeded, NotASubcomplex
 from .graphs import _components, _vertex_graph
-from .simplicial_core import FACE_CAP, check_face_budget
+from .simplicial_core import check_face_budget
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound.
@@ -211,13 +212,16 @@ def rank(matrix):
     return len(pivots)
 
 
-def _boundary(cols, rows, field, cap, kind="boundary matrix"):
+def _boundary(cols, rows, field, kind="boundary matrix"):
     """The matrix of d from the faces cols to the faces rows, one size below.
 
     Column c holds (-1)^j at the row of cols[c] minus its j-th vertex.
     A face missing from rows is skipped: with rows the faces of Delta
-    not in Gamma this is the relative boundary.
+    not in Gamma this is the relative boundary.  Refuses more than
+    simplicial_core.FACE_CAP rows x cols, read through the module so a
+    lowered cap applies here too.
     """
+    cap = simplicial_core.FACE_CAP
     if len(rows) * len(cols) > cap:
         raise CapacityExceeded(f"{kind} with {len(rows)} x {len(cols)} entries, cap is {cap}")
     row_index = {f: k for k, f in enumerate(rows)}
@@ -232,27 +236,27 @@ def _boundary(cols, rows, field, cap, kind="boundary matrix"):
     return ExactMatrix(field, len(rows), len(cols), columns)
 
 
-def boundary_matrix(delta, i, field, cap=FACE_CAP):
+def boundary_matrix(delta, i, field):
     """The matrix of d_i from i-chains to (i-1)-chains in canonical face order.
 
     Out-of-range degrees give matrices with zero rows and/or columns.
     The (-1)-faces list is the empty face alone, which makes the i = 0
     matrix the augmentation row of the reduced chain complex.
     """
-    return _boundary(delta.faces_of_dim(i, cap), delta.faces_of_dim(i - 1, cap), field, cap)
+    return _boundary(delta.faces_of_dim(i), delta.faces_of_dim(i - 1), field)
 
 
-def _betti(chains, field, cap, kind="boundary matrix"):
+def _betti(chains, field, kind="boundary matrix"):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top, where
     chains maps each degree to its faces (a missing degree has none)."""
     top = max(chains)
-    ranks = {j: rank(_boundary(chains[j], chains.get(j - 1, []), field, cap, kind))
+    ranks = {j: rank(_boundary(chains[j], chains.get(j - 1, []), field, kind))
              for j in range(0, top + 1)}
     ranks[top + 1] = 0
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
 
 
-def reduced_betti(delta, field, cap=FACE_CAP):
+def reduced_betti(delta, field):
     """Reduced Betti numbers dim H~_j(delta; field) for all degrees.
 
     dim H~_j = nullity(d_j) - rank(d_{j+1}) on the reduced (augmented)
@@ -269,7 +273,7 @@ def reduced_betti(delta, field, cap=FACE_CAP):
     d = delta.dim
     if d == -1:
         return BettiVector({-1: 1})
-    check_face_budget(delta.facets, cap)
+    check_face_budget(delta.facets)
     if set(delta.facets[0]).intersection(*delta.facets[1:]):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
     if d <= 1:
@@ -277,10 +281,10 @@ def reduced_betti(delta, field, cap=FACE_CAP):
         c = _components(adj)
         edges = sum(len(f) == 2 for f in delta.facets)
         return BettiVector({0: c - 1, 1: edges - len(adj) + c} if d else {0: c - 1})
-    return _betti({j: delta.faces_of_dim(j, cap) for j in range(-1, d + 1)}, field, cap)
+    return _betti({j: delta.faces_of_dim(j) for j in range(-1, d + 1)}, field)
 
 
-def relative_betti(delta, gamma, field, cap=FACE_CAP):
+def relative_betti(delta, gamma, field):
     """Dimensions of the relative homology H_j(delta, gamma; field).
 
     The relative chain complex is spanned by the faces of delta not in
@@ -292,15 +296,15 @@ def relative_betti(delta, gamma, field, cap=FACE_CAP):
 
     Raises NotASubcomplex when a facet of gamma is not a face of delta.
     """
-    check_face_budget(delta.facets, cap)
+    check_face_budget(delta.facets)
     # degrees 0..dim delta; none for the void or the empty complex
-    chains = {j: delta.faces_of_dim(j, cap) for j in range(max(map(len, delta.facets), default=0))}
+    chains = {j: delta.faces_of_dim(j) for j in range(max(map(len, delta.facets), default=0))}
     faces = {f for fs in chains.values() for f in fs}
     for f in gamma.facets:
         if f and f not in faces:
             raise NotASubcomplex(f"{list(f)} is not a face of the ambient complex")
     if not chains:
         return BettiVector({})
-    gamma_faces = set(gamma.faces(cap))
+    gamma_faces = set(gamma.faces())
     rel = {j: [f for f in fs if f not in gamma_faces] for j, fs in chains.items()}
-    return _betti(rel, field, cap, "relative boundary matrix")
+    return _betti(rel, field, "relative boundary matrix")

@@ -31,7 +31,7 @@ from .classify import _normal_pseudomanifold, _quasi_gorenstein
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
 from .hochster import _buchsbaum, _depth_report, _table
 from .homology import reduced_betti, relative_betti
-from .simplicial_core import FACE_CAP, _link_index, face_key, restrict_to_facets
+from .simplicial_core import _link_index, face_key, restrict_to_facets
 
 
 class FacetPartition:
@@ -158,39 +158,39 @@ class CmLinkageReport:
 
 
 class _Liaison:
-    """One (Delta, partition, field, cap).  The constructor checks that the
+    """One (Delta, partition, field).  The constructor checks that the
     partition applies and builds Delta_A and Delta_B; the rest is computed
     on first use, every Betti vector through one memo keyed by facets (the
     link of the empty face is the complex itself, so tables share it)."""
 
-    def __init__(self, delta, partition, field, cap=FACE_CAP):
+    def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:
             raise ValueError("liaison needs a complex with facets")
         if not delta.is_pure():
             raise NotPure("facet partitions are defined for pure complexes")
         partition.validate_for(delta)
-        self.delta, self.partition, self.field, self.cap = delta, partition, field, cap
+        self.delta, self.partition, self.field = delta, partition, field
         self.delta_a = restrict_to_facets(delta, partition.a)
         self.delta_b = restrict_to_facets(delta, partition.b)
         self._memo = {}
 
     def betti(self, complex_):
         if complex_.facets not in self._memo:
-            self._memo[complex_.facets] = reduced_betti(complex_, self.field, self.cap)
+            self._memo[complex_.facets] = reduced_betti(complex_, self.field)
         return self._memo[complex_.facets]
 
     @cached_property
     def index(self):
-        return _link_index(self.delta, self.cap)
+        return _link_index(self.delta)
 
     @cached_property
     def tables(self):
-        return (_table(self.delta, self.field, self.cap, self._memo, self.index),
-                _table(self.delta_b, self.field, self.cap, self._memo))
+        return (_table(self.delta, self.field, self._memo, self.index),
+                _table(self.delta_b, self.field, self._memo))
 
     @cached_property
     def table_a(self):
-        return _table(self.delta_a, self.field, self.cap, self._memo)
+        return _table(self.delta_a, self.field, self._memo)
 
     @cached_property
     def quasi_gorenstein(self):
@@ -231,7 +231,7 @@ class _Liaison:
             for k in range(len(dims))
         )
 
-        rel = relative_betti(self.delta, self.delta_b, self.field, self.cap)
+        rel = relative_betti(self.delta, self.delta_b, self.field)
         duality_pairs = [(i, rel[i], b_a[d - i]) for i in range(1, d)]
 
         hypotheses = {"quasi_gorenstein": self.quasi_gorenstein, "buchsbaum_A": self.buchsbaum_a}
@@ -269,16 +269,16 @@ class _Liaison:
         return self.betti(self.delta_b)[0] == 0
 
 
-def lefschetz_report(delta, partition, field, cap=FACE_CAP):
+def lefschetz_report(delta, partition, field):
     """Dimensions of the duality sequence plus exactness diagnostics.
 
     Always produced; the hypothesis flags record whether the sequence
     is actually guaranteed to be exact for this input.
     """
-    return _Liaison(delta, partition, field, cap).lefschetz_report()
+    return _Liaison(delta, partition, field).lefschetz_report()
 
 
-def link_restriction_check(delta, partition, field, cap=FACE_CAP):
+def link_restriction_check(delta, partition, field):
     """Compare links of Delta_B faces with their ambient links.
 
     For every nonempty sigma in Delta_B and every i with
@@ -293,10 +293,10 @@ def link_restriction_check(delta, partition, field, cap=FACE_CAP):
 
     Always runs; hypotheses_met reports whether the guarantee applies.
     """
-    return _Liaison(delta, partition, field, cap).link_restriction_check()
+    return _Liaison(delta, partition, field).link_restriction_check()
 
 
-def cm_linkage_check(delta, partition, field, cap=FACE_CAP):
+def cm_linkage_check(delta, partition, field):
     """Check H^i_m(k[Delta])_{-sigma} = H^i_m(k[Delta_B])_{-sigma}, i < d.
 
     The guarantee needs Delta quasi-Gorenstein and Delta_A
@@ -304,10 +304,10 @@ def cm_linkage_check(delta, partition, field, cap=FACE_CAP):
     carried out, so failed hypotheses come back annotated rather than
     as errors.
     """
-    return _Liaison(delta, partition, field, cap).cm_linkage_check()
+    return _Liaison(delta, partition, field).cm_linkage_check()
 
 
-def tconn_check(delta, partition, field, cap=FACE_CAP):
+def tconn_check(delta, partition, field):
     """Connectedness of Delta_B under the stated premises.
 
     Premises: Delta quasi-Gorenstein over the field, Delta_A
@@ -316,4 +316,4 @@ def tconn_check(delta, partition, field, cap=FACE_CAP):
     verdict is H~^0(Delta_B) = 0, and False would falsify the
     underlying connectedness statement for this instance.
     """
-    return _Liaison(delta, partition, field, cap).tconn_check()
+    return _Liaison(delta, partition, field).tconn_check()

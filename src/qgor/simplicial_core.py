@@ -24,7 +24,8 @@ from .errors import (
     VertexOutOfRange,
 )
 
-#: Default cap on how many faces any single enumeration may produce.
+#: Cap on how many faces any single enumeration may produce.  Every
+#: refusal reads it at call time, so lowering it here lowers them all.
 FACE_CAP = 2 ** 24
 
 
@@ -38,17 +39,17 @@ def face_key(f):
     return (len(f), f)
 
 
-def check_face_budget(facets, cap=FACE_CAP):
-    """Refuse facets whose subset count alone already exceeds cap.
+def check_face_budget(facets):
+    """Refuse facets whose subset count alone already exceeds FACE_CAP.
 
     This is the cheap screen shared by every routine that enumerates
     faces dimension by dimension; it guarantees such routines fail
     before doing any real work on absurdly wide input.
     """
     for f in facets:
-        if 2 ** len(f) > cap:
+        if 2 ** len(f) > FACE_CAP:
             raise CapacityExceeded(
-                f"facet of size {len(f)} alone has {2 ** len(f)} subsets, cap is {cap}"
+                f"facet of size {len(f)} alone has {2 ** len(f)} subsets, cap is {FACE_CAP}"
             )
 
 
@@ -99,23 +100,23 @@ class SimplicialComplex:
         s = set(sigma)
         return any(s.issubset(f) for f in self.facets)
 
-    def faces(self, cap=FACE_CAP):
+    def faces(self):
         """All faces in canonical order, including the empty face.
 
         The void complex yields nothing.  Raises CapacityExceeded when
-        more than cap faces would have to be materialized.
+        more than FACE_CAP faces would have to be materialized.
         """
-        check_face_budget(self.facets, cap)
+        check_face_budget(self.facets)
         seen = set()
         for f in self.facets:
             for k in range(len(f) + 1):
                 for s in combinations(f, k):
                     seen.add(s)
-            if len(seen) > cap:
-                raise CapacityExceeded(f"more than {cap} faces")
+            if len(seen) > FACE_CAP:
+                raise CapacityExceeded(f"more than {FACE_CAP} faces")
         return sorted(seen, key=face_key)
 
-    def faces_of_dim(self, k, cap=FACE_CAP):
+    def faces_of_dim(self, k):
         """All k-dimensional faces in lexicographic order.
 
         k = -1 yields the empty face (unless the complex is void);
@@ -129,18 +130,18 @@ class SimplicialComplex:
         for f in self.facets:
             if len(f) < k + 1:
                 continue
-            if math.comb(len(f), k + 1) > cap:
+            if math.comb(len(f), k + 1) > FACE_CAP:
                 raise CapacityExceeded(
-                    f"facet of size {len(f)} has too many {k}-faces, cap is {cap}"
+                    f"facet of size {len(f)} has too many {k}-faces, cap is {FACE_CAP}"
                 )
             seen.update(combinations(f, k + 1))
-            if len(seen) > cap:
-                raise CapacityExceeded(f"more than {cap} faces of dimension {k}")
+            if len(seen) > FACE_CAP:
+                raise CapacityExceeded(f"more than {FACE_CAP} faces of dimension {k}")
         return sorted(seen)
 
-    def face_count(self, cap=FACE_CAP):
+    def face_count(self):
         """Total number of faces, empty face included."""
-        return len(self.faces(cap))
+        return len(self.faces())
 
     def __eq__(self, other):
         return (
@@ -240,14 +241,14 @@ def link(delta, sigma):
     return SimplicialComplex(delta.n_vertices, facets)
 
 
-def _link_index(delta, cap=FACE_CAP):
+def _link_index(delta):
     """Every face mapped to the facets of its link, in canonical face order.
 
     One pass over the facets: each subset sigma of a facet F files
     F - sigma under sigma.  As in link(), those lists are already the
     canonical link facets.  Refuses the same inputs as faces().
     """
-    check_face_budget(delta.facets, cap)
+    check_face_budget(delta.facets)
     index = {}
     for f in delta.facets:
         n = len(f)
@@ -258,8 +259,8 @@ def _link_index(delta, cap=FACE_CAP):
             rests.reverse()
             for s, rest in zip(combinations(f, k), rests):
                 index.setdefault(s, []).append(rest)
-        if len(index) > cap:
-            raise CapacityExceeded(f"more than {cap} faces")
+        if len(index) > FACE_CAP:
+            raise CapacityExceeded(f"more than {FACE_CAP} faces")
     return {s: tuple(index[s]) for s in sorted(index, key=face_key)}
 
 
@@ -302,27 +303,3 @@ def core(delta):
         return delta
     return from_facets([tuple(v for v in f if v not in cone) for f in delta.facets], delta.n_vertices)
 
-
-def minimal_nonfaces(delta, cap=FACE_CAP):
-    """Inclusion-minimal subsets of {1..n} that are not faces.
-
-    These index the minimal monomial generators of the Stanley-Reisner
-    ideal.  Every minimal non-face is a face plus one vertex with all
-    codimension-one subsets faces, so a scan over (face, vertex) pairs
-    finds them all.  For the void complex the empty set itself is the
-    unique minimal non-face (the ideal is the unit ideal).
-    """
-    if delta.is_void:
-        return [()]
-    all_faces = set(delta.faces(cap))
-    found = set()
-    for sigma in all_faces:
-        for v in range(1, delta.n_vertices + 1):
-            if v in sigma:
-                continue
-            tau = tuple(sorted(sigma + (v,)))
-            if tau in all_faces or tau in found:
-                continue
-            if all(tau[:i] + tau[i + 1:] in all_faces for i in range(len(tau))):
-                found.add(tau)
-    return sorted(found, key=face_key)

@@ -6,6 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from qgor import simplicial_core
 from qgor.cli import main, parse_facet_file
 from qgor.errors import ParseError
 from qgor.fixtures import corpus, get_fixture
@@ -239,6 +240,13 @@ def test_cli_exit_two_on_capacity(tmp_path, capsys):
         code, _, err = _run(capsys, command, str(wide))
         assert code == 2, command
         assert "capacity" in err
+
+
+def test_cli_exit_two_on_boundary_area(monkeypatch, capsys):
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 100)
+    code, out, err = _run(capsys, "homology", _fixture_path("csaszar-torus"))
+    assert (code, out) == (2, "")
+    assert err.startswith("qgor: capacity: boundary matrix with 7 x 21 entries, cap is 100")
 
 
 def test_cli_payloads_validate_against_schemas(capsys):

@@ -19,6 +19,7 @@ from qgor import (
     free_faces,
     from_facets,
     reduced_betti,
+    simplicial_core,
     verify_trace,
 )
 from qgor.fixtures import corpus, get_fixture
@@ -236,15 +237,17 @@ def test_free_faces_match_the_definition():
         assert free_faces(delta) == expected, delta
 
 
-def test_collapse_refuses_what_faces_refuses():
+def test_collapse_refuses_what_faces_refuses(monkeypatch):
     two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 20)
     with pytest.raises(CapacityExceeded):
-        two.faces(20)
+        two.faces()
     with pytest.raises(CapacityExceeded):
-        collapse_onto(two, {1}, cap=20)
+        collapse_onto(two, {1})
     with pytest.raises(CapacityExceeded):
-        free_faces(two, cap=20)
-    assert isinstance(collapse_onto(two, {1}, cap=31), CollapseTrace)
+        free_faces(two)
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 31)
+    assert isinstance(collapse_onto(two, {1}), CollapseTrace)
 
 
 def _steps_digest(trace):

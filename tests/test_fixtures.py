@@ -12,6 +12,8 @@ from qgor.fixtures import ORACLE_FACE_LIMIT, corpus, get_fixture, oracle_betti
 
 FIELDS = [FieldSpec.rationals(), FieldSpec.prime(2), FieldSpec.prime(3)]
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+MANIFEST = json.loads((FIXTURE_DIR / "manifest.json").read_text())
+KINDS = {"betti", "flags", "depth", "a_invariant"}
 
 REQUIRED_NAMES = {
     "boundary-2-simplex", "boundary-3-simplex", "boundary-4-simplex",
@@ -28,9 +30,20 @@ def test_corpus_contents():
     assert set(names) == REQUIRED_NAMES
     for fx in corpus():
         assert fx.provenance in ("standard", "paper")
-        assert fx.expected, fx.name
+        expected = MANIFEST[fx.name]["expected"]
+        assert set(expected) == KINDS, fx.name
+        for per_field in expected.values():
+            assert set(per_field) == {f.spec_string() for f in FIELDS}, fx.name
     with pytest.raises(KeyError):
         get_fixture("no-such-complex")
+
+
+def _frozen(fx, field):
+    """The manifest's frozen values of one fixture over one field."""
+    exp = {kind: per_field[field.spec_string()]
+           for kind, per_field in MANIFEST[fx.name]["expected"].items()}
+    exp["betti"] = {int(j): d for j, d in exp["betti"].items()}
+    return exp
 
 
 def test_every_fixture_is_pure_and_small():
@@ -46,7 +59,7 @@ def test_betti_three_ways():
     for fx in corpus():
         delta = fx.complex()
         for field in FIELDS:
-            frozen = fx.expected_for(field)["betti"]
+            frozen = _frozen(fx, field)["betti"]
             assert reduced_betti(delta, field).nonzero() == frozen, (fx.name, str(field))
             assert oracle_betti(delta, field).nonzero() == frozen, (fx.name, str(field))
 
@@ -55,7 +68,7 @@ def test_flags_match_frozen():
     for fx in corpus():
         delta = fx.complex()
         for field in FIELDS:
-            frozen = fx.expected_for(field)["flags"]
+            frozen = _frozen(fx, field)["flags"]
             report = classification_report(delta, field).to_json()
             got = {k: report[k] for k in frozen}
             assert got == frozen, (fx.name, str(field))
@@ -65,30 +78,21 @@ def test_depth_and_a_invariant_match_frozen():
     for fx in corpus():
         delta = fx.complex()
         for field in FIELDS:
-            exp = fx.expected_for(field)
+            exp = _frozen(fx, field)
             assert depth_report(delta, field).depth == exp["depth"], (fx.name, str(field))
             assert a_invariant(delta, field) == exp["a_invariant"], (fx.name, str(field))
 
 
 def test_manifest_agrees_with_corpus():
-    manifest = json.loads((FIXTURE_DIR / "manifest.json").read_text())
-    assert set(manifest) == REQUIRED_NAMES
+    assert set(MANIFEST) == REQUIRED_NAMES
     for fx in corpus():
-        entry = manifest[fx.name]
+        entry = MANIFEST[fx.name]
         assert entry["file"] == f"{fx.name}.cplx"
         assert entry["n_vertices"] == fx.n_vertices
         assert entry["provenance"] == fx.provenance
         assert entry["description"] == fx.description
         assert [tuple(f) for f in entry["facets"]] == list(fx.complex().facets)
-        assert set(entry["expected_provenance"]) == {"betti", "flags", "depth", "a_invariant"}
-        for field in FIELDS:
-            key = field.spec_string()
-            exp = fx.expected_for(field)
-            assert {int(j): d for j, d in entry["expected"]["betti"][key].items()} \
-                == exp["betti"], (fx.name, key)
-            assert entry["expected"]["flags"][key] == exp["flags"]
-            assert entry["expected"]["depth"][key] == exp["depth"]
-            assert entry["expected"]["a_invariant"][key] == exp["a_invariant"]
+        assert set(entry["expected_provenance"]) == KINDS
 
 
 def test_facet_files_on_disk():

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgor import (
-    FACE_CAP,
     GF2,
     GF3,
     QQ,
     BettiVector,
+    CapacityExceeded,
     ExactMatrix,
     FieldSpec,
     NotASubcomplex,
@@ -30,6 +30,7 @@ from qgor import (
     reduced_betti,
     relative_betti,
     restrict_to_facets,
+    simplicial_core,
 )
 from qgor.fixtures import corpus, get_fixture, oracle_betti
 
@@ -400,7 +401,7 @@ FAMILIES = {"cone": _cone, "one-facet": _one_facet, "points": _points,
 def _eliminated(delta, field):
     """reduced_betti's answer through the one elimination path."""
     chains = {j: delta.faces_of_dim(j) for j in range(-1, delta.dim + 1)}
-    return homology._betti(chains, field, FACE_CAP)
+    return homology._betti(chains, field)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -428,9 +429,20 @@ def test_simplex13_table_and_report_need_no_elimination():
 
 
 def test_long_cycle_is_a_graph():
-    # 4,100 x 4,100 entries is past the default cap of the boundary builder;
+    # 4,100 x 4,100 entries is past the face cap of the boundary builder;
     # the facets are built directly, as they are already canonical
     cycle = SimplicialComplex(4100, sorted((i, i % 4100 + 1) for i in range(1, 4101)))
     with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
         assert reduced_betti(cycle, QQ).to_json() == {"0": 0, "1": 1}
     assert spy.call_count == 0
+
+
+def test_boundary_area_refusals_read_the_face_cap(monkeypatch):
+    torus = get_fixture("csaszar-torus").complex()
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 100)
+    with pytest.raises(CapacityExceeded) as exc:
+        reduced_betti(torus, QQ)
+    assert str(exc.value) == "boundary matrix with 7 x 21 entries, cap is 100"
+    with pytest.raises(CapacityExceeded) as exc:
+        relative_betti(torus, restrict_to_facets(torus, [0]), QQ)
+    assert str(exc.value) == "relative boundary matrix with 18 x 13 entries, cap is 100"

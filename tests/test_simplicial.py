@@ -1,9 +1,11 @@
-"""Canonical complexes, links, restrictions, cores, non-faces."""
+"""Canonical complexes, links, restrictions, cores."""
 
+import inspect
 import random
 
 import pytest
 
+import qgor
 from qgor import (
     CapacityExceeded,
     EmptySelection,
@@ -15,7 +17,6 @@ from qgor import (
     faces_avoiding,
     from_facets,
     link,
-    minimal_nonfaces,
     restrict_to_facets,
 )
 from qgor.fixtures import corpus, get_fixture
@@ -201,61 +202,26 @@ def test_core_idempotent_on_corpus():
         assert core(once) == once, fx.name
 
 
-def test_minimal_nonfaces_four_cycle():
-    delta = get_fixture("four-cycle").complex()
-    assert minimal_nonfaces(delta) == [(1, 3), (2, 4)]
-
-
-def test_minimal_nonfaces_full_simplex():
-    assert minimal_nonfaces(from_facets([[1, 2, 3]], 3)) == []
-
-
-def _brute_force_nonfaces(delta):
-    from itertools import combinations
-
-    n = delta.n_vertices
-    nonfaces = [
-        s
-        for k in range(n + 1)
-        for s in combinations(range(1, n + 1), k)
-        if not delta.is_face(s)
-    ]
-    return [
-        s
-        for s in nonfaces
-        if not any(set(t) < set(s) for t in nonfaces)
-    ]
-
-
-def test_minimal_nonfaces_moebius_brute_force():
-    delta = from_facets(MOEBIUS, 5)
-    expected = sorted(_brute_force_nonfaces(delta), key=lambda f: (len(f), f))
-    assert minimal_nonfaces(delta) == expected
-    assert set(expected) == {(1, 3, 4), (2, 4, 5), (1, 3, 5), (2, 3, 5), (1, 2, 4)}
-
-
-def test_minimal_nonfaces_partition_powerset():
-    # every vertex subset is a face xor contains a minimal non-face
-    from itertools import combinations
-
-    for fx in corpus():
-        delta = fx.complex()
-        if delta.n_vertices > 7:
-            continue
-        mnf = [set(s) for s in minimal_nonfaces(delta)]
-        for k in range(delta.n_vertices + 1):
-            for s in combinations(range(1, delta.n_vertices + 1), k):
-                covers = any(m <= set(s) for m in mnf)
-                assert covers != delta.is_face(s), (fx.name, s)
-
-
-def test_face_enumeration_cap():
+def test_face_enumeration_cap(monkeypatch):
     delta = get_fixture("csaszar-torus").complex()
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 10)
     with pytest.raises(CapacityExceeded):
-        delta.faces(cap=10)
+        delta.faces()
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 3)
     with pytest.raises(CapacityExceeded):
-        delta.faces_of_dim(1, cap=3)
+        delta.faces_of_dim(1)
+    monkeypatch.undo()
     assert delta.face_count() == 1 + 7 + 21 + 14
+
+
+def test_no_public_callable_takes_a_cap():
+    # the face cap is the constant simplicial_core.FACE_CAP, not a parameter
+    for name in qgor.__all__:
+        obj = getattr(qgor, name)
+        members = [getattr(obj, k) for k in vars(obj)] if inspect.isclass(obj) else [obj]
+        for fn in members:
+            if inspect.isfunction(fn) or inspect.ismethod(fn):
+                assert "cap" not in inspect.signature(fn).parameters, (name, fn.__name__)
 
 
 def test_faces_of_dim_ranges():

@@ -167,10 +167,10 @@ def _count_betti(monkeypatch):
     counts = {}
     original = qgor.hochster.reduced_betti
 
-    def counting(delta, field, cap=qgor.FACE_CAP):
+    def counting(delta, field):
         key = (delta.facets, field.p)
         counts[key] = counts.get(key, 0) + 1
-        return original(delta, field, cap)
+        return original(delta, field)
 
     for module in (qgor.hochster, qgor.classify, qgor.liaison):
         monkeypatch.setattr(module, "reduced_betti", counting)
@@ -239,15 +239,17 @@ def test_index_links_equal_absorbed_links():
                 key=lambda f: (len(f), f)))
 
 
-def test_index_refuses_what_faces_refuses():
+def test_index_refuses_what_faces_refuses(monkeypatch):
     wide = from_facets([range(1, 6)])  # one facet with 32 subsets
     two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
     for delta, cap in ((wide, 16), (two, 20)):
+        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", cap)
         with pytest.raises(CapacityExceeded):
-            delta.faces(cap)
+            delta.faces()
         with pytest.raises(CapacityExceeded):
-            qgor.simplicial_core._link_index(delta, cap)
-    assert len(qgor.simplicial_core._link_index(two, 31)) == 31
+            qgor.simplicial_core._link_index(delta)
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
+    assert len(qgor.simplicial_core._link_index(two)) == 31
 
 
 def _standalone_payload(delta, partition, field):

@@ -8,13 +8,15 @@ this script calls the library's homology, hochster or classify
 modules, so agreement between the frozen values and the library is a
 genuine two-implementation check.
 
+The values land in the "expected" block of fixtures/manifest.json, the
+one copy the test suite reads.
+
 Usage:
-    python tools/freeze_expected.py            # rewrite fixtures/ + print EXPECTED
+    python tools/freeze_expected.py            # rewrite fixtures/manifest.json and *.cplx
 """
 
 import json
 import pathlib
-import pprint
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -220,29 +222,14 @@ def derive(name, n, raw_facets):
     return out
 
 
-def _compress(per_field):
-    """Collapse {field: value} to {"*": value} when all fields agree."""
-    values = list(per_field.values())
-    if all(v == values[0] for v in values):
-        return {"*": values[0]}
-    return per_field
-
-
 def main():
     root = pathlib.Path(__file__).resolve().parent.parent
     fix_dir = root / "fixtures"
     fix_dir.mkdir(exist_ok=True)
 
     manifest = {}
-    expected = {}
     for name, n, raw, provenance, description in _RAW:
         exp = derive(name, n, raw)
-        expected[name] = {
-            "betti": _compress(exp["betti"]),
-            "flags": _compress(exp["flags"]),
-            "depth": _compress(exp["depth"]),
-            "a_invariant": _compress(exp["a_invariant"]),
-        }
         facets = maximal(raw)
         lines = [f"# {name}: {description}", f"n={n}"]
         lines += [" ".join(map(str, f)) for f in facets]
@@ -271,20 +258,7 @@ def main():
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    module = root / "src" / "qgor" / "_expected.py"
-    with module.open("w", encoding="utf-8") as handle:
-        handle.write(
-            '"""Frozen expected values for the fixture corpus.\n'
-            "\n"
-            "Generated by tools/freeze_expected.py from the independent\n"
-            "brute-force oracle; do not edit by hand.  Per-field maps use\n"
-            'the key "*" when the value is the same over Q, GF(2), GF(3).\n'
-            '"""\n\n'
-            "EXPECTED = \\\n"
-        )
-        handle.write(pprint.pformat(expected, width=96, sort_dicts=True))
-        handle.write("\n")
-    print(f"wrote {module}, {fix_dir}/manifest.json and {len(expected)} .cplx files")
+    print(f"wrote {fix_dir}/manifest.json and {len(manifest)} .cplx files")
 
 
 if __name__ == "__main__":
