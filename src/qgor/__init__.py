@@ -23,7 +23,6 @@ from .errors import (
     VertexOutOfRange,
 )
 from .simplicial_core import (
-    FACE_CAP,
     SimplicialComplex,
     core,
     face,
@@ -96,8 +95,8 @@ __all__ = [
     "HypothesesNotMet", "IndexOutOfRange", "InvalidPartition", "InvalidStep",
     "NotAFace", "NotAPseudomanifold", "NotASubcomplex", "NotPure",
     "ParseError", "QgorError", "TooLarge", "TOutOfRange", "VertexOutOfRange",
-    "FACE_CAP", "SimplicialComplex", "core", "face", "faces_avoiding",
-    "from_facets", "link", "restrict_to_facets",
+    "SimplicialComplex", "core", "face", "faces_avoiding", "from_facets",
+    "link", "restrict_to_facets",
     "GF2", "GF3", "QQ", "BettiVector", "ExactMatrix", "FieldSpec",
     "boundary_matrix", "rank", "reduced_betti", "relative_betti",
     "DepthReport", "LocalCohomologyTable", "a_invariant",

@@ -12,6 +12,14 @@ nonzero row computes every rank over every field.  All arithmetic is
 exact: integers over Q, residues over GF(p).  The order of the columns
 and pivots is fixed, so every matrix and rank is reproducible.
 
+The Betti numbers of a chain complex are computed top degree first,
+with the pivot rows of d_{j+1} cleared from d_j ("clearing", Chen and
+Kerber, Persistent homology computation with a twist, EuroCG 2011): a
+reduced column of d_{j+1} whose lowest row is the j-face s is a cycle,
+so d_j s is a combination of the columns of d_j before s, and dropping
+the column of s leaves rank d_j unchanged.  Those columns, which the
+reduction would only bring down to zero, are never built.
+
 Two kinds of complex need no matrix, and reduced_betti answers them
 before any is built, exactly over every field: a cone (all facets share
 a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
@@ -159,15 +167,17 @@ class ExactMatrix:
     columns[c] is a {row: nonzero int} dict.  The constructor drops
     zero entries and, over GF(p), reduces the rest into 1..p-1, so every
     stored entry is a nonzero field element.  Only what homology needs:
-    shape, columns, rank.
+    shape, columns, rank.  pivot_rows is None until rank() sets it to
+    the lowest rows of the reduced nonzero columns.
     """
 
-    __slots__ = ("field", "rows", "cols", "columns")
+    __slots__ = ("field", "rows", "cols", "columns", "pivot_rows")
 
     def __init__(self, field, rows, cols, columns):
         self.field = field
         self.rows = rows
         self.cols = cols
+        self.pivot_rows = None
         self.columns = [_nonzero(col, field.p) for col in columns]
         if len(self.columns) != cols or any(r not in range(rows) for c in self.columns for r in c):
             raise ValueError(f"columns do not fit a {rows} x {cols} matrix")
@@ -190,7 +200,9 @@ def rank(matrix):
     row is already the pivot of a reduced column is replaced by
     a*col - b*pivot_col, which clears that row; a column that reaches a
     new lowest row becomes its pivot, and one that vanishes is
-    dependent.  The rank is the number of pivots.  Over GF(p) entries
+    dependent.  The rank is the number of pivots, and their rows are
+    left on the matrix as matrix.pivot_rows: on a boundary matrix d_{j+1}
+    these are the j-faces _betti clears from d_j.  Over GF(p) entries
     stay reduced mod p; over Q they stay integers, each new column
     divided by the gcd of its entries, which keeps them small.
     """
@@ -209,21 +221,26 @@ def rank(matrix):
             if p is None and col:
                 g = gcd(*col.values())
                 col = {r: x // g for r, x in col.items()}
+    matrix.pivot_rows = set(pivots)
     return len(pivots)
 
 
-def _boundary(cols, rows, field, kind="boundary matrix"):
+def _check_area(rows, cols, kind):
+    """Refuse a boundary matrix of more than simplicial_core.FACE_CAP
+    rows x cols, read through the module so a lowered cap applies here
+    too."""
+    cap = simplicial_core.FACE_CAP
+    if len(rows) * len(cols) > cap:
+        raise CapacityExceeded(f"{kind} with {len(rows)} x {len(cols)} entries, cap is {cap}")
+
+
+def _boundary(cols, rows, field):
     """The matrix of d from the faces cols to the faces rows, one size below.
 
     Column c holds (-1)^j at the row of cols[c] minus its j-th vertex.
     A face missing from rows is skipped: with rows the faces of Delta
-    not in Gamma this is the relative boundary.  Refuses more than
-    simplicial_core.FACE_CAP rows x cols, read through the module so a
-    lowered cap applies here too.
+    not in Gamma this is the relative boundary.
     """
-    cap = simplicial_core.FACE_CAP
-    if len(rows) * len(cols) > cap:
-        raise CapacityExceeded(f"{kind} with {len(rows)} x {len(cols)} entries, cap is {cap}")
     row_index = {f: k for k, f in enumerate(rows)}
     columns = []
     for f in cols:
@@ -243,16 +260,31 @@ def boundary_matrix(delta, i, field):
     The (-1)-faces list is the empty face alone, which makes the i = 0
     matrix the augmentation row of the reduced chain complex.
     """
-    return _boundary(delta.faces_of_dim(i), delta.faces_of_dim(i - 1), field)
+    cols, rows = delta.faces_of_dim(i), delta.faces_of_dim(i - 1)
+    _check_area(rows, cols, "boundary matrix")
+    return _boundary(cols, rows, field)
 
 
 def _betti(chains, field, kind="boundary matrix"):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top, where
-    chains maps each degree to its faces (a missing degree has none)."""
+    chains maps each degree to its faces (a missing degree has none).
+
+    Every d_j is screened against the face cap on its full shape, in
+    ascending degree, before any elimination.  Then the ranks are taken
+    top degree first: the pivot rows of d_{j+1} index chains[j], the
+    columns of d_j, and those columns are cleared (neither built nor
+    reduced), which leaves rank d_j unchanged (see the module docstring).
+    """
     top = max(chains)
-    ranks = {j: rank(_boundary(chains[j], chains.get(j - 1, []), field, kind))
-             for j in range(0, top + 1)}
-    ranks[top + 1] = 0
+    for j in range(0, top + 1):
+        _check_area(chains.get(j - 1, []), chains[j], kind)
+    ranks = {top + 1: 0}
+    cleared = ()
+    for j in range(top, -1, -1):
+        m = _boundary([f for k, f in enumerate(chains[j]) if k not in cleared],
+                      chains.get(j - 1, []), field)
+        ranks[j] = rank(m)
+        cleared = m.pivot_rows
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
 
 

@@ -1,5 +1,7 @@
 """Classification predicates: pseudomanifolds, orientability, (quasi-)Gorenstein."""
 
+from unittest import mock
+
 import pytest
 
 import qgor
@@ -80,6 +82,16 @@ def test_orientability():
     assert is_orientable(get_fixture("boundary-3-simplex").complex())
     assert not is_orientable(get_fixture("rp2-6").complex())
     assert is_orientable(get_fixture("csaszar-torus").complex())
+
+
+def test_long_cycle_is_orientable_without_elimination():
+    # 4,100 x 4,100 entries of d_1 is past the face cap; a cycle is a
+    # graph, so orientability reads E - V + c and no boundary is built
+    cycle = qgor.SimplicialComplex(4100, sorted((i, i % 4100 + 1) for i in range(1, 4101)))
+    with mock.patch.object(qgor.homology, "rank", wraps=qgor.homology.rank) as spy:
+        assert is_orientable(cycle) is True
+        assert classification_report(cycle, GF2).orientable is True
+    assert spy.call_count == 0
 
 
 def test_orientability_requires_pseudomanifold():

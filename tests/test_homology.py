@@ -417,6 +417,43 @@ def test_shortcuts_match_elimination_and_oracle(family, rng):
         assert list(got) == [str(j) for j in range(delta.dim + 1)]
 
 
+def _subcomplex(rng, delta):
+    """A nonempty subcomplex: the closure of one to four random nonempty faces."""
+    faces = [f for f in delta.faces() if f]
+    return from_facets(rng.sample(faces, rng.randint(1, min(len(faces), 4))), delta.n_vertices)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), rng=st.randoms(use_true_random=False))
+def test_relative_betti_is_the_reduced_betti_of_the_coned_pair(family, rng):
+    # for nonempty Gamma, H_j(Delta, Gamma) = H~_j(Delta u cone(Gamma)) in every degree
+    delta = FAMILIES[family](rng)
+    gamma = _subcomplex(rng, delta)
+    apex = delta.n_vertices + 1
+    coned = from_facets(list(delta.facets) + [f + (apex,) for f in gamma.facets], apex)
+    for field in SHORTCUT_FIELDS:
+        got = relative_betti(delta, gamma, field).to_json()
+        want = oracle_betti(coned, field)
+        assert got == {str(j): want[j] for j in range(delta.dim + 1)}, (delta, gamma, field)
+        assert want.total() == sum(got.values()), (delta, gamma, field)
+
+
+def test_betti_clears_the_pivot_rows_of_the_degree_above():
+    # top degree first: rank sees d_j on the j-faces that are not pivot
+    # rows of d_{j+1}, sum_j (f_j - rank d_{j+1}) columns in all
+    for delta, betti in ((gen.sd(gen.torus()), {1: 2, 2: 1}),
+                         (gen.cross_polytope_boundary(6), {5: 1})):
+        d = delta.dim
+        f = {j: len(delta.faces_of_dim(j)) for j in range(-1, d + 1)}
+        for field in (QQ, GF2):
+            full = {j: rank(boundary_matrix(delta, j, field)) for j in range(0, d + 2)}
+            with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+                assert reduced_betti(delta, field).nonzero() == betti, field
+            shapes = [(c.args[0].rows, c.args[0].cols) for c in spy.call_args_list]
+            assert shapes == [(f[j - 1], f[j] - full[j + 1]) for j in range(d, -1, -1)], field
+            assert sum(cols for _, cols in shapes) < sum(f[j] for j in range(0, d + 1))
+
+
 def test_simplex13_table_and_report_need_no_elimination():
     # every one of the 8,192 links of a simplex is a simplex, so a cone
     simplex = gen.simplex(13)
