@@ -15,6 +15,9 @@ pseudomanifold is torsion-free.  Every predicate returns its first
 witness in canonical face order, so failures are reproducible.
 """
 
+from collections import Counter
+from itertools import combinations
+
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
 from .homology import QQ, reduced_betti
@@ -95,11 +98,15 @@ def is_strongly_connected(delta):
 
 
 def is_pseudomanifold(delta):
-    """Pure + strongly connected + every ridge in exactly two facets."""
+    """Pure + strongly connected + every ridge in exactly two facets.
+
+    The facets of a pure complex through a ridge are counted directly,
+    one d-subset of each facet at a time, with no link built.
+    """
     if delta.is_void or delta.is_empty or not delta.is_pure():
         return False
-    report = normal_pseudomanifold_report(delta)
-    return report.ridge_condition and is_strongly_connected(delta)
+    ridges = Counter(r for f in delta.facets for r in combinations(f, delta.dim))
+    return all(n == 2 for n in ridges.values()) and is_strongly_connected(delta)
 
 
 def is_orientable(delta):

@@ -20,6 +20,24 @@ so d_j s is a combination of the columns of d_j before s, and dropping
 the column of s leaves rank d_j unchanged.  Those columns, which the
 reduction would only bring down to zero, are never built.
 
+Before any matrix is built, the chain complex is coreduced (Mrozek and
+Batko, Coreduction homology algorithm, DCG 2009; in discrete Morse
+terms an acyclic matching, Forman 1998).  A cell b whose only remaining
+boundary face is a has d b = +-a, and removing the pair (a, b) leaves a
+chain complex with the same homology whose boundary is d restricted to
+the remaining cells: the general reduction d'c = d c - (<d c, a> /
+<d b, a>) d b only clears the a-entry of d c, as d b is +-a.  The
+coefficient +-1 is a unit over every field, so the pairs are the same
+over Q and every GF(p), and the ranks are taken on what is left.  On
+the augmented chains the empty face pairs with the first vertex, and a
+relative complex, which has no empty face, needs nothing extra.  The
+queue of candidate cells is first in, first out: the pairs then spread
+outward from the first vertex like a breadth-first search, and on a
+subdivided sphere they remove every cell but one facet, where a
+last-in, first-out stack runs deep into the complex and strands most
+of it (sd^3 of the boundary of the 4-simplex keeps 226,423 of its
+301,681 cells under a stack and 1 under the queue).
+
 Two kinds of complex need no matrix, and reduced_betti answers them
 before any is built, exactly over every field: a cone (all facets share
 a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
@@ -32,6 +50,8 @@ each degree (universal coefficients), so the Betti vectors computed
 here serve for both H~_i and H~^i.
 """
 
+from collections import deque
+from itertools import combinations
 from math import gcd
 
 from . import simplicial_core
@@ -265,19 +285,64 @@ def boundary_matrix(delta, i, field):
     return _boundary(cols, rows, field)
 
 
+def _coreduce(chains):
+    """The cells of chains left after coreduction, per degree in their order.
+
+    Cells are numbered in canonical order (ascending degree, then the
+    order of chains[j]); each keeps its boundary faces present in
+    chains, the cells that have it as such a face, and a count of its
+    live faces.  A FIFO queue, seeded in canonical order with the cells
+    of count 1, yields the pairs: a popped cell b still alive with
+    exactly one live face a is removed with a, and every live coface of
+    a or b loses one face, joining the queue when its count reaches 1.
+    See the module docstring for why the survivors have the same
+    homology as chains over every field.
+    """
+    degrees = sorted(chains)
+    ident = {f: k for k, f in enumerate(f for j in degrees for f in chains[j])}
+    faces = [[g for g in map(ident.get, combinations(f, len(f) - 1)) if g is not None] if f else []
+             for f in ident]
+    cofaces = [[] for _ in faces]
+    for b, fs in enumerate(faces):
+        for a in fs:
+            cofaces[a].append(b)
+    count = [len(fs) for fs in faces]
+    alive = [True] * len(faces)
+    queue = deque(b for b, n in enumerate(count) if n == 1)
+    while queue:
+        b = queue.popleft()
+        if not alive[b] or count[b] != 1:
+            continue
+        a = next(g for g in faces[b] if alive[g])
+        alive[a] = alive[b] = False
+        for c in (*cofaces[a], *cofaces[b]):
+            if alive[c]:
+                count[c] -= 1
+                if count[c] == 1:
+                    queue.append(c)
+    return {j: [f for f in chains[j] if alive[ident[f]]] for j in degrees}
+
+
 def _betti(chains, field, kind="boundary matrix"):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top, where
     chains maps each degree to its faces (a missing degree has none).
 
     Every d_j is screened against the face cap on its full shape, in
-    ascending degree, before any elimination.  Then the ranks are taken
-    top degree first: the pivot rows of d_{j+1} index chains[j], the
-    columns of d_j, and those columns are cleared (neither built nor
-    reduced), which leaves rank d_j unchanged (see the module docstring).
+    ascending degree, before any elimination.  Then chains is coreduced
+    (_coreduce), and the formula is taken on the surviving cells, whose
+    boundary is d restricted to them: _boundary builds it as it stands,
+    skipping the rows of removed cells.  This is exact over every field
+    because each removed pair (a, b) has d b = +-a, a unit, and it uses
+    a FIFO queue because a stack strands most cells of a subdivided
+    sphere (both in the module docstring).  The ranks are taken top degree
+    first: the pivot rows of d_{j+1} index chains[j], the columns of
+    d_j, and those columns are cleared (neither built nor reduced),
+    which leaves rank d_j unchanged (see the module docstring).
     """
     top = max(chains)
     for j in range(0, top + 1):
         _check_area(chains.get(j - 1, []), chains[j], kind)
+    chains = _coreduce(chains)
     ranks = {top + 1: 0}
     cleared = ()
     for j in range(top, -1, -1):

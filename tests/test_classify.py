@@ -9,6 +9,7 @@ from qgor import (
     GF2,
     GF3,
     QQ,
+    CapacityExceeded,
     NotAPseudomanifold,
     NotPure,
     a_invariant,
@@ -68,6 +69,35 @@ def test_normal_pseudomanifold_rejects_degenerate():
         normal_pseudomanifold_report(from_facets([]))
     with pytest.raises(ValueError):
         normal_pseudomanifold_report(from_facets([[]]))
+
+
+PSEUDOMANIFOLD_CASES = [(f.name, f.complex()) for f in corpus()] + [
+    ("three-points", from_facets([[1], [2], [3]], 3)),
+    ("two-four-cycles", from_facets([[1, 2], [2, 3], [3, 4], [1, 4],
+                                     [5, 6], [6, 7], [7, 8], [5, 8]], 8)),
+    ("edge-in-three-triangles", from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]], 5)),
+]
+
+
+@pytest.mark.parametrize("delta", [c for _, c in PSEUDOMANIFOLD_CASES],
+                         ids=[name for name, _ in PSEUDOMANIFOLD_CASES])
+def test_pseudomanifold_ridge_count_agrees_with_the_report(delta):
+    want = normal_pseudomanifold_report(delta).ridge_condition and is_strongly_connected(delta)
+    assert is_pseudomanifold(delta) == want
+
+
+def test_pseudomanifold_predicates_answer_over_the_face_cap(monkeypatch):
+    # Counting ridges is linear in the facets, so is_pseudomanifold answers
+    # facets over the face cap; the refusal comes from the homology behind it.
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
+    boundary = from_facets([[v for v in range(1, 7) if v != w] for w in range(1, 7)], 6)
+    assert is_pseudomanifold(boundary)
+    with pytest.raises(NotAPseudomanifold):
+        is_orientable(from_facets([list(range(1, 7))], 6))
+    with pytest.raises(CapacityExceeded):
+        is_orientable(boundary)
+    with pytest.raises(CapacityExceeded):
+        classification_report(boundary, QQ)
 
 
 def test_strong_connectivity():

@@ -439,19 +439,38 @@ def test_relative_betti_is_the_reduced_betti_of_the_coned_pair(family, rng):
 
 
 def test_betti_clears_the_pivot_rows_of_the_degree_above():
-    # top degree first: rank sees d_j on the j-faces that are not pivot
-    # rows of d_{j+1}, sum_j (f_j - rank d_{j+1}) columns in all
-    for delta, betti in ((gen.sd(gen.torus()), {1: 2, 2: 1}),
-                         (gen.cross_polytope_boundary(6), {5: 1})):
+    # coreduction first, then top degree first on the survivors: rank sees
+    # d_j on the surviving j-faces that are not pivot rows of d_{j+1},
+    # sum_j (s_j - rank d_{j+1}) columns in all
+    for delta, betti, kept in ((gen.sd(gen.torus()), {1: 2, 2: 1}, {1: 27, 2: 26}),
+                               (gen.cross_polytope_boundary(6), {5: 1}, {5: 1})):
         d = delta.dim
-        f = {j: len(delta.faces_of_dim(j)) for j in range(-1, d + 1)}
+        survivors = homology._coreduce({j: delta.faces_of_dim(j) for j in range(-1, d + 1)})
+        s = {j: len(fs) for j, fs in survivors.items()}
+        assert {j: n for j, n in s.items() if n} == kept
         for field in (QQ, GF2):
-            full = {j: rank(boundary_matrix(delta, j, field)) for j in range(0, d + 2)}
+            ranks = {j: rank(homology._boundary(survivors.get(j, []), survivors[j - 1], field))
+                    for j in range(0, d + 2)}
             with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
                 assert reduced_betti(delta, field).nonzero() == betti, field
             shapes = [(c.args[0].rows, c.args[0].cols) for c in spy.call_args_list]
-            assert shapes == [(f[j - 1], f[j] - full[j + 1]) for j in range(d, -1, -1)], field
-            assert sum(cols for _, cols in shapes) < sum(f[j] for j in range(0, d + 1))
+            assert shapes == [(s[j - 1], s[j] - ranks[j + 1]) for j in range(d, -1, -1)], field
+            columns = sum(cols for _, cols in shapes)
+            if sum(s.values()) == 1:
+                assert columns == 1  # a lone facet: nothing above it to clear it
+            else:
+                assert columns < sum(s[j] for j in range(0, d + 1))
+
+
+def test_coreduction_leaves_one_cell_of_a_subdivided_sphere(monkeypatch):
+    # sd^2 of the boundary of the 4-simplex, 12,601 faces: the FIFO pairs
+    # remove every cell but one facet, so rank sees at most one column
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 2 ** 26)
+    sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
+    for field in (QQ, GF2):
+        with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+            assert reduced_betti(sphere, field).nonzero() == {3: 1}, field
+        assert sum(c.args[0].cols for c in spy.call_args_list) <= 1, field
 
 
 def test_simplex13_table_and_report_need_no_elimination():
