@@ -7,6 +7,9 @@ data line may be a header `n=<int>` fixing the ambient vertex count.
 Exit codes: 0 for any produced report (hypothesis failures are fields
 inside the report, not process failures), 1 for I/O, parse and usage
 errors, 2 when a capacity limit is hit.
+
+Each subcommand handler imports the modules it runs, so a process that
+runs one subcommand compiles and loads only those.
 """
 
 import argparse
@@ -14,8 +17,6 @@ import functools
 import json
 import sys
 
-from .classify import classification_report
-from .collapse import CollapseTrace, collapse_onto, verify_trace
 from .errors import (
     CapacityExceeded,
     GammaTwoNotIsolated,
@@ -24,10 +25,7 @@ from .errors import (
     QgorError,
     TooLarge,
 )
-from .graphs import connectivity_report, gamma_graph, removal_experiment
-from .hochster import _a_invariant, _buchsbaum, _depth_report, local_cohomology_table
 from .homology import FieldSpec, reduced_betti
-from .liaison import FacetPartition, _Liaison
 from .simplicial_core import from_facets
 
 
@@ -172,6 +170,8 @@ def _flag(value):
 
 
 def _cmd_classify(delta, args):
+    from .classify import classification_report
+
     if args.list_facets:
         payload = {"facets": {str(i + 1): list(f) for i, f in enumerate(delta.facets)}}
         lines = [f"{i + 1}: {{{','.join(map(str, f))}}}" for i, f in enumerate(delta.facets)]
@@ -214,6 +214,8 @@ def _cmd_homology(delta, args):
 
 
 def _cmd_hochster(delta, args):
+    from .hochster import _a_invariant, _buchsbaum, _depth_report, local_cohomology_table
+
     table = local_cohomology_table(delta, args.field)
     depth = _depth_report(table)
     buchsbaum, _ = _buchsbaum(table)
@@ -237,6 +239,8 @@ def _cmd_hochster(delta, args):
 
 
 def _cmd_liaison(delta, args):
+    from .liaison import FacetPartition, _Liaison
+
     partition = FacetPartition.complementary(delta, args.facets_a)
     liaison = _Liaison(delta, partition, args.field)
     report = liaison.lefschetz_report()
@@ -271,6 +275,8 @@ def _cmd_liaison(delta, args):
 
 
 def _cmd_graph(delta, args):
+    from .graphs import connectivity_report, gamma_graph, removal_experiment
+
     graph = gamma_graph(delta, args.t)
     if args.dot:
         sys.stdout.write(graph.to_dot())
@@ -302,6 +308,8 @@ def _cmd_graph(delta, args):
 
 
 def _cmd_collapse(delta, args):
+    from .collapse import CollapseTrace, collapse_onto, verify_trace
+
     result = collapse_onto(delta, args.forbid)
     payload = result.to_json()
     if isinstance(result, CollapseTrace):

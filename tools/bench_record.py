@@ -7,17 +7,21 @@ Runs the benchmark command unchanged, at the benchmark's own run length,
 once per (workload, seed) in the given checkout, and writes the
 checkout's git revision (with whether its tracked files other than
 BENCH_*.json differ from it, and a SHA-256 of its src/qgor sources,
-which names uncommitted code), the Python version and each run's final
-JSON line (the `correct`/`attempted`/`failed`/`metrics` object) to
-BENCH_<label>.json.  It does no timing of its own: every figure in the
-file is one the benchmark printed.
+which names uncommitted code), the Python version, whether
+PYTHONDONTWRITEBYTECODE is set in the environment the benchmark runs
+in, and each run's final JSON line (the `correct`/`attempted`/`failed`/
+`metrics` object) to BENCH_<label>.json.  It does no timing of its own:
+every figure in the file is one the benchmark printed.
 
     python3 tools/bench_record.py change --workload betti-ladder --seed 4 7
     python3 tools/bench_record.py parent --checkout ../parent --workload betti-ladder
 
-An existing BENCH_<label>.json of the same source is appended to, so
-runs of two checkouts can be interleaved (parent, change, parent, ...)
-one call at a time; delete the file to start afresh.
+An existing BENCH_<label>.json of the same source, Python, command and
+bytecode setting is appended to, so runs of two checkouts can be
+interleaved (parent, change, parent, ...) one call at a time; delete the
+file to start afresh.  The bytecode setting is part of that match
+because it moves the CLI workload more than the changes it compares:
+without cached bytecode every CLI child compiles each module it imports.
 """
 
 import argparse
@@ -73,12 +77,14 @@ def main(argv=None):
 
     path = os.path.join(HERE, f"BENCH_{args.label}.json")
     record = {**source(args.checkout), "python": platform.python_version(),
-              "command": COMMAND, "runs": []}
+              "command": COMMAND,
+              "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+              "runs": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             old = json.load(fh)
-        if any(old[k] != v for k, v in record.items() if k != "runs"):
-            raise SystemExit(f"{path} records another source, Python or command")
+        if any(old.get(k) != v for k, v in record.items() if k != "runs"):
+            raise SystemExit(f"{path} records another source, Python, command or bytecode setting")
         record = old
     for workload in args.workload:
         for seed in args.seed:
