@@ -13,21 +13,21 @@ Orientability is rational: for a pseudomanifold, H~_d(Delta; Q) != 0
 certifies an integral orientation because top homology of a
 pseudomanifold is torsion-free.  Every predicate returns its first
 witness in canonical face order, so failures are reproducible.
+
+Each predicate over a field is a read of one analysis of the complex:
+the face -> link index, the normal-pseudomanifold pass, the Betti
+vector and the Hochster table are computed on first read, at most once,
+and only if read.  An analysis lives as long as the call that made it.
 """
 
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
 from .homology import QQ, reduced_betti
-from .hochster import (
-    _buchsbaum,
-    _depth_report,
-    _link_dim,
-    _table,
-    local_cohomology_table,
-)
+from .hochster import _buchsbaum, _depth_report, _link_dim, _table
 from .simplicial_core import _link_index, core, face_key
 
 
@@ -50,6 +50,11 @@ class NormalPseudomanifoldReport:
         )
 
 
+def _classifiable(delta):
+    if delta.is_void or delta.is_empty:
+        raise ValueError("classification needs a complex with at least one vertex")
+
+
 def normal_pseudomanifold_report(delta):
     """Purity, normality and the ridge condition, with first witnesses.
 
@@ -59,8 +64,7 @@ def normal_pseudomanifold_report(delta):
     two facets; in dimension 0 the relevant ridge is the empty face, so
     a 0-sphere passes and three points fail.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
+    _classifiable(delta)
     return _normal_pseudomanifold(delta, _link_index(delta))
 
 
@@ -120,12 +124,72 @@ def is_orientable(delta):
     return reduced_betti(delta, QQ)[delta.dim] != 0
 
 
-def _sphere_link(table, sigma):
-    """Does lk sigma have the reduced homology of a sphere of its dimension?
+class _Analysis:
+    """Lazily cached views of one (complex, field), each computed on first read.
 
-    The empty complex counts as the (-1)-sphere.
+    Every Betti vector goes through memo, which maps facets to Betti
+    vectors over the field; analyses that share it (a complex and its
+    core, or Delta, Delta_A and Delta_B) compute a common link once.
     """
-    return table._betti[sigma].nonzero() == {_link_dim(table._index[sigma]): 1}
+
+    def __init__(self, delta, field, memo=None):
+        _classifiable(delta)
+        self.delta, self.field = delta, field
+        self._memo = {} if memo is None else memo
+
+    @cached_property
+    def index(self):
+        return _link_index(self.delta)
+
+    @cached_property
+    def betti(self):
+        """The reduced Betti vector of the complex, the link of the empty face."""
+        facets = self.delta.facets
+        if facets not in self._memo:
+            self._memo[facets] = reduced_betti(self.delta, self.field)
+        return self._memo[facets]
+
+    @cached_property
+    def table(self):
+        return _table(self.delta, self.field, self._memo, self.index)
+
+    @cached_property
+    def normal(self):
+        return _normal_pseudomanifold(self.delta, self.index)
+
+    @cached_property
+    def quasi_gorenstein(self):
+        """The one definition: a normal pseudomanifold with H~_dim != 0."""
+        return self.normal.ok and self.betti[self.delta.dim] != 0
+
+    @cached_property
+    def manifold(self):
+        """(manifold, sphere) as is_homology_manifold defines them; the first
+        non-sphere link ends the scan.  The empty complex is the (-1)-sphere."""
+        betti, index = self.table._betti, self.index
+
+        def sphere(sigma):
+            return betti[sigma].nonzero() == {_link_dim(index[sigma]): 1}
+
+        manifold = all(sphere(sigma) for sigma in index if sigma)
+        return manifold, manifold and sphere(())
+
+    @cached_property
+    def depth(self):
+        return _depth_report(self.table)
+
+    @cached_property
+    def buchsbaum(self):
+        return _buchsbaum(self.table)
+
+    @cached_property
+    def gorenstein(self):
+        """The core is empty, or quasi-Gorenstein and Cohen-Macaulay."""
+        cored = core(self.delta)
+        if cored.is_empty:
+            return True
+        analysis = self if cored == self.delta else _Analysis(cored, self.field, self._memo)
+        return analysis.quasi_gorenstein and analysis.depth.is_cohen_macaulay
 
 
 def is_homology_manifold(delta, field):
@@ -136,31 +200,15 @@ def is_homology_manifold(delta, field):
     additionally the complex itself, the link of the empty face, has
     sphere homology.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
+    analysis = _Analysis(delta, field)
     if not delta.is_pure():
         raise NotPure("homology manifolds are pure")
-    return _homology_manifold(local_cohomology_table(delta, field))
-
-
-def _homology_manifold(table):
-    manifold = all(_sphere_link(table, sigma) for sigma in table._index if sigma)
-    return manifold, manifold and _sphere_link(table, ())
+    return analysis.manifold
 
 
 def is_quasi_gorenstein(delta, field):
     """Normal pseudomanifold with nonvanishing top homology over the field."""
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
-    return _quasi_gorenstein(delta, _normal_pseudomanifold(delta, _link_index(delta)),
-                             lambda: reduced_betti(delta, field))
-
-
-def _quasi_gorenstein(delta, report, betti):
-    """The one definition: a normal pseudomanifold (as delta's report
-    says) with H~_dim(delta) != 0.  betti() gives the Betti vector of
-    delta and is called only for a normal pseudomanifold."""
-    return report.ok and betti()[delta.dim] != 0
+    return _Analysis(delta, field).quasi_gorenstein
 
 
 def is_gorenstein(delta, field):
@@ -169,29 +217,19 @@ def is_gorenstein(delta, field):
     Cone points are free ring variables, so they are stripped first;
     an empty core (the complex was a full simplex) is Gorenstein.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
-    cored = core(delta)
-    return cored.is_empty or _gorenstein(cored, local_cohomology_table(cored, field))
+    return _Analysis(delta, field).gorenstein
 
 
-def _gorenstein(cored, table, report=None):
-    """A nonempty core with its table: quasi-Gorenstein and Cohen-Macaulay.
-    report is the core's normal-pseudomanifold report, if already held."""
-    report = report or _normal_pseudomanifold(cored, table._index)
-    return (_quasi_gorenstein(cored, report, lambda: table._betti[()])
-            and _depth_report(table).is_cohen_macaulay)
+#: The report's flags, in the order reports print them.
+_FLAGS = ("pure", "strongly_connected", "normal", "pseudomanifold_ridge_condition",
+          "normal_pseudomanifold", "orientable", "buchsbaum", "homology_manifold",
+          "homology_sphere", "cohen_macaulay", "quasi_gorenstein", "gorenstein")
 
 
 class ClassificationReport:
     """Flat bundle of every predicate for one complex and field."""
 
-    __slots__ = (
-        "field", "n_vertices", "dim", "pure", "strongly_connected", "normal",
-        "pseudomanifold_ridge_condition", "normal_pseudomanifold", "orientable",
-        "buchsbaum", "homology_manifold", "homology_sphere", "cohen_macaulay",
-        "quasi_gorenstein", "gorenstein", "witnesses",
-    )
+    __slots__ = ("field", "n_vertices", "dim", *_FLAGS, "witnesses")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -203,12 +241,7 @@ class ClassificationReport:
             "n_vertices": self.n_vertices,
             "dim": self.dim,
         }
-        for name in (
-            "pure", "strongly_connected", "normal",
-            "pseudomanifold_ridge_condition", "normal_pseudomanifold",
-            "orientable", "buchsbaum", "homology_manifold", "homology_sphere",
-            "cohen_macaulay", "quasi_gorenstein", "gorenstein",
-        ):
+        for name in _FLAGS:
             out[name] = getattr(self, name)
         # Every witness is a face, except the ridge witness (face, count).
         out["witnesses"] = {
@@ -228,40 +261,33 @@ class ClassificationReport:
 def classification_report(delta, field):
     """Run every predicate once and bundle the outcome.
 
-    One face -> link index, normal-pseudomanifold pass and table over
-    the field serve every predicate; a core unlike the complex gets its
-    own pass and table, sharing the link Betti vectors computed so far.
-    Predicates whose preconditions fail are reported false rather than
-    raising: a non-pseudomanifold is not orientable, a non-pure complex
-    is not a homology manifold.
+    Every flag is a read of one analysis of the complex over the field:
+    one face -> link index, one normal-pseudomanifold pass and one table
+    serve them all, and a core unlike the complex gets its own analysis
+    sharing the link Betti vectors computed so far.  Predicates whose
+    preconditions fail are reported false rather than raising: a
+    non-pseudomanifold is not orientable, a non-pure complex is not a
+    homology manifold.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
-    memo = {}
-    table = _table(delta, field, memo)
-    np_report = _normal_pseudomanifold(delta, table._index)
+    analysis = _Analysis(delta, field)
+    np_report = analysis.normal
     witnesses = dict(np_report.witnesses)
 
     strongly_connected = np_report.pure and is_strongly_connected(delta)
     pseudo = np_report.pure and np_report.ridge_condition and strongly_connected
-
-    betti = table._betti[()]
     orientable = pseudo and (
-        betti if field.is_rationals else reduced_betti(delta, QQ))[delta.dim] != 0
+        analysis.betti if field.is_rationals else reduced_betti(delta, QQ))[delta.dim] != 0
 
-    buchsbaum, bb_witness = _buchsbaum(table)
+    buchsbaum, bb_witness = analysis.buchsbaum
     if bb_witness is not None:
         witnesses["buchsbaum"] = bb_witness[0]
 
-    manifold, sphere = _homology_manifold(table) if np_report.pure else (False, False)
+    manifold, sphere = analysis.manifold if np_report.pure else (False, False)
 
-    depth = _depth_report(table)
+    depth = analysis.depth
     if depth.witness is not None:
         witnesses["cohen_macaulay"] = depth.witness[1]
 
-    cored = core(delta)
-    gorenstein = cored.is_empty or (_gorenstein(delta, table, np_report) if cored == delta
-                                    else _gorenstein(cored, _table(cored, field, memo)))
     return ClassificationReport(
         field=field,
         n_vertices=delta.n_vertices,
@@ -276,7 +302,7 @@ def classification_report(delta, field):
         homology_manifold=manifold,
         homology_sphere=sphere,
         cohen_macaulay=depth.is_cohen_macaulay,
-        quasi_gorenstein=_quasi_gorenstein(delta, np_report, lambda: betti),
-        gorenstein=gorenstein,
+        quasi_gorenstein=analysis.quasi_gorenstein,
+        gorenstein=analysis.gorenstein,
         witnesses=witnesses,
     )

@@ -170,7 +170,7 @@ def _flag(value):
 
 
 def _cmd_classify(delta, args):
-    from .classify import classification_report
+    from .classify import _FLAGS, classification_report
 
     if args.list_facets:
         payload = {"facets": {str(i + 1): list(f) for i, f in enumerate(delta.facets)}}
@@ -181,11 +181,7 @@ def _cmd_classify(delta, args):
     payload = report.to_json()
     payload["facets"] = [list(f) for f in delta.facets]
     lines = [f"field: {args.field}", f"n_vertices: {report.n_vertices}", f"dim: {report.dim}"]
-    for name in ("pure", "strongly_connected", "normal",
-                 "pseudomanifold_ridge_condition", "normal_pseudomanifold",
-                 "orientable", "buchsbaum", "homology_manifold",
-                 "homology_sphere", "cohen_macaulay", "quasi_gorenstein",
-                 "gorenstein"):
+    for name in _FLAGS:
         lines.append(f"{name}: {_flag(getattr(report, name))}")
     for key, value in sorted(report.witnesses.items()):
         lines.append(f"witness {key}: {value}")

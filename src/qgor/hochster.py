@@ -101,21 +101,19 @@ class DepthReport:
 
 def local_cohomology_table(delta, field):
     """The full Hochster table of delta over the given field."""
-    return _table(delta, field, {})
+    return _table(delta, field, {}, _link_index(delta))
 
 
-def _table(delta, field, memo, index=None):
-    """The table of delta; memo maps link facets to Betti vectors over field.
+def _table(delta, field, memo, index):
+    """The table of delta read off its face -> link index; memo maps link
+    facets to Betti vectors over field.
 
     Tables built within one call over one field share a memo, so a link
     common to them (Delta and Delta_B away from A, a complex and its
-    core) is computed once.  A caller that already holds delta's face ->
-    link index passes it as index.
+    core) is computed once.
     """
     if delta.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ring")
-    if index is None:
-        index = _link_index(delta)
     betti = {}
     entries = {}
     for sigma, lk in index.items():

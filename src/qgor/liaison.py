@@ -20,18 +20,19 @@ carries the alternating sums of both readings rather than hiding the
 discrepancy.
 
 All four checks (the sequence, link restriction, CM linkage, the
-connectedness of Delta_B) read one liaison evaluation, which computes
-H~(Delta), H~(Delta_B), every link and every table at most once, on
-first use; quasi-Gorenstein is the one definition in classify.
+connectedness of Delta_B) read three analyses, of Delta, Delta_A and
+Delta_B, that share one memo: each Betti vector, link and table is
+computed at most once, on first use, and a check computes only what it
+reads.  Quasi-Gorenstein, Buchsbaum and Cohen-Macaulay are the
+analysis's views in classify.
 """
 
 from functools import cached_property
 
-from .classify import _normal_pseudomanifold, _quasi_gorenstein
+from .classify import _Analysis
 from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
-from .hochster import _buchsbaum, _depth_report, _table
-from .homology import reduced_betti, relative_betti
-from .simplicial_core import _link_index, face_key, restrict_to_facets
+from .homology import relative_betti
+from .simplicial_core import face_key, restrict_to_facets
 
 
 class FacetPartition:
@@ -159,9 +160,9 @@ class CmLinkageReport:
 
 class _Liaison:
     """One (Delta, partition, field).  The constructor checks that the
-    partition applies and builds Delta_A and Delta_B; the rest is computed
-    on first use, every Betti vector through one memo keyed by facets (the
-    link of the empty face is the complex itself, so tables share it)."""
+    partition applies and builds Delta_A and Delta_B; each is one analysis,
+    and the three share one memo keyed by facets (the link of the empty
+    face is the complex itself, so tables and Betti vectors share it)."""
 
     def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:
@@ -169,51 +170,24 @@ class _Liaison:
         if not delta.is_pure():
             raise NotPure("facet partitions are defined for pure complexes")
         partition.validate_for(delta)
-        self.delta, self.partition, self.field = delta, partition, field
-        self.delta_a = restrict_to_facets(delta, partition.a)
-        self.delta_b = restrict_to_facets(delta, partition.b)
-        self._memo = {}
-
-    def betti(self, complex_):
-        if complex_.facets not in self._memo:
-            self._memo[complex_.facets] = reduced_betti(complex_, self.field)
-        return self._memo[complex_.facets]
-
-    @cached_property
-    def index(self):
-        return _link_index(self.delta)
-
-    @cached_property
-    def tables(self):
-        return (_table(self.delta, self.field, self._memo, self.index),
-                _table(self.delta_b, self.field, self._memo))
-
-    @cached_property
-    def table_a(self):
-        return _table(self.delta_a, self.field, self._memo)
-
-    @cached_property
-    def quasi_gorenstein(self):
-        return _quasi_gorenstein(self.delta, _normal_pseudomanifold(self.delta, self.index),
-                                 lambda: self.betti(self.delta))
-
-    @cached_property
-    def buchsbaum_a(self):
-        return _buchsbaum(self.table_a)[0]
+        self.partition = partition
+        memo = {}
+        self.whole = _Analysis(delta, field, memo)
+        self.a = _Analysis(restrict_to_facets(delta, partition.a), field, memo)
+        self.b = _Analysis(restrict_to_facets(delta, partition.b), field, memo)
 
     @cached_property
     def differences(self):
         """(i, sigma, dim for Delta, dim for Delta_B) wherever the two tables
         differ below the Krull dimension of Delta, in no particular order."""
-        table, table_b = self.tables
+        table, table_b = self.whole.table, self.b.table
         keys = {k for t in (table, table_b) for k in t._entries if k[0] < table.d}
         dims = ((i, sigma, table.entry(i, sigma), table_b.entry(i, sigma)) for i, sigma in keys)
         return [w for w in dims if w[2] != w[3]]
 
     def lefschetz_report(self):
-        d = self.delta.dim
-        b_a = self.table_a._betti[()]
-        b_delta, b_b = self.betti(self.delta), self.betti(self.delta_b)
+        d = self.whole.delta.dim
+        b_a, b_delta, b_b = self.a.betti, self.whole.betti, self.b.betti
 
         terms = [("H~^0(Delta_B)", b_b[0])]
         for i in range(1, d):
@@ -231,42 +205,43 @@ class _Liaison:
             for k in range(len(dims))
         )
 
-        rel = relative_betti(self.delta, self.delta_b, self.field)
+        rel = relative_betti(self.whole.delta, self.b.delta, self.whole.field)
         duality_pairs = [(i, rel[i], b_a[d - i]) for i in range(1, d)]
 
-        hypotheses = {"quasi_gorenstein": self.quasi_gorenstein, "buchsbaum_A": self.buchsbaum_a}
+        hypotheses = {"quasi_gorenstein": self.whole.quasi_gorenstein,
+                      "buchsbaum_A": self.a.buchsbaum[0]}
         return LefschetzReport(
-            d=d, field=self.field, partition=self.partition, terms=terms,
+            d=d, field=self.whole.field, partition=self.partition, terms=terms,
             alternating_sum=alt, alternating_sum_printed=alt_printed,
             neighbor_bound_ok=neighbor_ok, duality_pairs=duality_pairs, hypotheses=hypotheses,
         )
 
     def link_restriction_check(self):
-        in_b = self.tables[1]._index
+        in_b = self.b.index
         witnesses = sorted(
             ((sigma, i - len(sigma) - 1, sigma in in_b, dim_b, dim)
              for i, sigma, dim, dim_b in self.differences if sigma),
             key=lambda w: (face_key(w[0]), w[1]),
         )
-        hypotheses_met = self.quasi_gorenstein and self.buchsbaum_a
+        hypotheses_met = self.whole.quasi_gorenstein and self.a.buchsbaum[0]
         return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
 
     def cm_linkage_check(self):
         witness = min(self.differences, key=lambda w: (w[0], face_key(w[1])), default=None)
-        hypotheses = {"quasi_gorenstein": self.quasi_gorenstein,
-                      "cm_A": _depth_report(self.table_a).is_cohen_macaulay}
+        hypotheses = {"quasi_gorenstein": self.whole.quasi_gorenstein,
+                      "cm_A": self.a.depth.is_cohen_macaulay}
         return CmLinkageReport(ok=witness is None, hypotheses_met=all(hypotheses.values()),
                                hypotheses=hypotheses, witness=witness)
 
     def tconn_check(self):
-        a, d = len(self.partition.a), self.delta.dim
+        a, d = len(self.partition.a), self.whole.delta.dim
         failed = [premise for premise, held in (
-            ("Delta is quasi-Gorenstein", self.quasi_gorenstein),
-            ("Delta_A is Buchsbaum", self.buchsbaum_a),
+            ("Delta is quasi-Gorenstein", self.whole.quasi_gorenstein),
+            ("Delta_A is Buchsbaum", self.a.buchsbaum[0]),
             (f"|A| = {a} < dim Delta + 1 = {d + 1}", a < d + 1)) if not held]
         if failed:
             raise HypothesesNotMet(failed)
-        return self.betti(self.delta_b)[0] == 0
+        return self.b.betti[0] == 0
 
 
 def lefschetz_report(delta, partition, field):

@@ -6,8 +6,10 @@ table and one face -> link index per complex and field.  The references
 below recompute each of them face by face from qgor.link and the
 independent oracle_betti, on seeded random complexes on at most seven
 vertices and on the corpus.  The counting tests pin that each link is
-computed once per call, and once per `qgor liaison` run, whose payload
-equals the four public liaison checks called one by one.
+computed once per call and once per `qgor classify`, `qgor hochster`
+and `qgor liaison` run, whose payload equals the four public liaison
+checks called one by one, and that a predicate builds only what it
+reads.
 """
 
 import json
@@ -18,7 +20,6 @@ import pytest
 import qgor.classify
 import qgor.cli
 import qgor.hochster
-import qgor.liaison
 from qgor import (
     CapacityExceeded,
     GF2,
@@ -26,13 +27,17 @@ from qgor import (
     QQ,
     FacetPartition,
     HypothesesNotMet,
+    NotPure,
     a_invariant,
     classification_report,
     cm_linkage_check,
+    core,
     depth_report,
     from_facets,
     is_buchsbaum,
+    is_gorenstein,
     is_homology_manifold,
+    is_quasi_gorenstein,
     lefschetz_report,
     link,
     link_restriction_check,
@@ -40,7 +45,7 @@ from qgor import (
     serre_condition,
     tconn_check,
 )
-from qgor.fixtures import corpus, oracle_betti
+from qgor.fixtures import corpus, get_fixture, oracle_betti
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -172,7 +177,7 @@ def _count_betti(monkeypatch):
         counts[key] = counts.get(key, 0) + 1
         return original(delta, field)
 
-    for module in (qgor.hochster, qgor.classify, qgor.liaison):
+    for module in (qgor.hochster, qgor.classify):
         monkeypatch.setattr(module, "reduced_betti", counting)
     return counts
 
@@ -192,6 +197,13 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
             counts.clear()
             classification_report(delta, field)
             assert counts and max(counts.values()) == 1, (delta, field, counts)
+            for predicate in (is_gorenstein, is_homology_manifold):
+                counts.clear()
+                try:
+                    predicate(delta, field)
+                except NotPure:
+                    pass
+                assert max(counts.values(), default=1) == 1, (predicate, delta, field, counts)
             if delta.is_pure() and len(delta.facets) > 1:
                 counts.clear()
                 partition = FacetPartition.complementary(delta, [0])
@@ -226,6 +238,45 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                     assert max(counts.values()) == 1, (delta, a, field, counts)
                 else:
                     assert len(delta.facets) == 2 and a == "1,2", (delta, a, field)
+    # one qgor classify or qgor hochster run computes each (complex, field) once
+    for delta in cases + _random_complexes(5, 10):
+        path = _facet_file(tmp_path, delta)
+        for sub in ("classify", "hochster"):
+            for field in ("q", "2", "3"):
+                counts.clear()
+                assert qgor.cli.main([sub, path, "--field", field]) == 0, (sub, delta)
+                capsys.readouterr()
+                assert max(counts.values()) == 1, (sub, delta, field, counts)
+
+
+def test_analysis_builds_only_what_it_reads(monkeypatch):
+    counts = _count_betti(monkeypatch)
+    tables = []
+    original = qgor.hochster._table
+
+    def spy(delta, *args):
+        tables.append(delta)
+        return original(delta, *args)
+
+    for module in (qgor.hochster, qgor.classify):
+        monkeypatch.setattr(module, "_table", spy)
+    for delta in [fx.complex() for fx in corpus() if not fx.complex().is_empty]:
+        for field in FIELDS:
+            counts.clear()
+            qg = is_quasi_gorenstein(delta, field)
+            assert not tables, (delta, field)
+            # Delta's own Betti vector, and only for a normal pseudomanifold
+            npm = normal_pseudomanifold_report(delta).ok
+            assert set(counts) == ({(delta.facets, field.p)} if npm else set()), (delta, field)
+            assert qg <= npm
+    # a cone over a core that is Buchsbaum but no normal pseudomanifold
+    two = get_fixture("two-triangles").complex()
+    cone = from_facets([f + (7,) for f in two.facets], 7)
+    assert core(cone).facets == two.facets and is_buchsbaum(two, QQ)[0]
+    tables.clear()
+    for field in FIELDS:
+        assert not is_gorenstein(cone, field)
+    assert tables == []
 
 
 def test_index_links_equal_absorbed_links():
