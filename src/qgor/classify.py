@@ -9,15 +9,15 @@ dimension d over a field k:
     normal pseudomanifold  =  pure + connected low links + every ridge
                               in exactly two facets
 
-Orientability is rational: for a pseudomanifold, H~_d(Delta; Q) != 0
-certifies an integral orientation because top homology of a
-pseudomanifold is torsion-free.  Every predicate returns its first
-witness in canonical face order, so failures are reproducible.
+Orientability is decided by orienting the facets of a pseudomanifold
+across its ridges, which is exactly H~_d(Delta; Q) != 0, over every
+field.  Every predicate returns its first witness in canonical face
+order, so failures are reproducible.
 
-Each predicate over a field is a read of one analysis of the complex:
-the face -> link index, the normal-pseudomanifold pass, the Betti
-vector and the Hochster table are computed on first read, at most once,
-and only if read.  An analysis lives as long as the call that made it.
+Each predicate over a field is a read of one analysis of the complex,
+hochster's link view: the face -> link index, the normal-pseudomanifold
+pass and each link's Betti vector are computed on first read, at most
+once, and only if read.  An analysis lives as long as its call.
 """
 
 from collections import Counter
@@ -26,9 +26,8 @@ from itertools import combinations
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
-from .homology import QQ, reduced_betti
-from .hochster import _buchsbaum, _depth_report, _link_dim, _table
-from .simplicial_core import _link_index, core, face_key
+from .hochster import _Links, _table
+from .simplicial_core import _link_index, check_face_budget, core, face_key
 
 
 class NormalPseudomanifoldReport:
@@ -114,44 +113,47 @@ def is_pseudomanifold(delta):
 
 
 def is_orientable(delta):
-    """Orientability of a pseudomanifold via rational top homology.
+    """Orientability of a pseudomanifold, by orienting its facets.
 
     Raises NotAPseudomanifold when the input is not a pseudomanifold
     (the notion presumes one).
     """
     if not is_pseudomanifold(delta):
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
-    return reduced_betti(delta, QQ)[delta.dim] != 0
+    return _orientable(delta)
 
 
-class _Analysis:
-    """Lazily cached views of one (complex, field), each computed on first read.
+def _orientable(delta):
+    """Whether signed facets of a pseudomanifold cancel on every ridge,
+    which is H~_d(Delta; Q) != 0.  Facet k induces the sign (-1)^j on its
+    ridge f - f[j]; across a ridge that facets k and m induce with signs
+    s and t, the orientation double cover joins (k, e) to (m, -e s t), and
+    on strongly connected facets it has two components exactly when the
+    signs can be chosen.  Refuses the facets that homology refuses."""
+    check_face_budget(delta.facets)
+    ridges = {}
+    for k, f in enumerate(delta.facets):
+        for j in range(len(f)):
+            ridges.setdefault(f[:j] + f[j + 1:], []).append((k, (-1) ** j))
+    cover = {(k, e): [] for k in range(len(delta.facets)) for e in (1, -1)}
+    for (k, s), (m, t) in ridges.values():
+        for e in (1, -1):
+            cover[k, e].append((m, -e * s * t))
+            cover[m, -e * s * t].append((k, e))
+    return _components(cover) == 2
 
-    Every Betti vector goes through memo, which maps facets to Betti
-    vectors over the field; analyses that share it (a complex and its
-    core, or Delta, Delta_A and Delta_B) compute a common link once.
-    """
+
+class _Analysis(_Links):
+    """The link view of one (complex, field) with classify's views on top,
+    each computed on first read; an analysis of the core shares its memo."""
 
     def __init__(self, delta, field, memo=None):
         _classifiable(delta)
-        self.delta, self.field = delta, field
-        self._memo = {} if memo is None else memo
-
-    @cached_property
-    def index(self):
-        return _link_index(self.delta)
-
-    @cached_property
-    def betti(self):
-        """The reduced Betti vector of the complex, the link of the empty face."""
-        facets = self.delta.facets
-        if facets not in self._memo:
-            self._memo[facets] = reduced_betti(self.delta, self.field)
-        return self._memo[facets]
+        super().__init__(delta, field, memo)
 
     @cached_property
     def table(self):
-        return _table(self.delta, self.field, self._memo, self.index)
+        return _table(self)
 
     @cached_property
     def normal(self):
@@ -160,27 +162,17 @@ class _Analysis:
     @cached_property
     def quasi_gorenstein(self):
         """The one definition: a normal pseudomanifold with H~_dim != 0."""
-        return self.normal.ok and self.betti[self.delta.dim] != 0
+        return self.normal.ok and self.betti(())[self.delta.dim] != 0
 
     @cached_property
     def manifold(self):
         """(manifold, sphere) as is_homology_manifold defines them; the first
         non-sphere link ends the scan.  The empty complex is the (-1)-sphere."""
-        betti, index = self.table._betti, self.index
-
         def sphere(sigma):
-            return betti[sigma].nonzero() == {_link_dim(index[sigma]): 1}
+            return self.betti(sigma).nonzero() == {self.dim(sigma): 1}
 
-        manifold = all(sphere(sigma) for sigma in index if sigma)
+        manifold = all(map(sphere, self.faces(nonempty=True)))
         return manifold, manifold and sphere(())
-
-    @cached_property
-    def depth(self):
-        return _depth_report(self.table)
-
-    @cached_property
-    def buchsbaum(self):
-        return _buchsbaum(self.table)
 
     @cached_property
     def gorenstein(self):
@@ -188,7 +180,7 @@ class _Analysis:
         cored = core(self.delta)
         if cored.is_empty:
             return True
-        analysis = self if cored == self.delta else _Analysis(cored, self.field, self._memo)
+        analysis = self if cored == self.delta else _Analysis(cored, self.field, self.memo)
         return analysis.quasi_gorenstein and analysis.depth.is_cohen_macaulay
 
 
@@ -261,13 +253,13 @@ class ClassificationReport:
 def classification_report(delta, field):
     """Run every predicate once and bundle the outcome.
 
-    Every flag is a read of one analysis of the complex over the field:
-    one face -> link index, one normal-pseudomanifold pass and one table
-    serve them all, and a core unlike the complex gets its own analysis
-    sharing the link Betti vectors computed so far.  Predicates whose
-    preconditions fail are reported false rather than raising: a
-    non-pseudomanifold is not orientable, a non-pure complex is not a
-    homology manifold.
+    Every flag is a read of one analysis of the complex over the field,
+    with no table built: one face -> link index, one normal-pseudomanifold
+    pass and each link's Betti vector, computed once, serve them all, and a
+    core unlike the complex gets its own analysis sharing the Betti vectors
+    computed so far.  Predicates whose preconditions fail are reported
+    false rather than raising: a non-pseudomanifold is not orientable, a
+    non-pure complex is not a homology manifold.
     """
     analysis = _Analysis(delta, field)
     np_report = analysis.normal
@@ -275,8 +267,7 @@ def classification_report(delta, field):
 
     strongly_connected = np_report.pure and is_strongly_connected(delta)
     pseudo = np_report.pure and np_report.ridge_condition and strongly_connected
-    orientable = pseudo and (
-        analysis.betti if field.is_rationals else reduced_betti(delta, QQ))[delta.dim] != 0
+    orientable = pseudo and _orientable(delta)
 
     buchsbaum, bb_witness = analysis.buchsbaum
     if bb_witness is not None:

@@ -210,23 +210,23 @@ def _cmd_homology(delta, args):
 
 
 def _cmd_hochster(delta, args):
-    from .hochster import _a_invariant, _buchsbaum, _depth_report, local_cohomology_table
+    from .hochster import _Links, _table
 
-    table = local_cohomology_table(delta, args.field)
-    depth = _depth_report(table)
-    buchsbaum, _ = _buchsbaum(table)
+    links = _Links(delta, args.field)
+    table = _table(links)
+    depth = links.depth
     payload = {
         "field": args.field.spec_string(),
         "table": table.to_json(),
         "depth": depth.depth,
         "cohen_macaulay": depth.is_cohen_macaulay,
-        "a_invariant": _a_invariant(table),
-        "buchsbaum": buchsbaum,
+        "a_invariant": links.a_invariant,
+        "buchsbaum": links.buchsbaum[0],
     }
     lines = [f"field: {args.field}", f"krull dimension: {table.d}"]
     lines.append(f"depth: {depth.depth}")
     lines.append(f"cohen_macaulay: {_flag(depth.is_cohen_macaulay)}")
-    lines.append(f"buchsbaum: {_flag(buchsbaum)}")
+    lines.append(f"buchsbaum: {_flag(payload['buchsbaum'])}")
     lines.append(f"a_invariant: {payload['a_invariant']}")
     for i, sigma, dim in table.entries():
         lines.append(f"H^{i} at -{{{','.join(map(str, sigma))}}}: {dim}")

@@ -6,16 +6,20 @@ multidegree -sigma piece of H^i_m(k[Delta]) has
     dim_k H^i_m(k[Delta])_{-sigma} = dim_k H~^{i - |sigma| - 1}(lk sigma; k)
 
 for every face sigma (the empty face included), and every other
-multidegree vanishes.  So the table is the reduced homology of every
-link, and it is the one place where link homology is computed: once
-per (complex, field), over the face -> link index, with links that
-coincide as facet lists sharing one Betti vector.  Depth and the
-Reisner Cohen-Macaulay criterion, the a-invariant, the Buchsbaum
-predicate and the Serre condition (S_l) here, and the manifold,
-Gorenstein and liaison checks elsewhere, are reads of that table.
-Over a field the cohomology dimensions of a link equal its homology
-dimensions, so link Betti vectors serve throughout.
+multidegree vanishes.  Link homology is computed in one place, a link
+view of the (complex, field) that fills itself on first read: the face
+-> link index only once a nonempty face is read, and each link's Betti
+vector once, with links that coincide as facet lists sharing it.  The
+table is the one full read of that view.  Depth and the Reisner
+Cohen-Macaulay criterion, the a-invariant, the Buchsbaum predicate and
+the Serre condition (S_l) here, and the manifold flags in classify, are
+scans of it in canonical face order that stop as soon as their answer
+is fixed.  Over a field the cohomology dimensions of a link equal its
+homology dimensions, so link Betti vectors serve throughout.
 """
+
+from functools import cached_property
+from itertools import islice
 
 from .homology import reduced_betti
 from .simplicial_core import SimplicialComplex, _link_index, face, face_key, link
@@ -26,12 +30,9 @@ class LocalCohomologyTable:
 
     Only nonzero entries are stored.  total(i, j) aggregates over the
     squarefree multidegrees with |sigma| = -j; positive j never occurs.
-    A table built by local_cohomology_table also keeps, for every face
-    in canonical order, its link facets (_index) and the link's Betti
-    vector (_betti); the predicates below read those.
     """
 
-    __slots__ = ("d", "n_vertices", "_entries", "_index", "_betti")
+    __slots__ = ("d", "n_vertices", "_entries")
 
     def __init__(self, d, n_vertices, entries):
         self.d = d
@@ -43,10 +44,8 @@ class LocalCohomologyTable:
 
     def entries(self):
         """Nonzero (i, sigma, dim) triples in canonical order."""
-        return sorted(
-            ((i, s, v) for (i, s), v in self._entries.items()),
-            key=lambda t: (t[0], face_key(t[1])),
-        )
+        return sorted(((i, s, v) for (i, s), v in self._entries.items()),
+                      key=lambda t: (t[0], face_key(t[1])))
 
     def total(self, i, j):
         return sum(v for (ii, s), v in self._entries.items() if ii == i and len(s) == -j)
@@ -59,31 +58,21 @@ class LocalCohomologyTable:
             agg[key] = agg.get(key, 0) + v
         return sorted((i, j, v) for (i, j), v in agg.items())
 
-    def min_i(self):
-        return min((i for i, _ in self._entries), default=None)
-
     def to_json(self):
-        return {
-            "d": self.d,
-            "entries": [
-                {"i": i, "sigma": list(s), "dim": v} for i, s, v in self.entries()
-            ],
-            "total": [{"i": i, "j": j, "dim": v} for i, j, v in self.totals()],
-        }
+        return {"d": self.d,
+                "entries": [{"i": i, "sigma": list(s), "dim": v} for i, s, v in self.entries()],
+                "total": [{"i": i, "j": j, "dim": v} for i, j, v in self.totals()]}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LocalCohomologyTable)
-            and self.d == other.d
-            and self._entries == other._entries
-        )
+        return (isinstance(other, LocalCohomologyTable) and self.d == other.d
+                and self._entries == other._entries)
 
     def __repr__(self):
         return f"LocalCohomologyTable(d={self.d}, {len(self._entries)} nonzero entries)"
 
 
 class DepthReport:
-    """Depth of k[Delta] read off the table, with a CM verdict."""
+    """Depth of k[Delta] read off the links, with a CM verdict."""
 
     __slots__ = ("depth", "is_cohen_macaulay", "witness")
 
@@ -93,61 +82,107 @@ class DepthReport:
         self.witness = witness
 
     def __repr__(self):
-        return (
-            f"DepthReport(depth={self.depth}, cm={self.is_cohen_macaulay}, "
-            f"witness={self.witness})"
-        )
+        return (f"DepthReport(depth={self.depth}, cm={self.is_cohen_macaulay}, "
+                f"witness={self.witness})")
+
+
+class _Links:
+    """The link homology of one (complex, field), each piece on first read.
+
+    index (face -> link facets, canonical order) is built on the first read
+    of a nonempty face, as lk(empty) is the complex itself.  betti(sigma)
+    goes through memo (facets -> Betti vector), which the views of a complex
+    and its core, or of Delta, Delta_A and Delta_B, share.  Only _table
+    reads every face; the predicates are scans in canonical face order
+    that stop as soon as their answer is fixed.
+    """
+
+    def __init__(self, delta, field, memo=None):
+        if delta.is_void:
+            raise ValueError("the void complex has no Stanley-Reisner ring")
+        self.delta, self.field, self.d = delta, field, delta.dim + 1
+        self.memo = {} if memo is None else memo
+
+    @cached_property
+    def index(self):
+        return _link_index(self.delta)
+
+    def faces(self, nonempty=False):
+        """The faces in canonical order; the index is read only past the empty face."""
+        if not nonempty:
+            yield ()
+        yield from islice(self.index, 1, None)
+
+    def dim(self, sigma):
+        return len((self.index[sigma] if sigma else self.delta.facets)[-1]) - 1
+
+    def betti(self, sigma):
+        lk = self.index[sigma] if sigma else self.delta.facets
+        if lk not in self.memo:
+            self.memo[lk] = reduced_betti(
+                SimplicialComplex(self.delta.n_vertices, lk) if sigma else self.delta, self.field)
+        return self.memo[lk]
+
+    @cached_property
+    def depth(self):
+        # Faces come by size, and sigma gives i >= |sigma| + 1 unless it is a
+        # facet (i = |sigma|).  A facet F beside others never gives the least
+        # entry: the largest face of F in another facet comes earlier and has
+        # a disconnected link (F minus it is a component), so i <= |F| there.
+        best = None
+        for sigma in self.faces():
+            if best and best[0] <= len(sigma) + 1:
+                break
+            low = min(self.betti(sigma).nonzero(), default=None)
+            if low is not None and (not best or low + len(sigma) + 1 < best[0]):
+                best = (low + len(sigma) + 1, sigma)
+        return DepthReport(best[0], best[0] == self.d, best if best[0] < self.d else None)
+
+    @cached_property
+    def a_invariant(self):
+        # Faces come by size, and a maximal-dimension facet has the link
+        # {empty}, whose H~_{-1} sits at i = d, so the scan ends by that size.
+        return -next(len(s) for s in self.faces() if self.betti(s)[self.d - len(s) - 1])
+
+    def low_homology(self, ell=None, nonempty=False):
+        """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
+        -1 <= i < dim lk sigma and, when ell is given, i < ell - 1; None if
+        there is none.  nonempty skips the empty face."""
+        for sigma in self.faces(nonempty):
+            top = self.dim(sigma) if ell is None else min(ell - 1, self.dim(sigma))
+            for i in range(-1, top):
+                if self.betti(sigma)[i]:
+                    return sigma, i
+
+    @cached_property
+    def buchsbaum(self):
+        witness = self.low_homology(nonempty=True)
+        return witness is None, witness
 
 
 def local_cohomology_table(delta, field):
     """The full Hochster table of delta over the given field."""
-    return _table(delta, field, {}, _link_index(delta))
+    return _table(_Links(delta, field))
 
 
-def _table(delta, field, memo, index):
-    """The table of delta read off its face -> link index; memo maps link
-    facets to Betti vectors over field.
-
-    Tables built within one call over one field share a memo, so a link
-    common to them (Delta and Delta_B away from A, a complex and its
-    core) is computed once.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex has no Stanley-Reisner ring")
-    betti = {}
+def _table(links):
+    """The one full read of links: every face's Betti vector, as entries."""
     entries = {}
-    for sigma, lk in index.items():
-        b = memo.get(lk)
-        if b is None:
-            b = memo[lk] = reduced_betti(SimplicialComplex(delta.n_vertices, lk), field)
-        betti[sigma] = b
-        for r, dim_r in b.dims.items():
+    for sigma in links.index:
+        for r, dim_r in links.betti(sigma).dims.items():
             if dim_r:
                 entries[(r + len(sigma) + 1, sigma)] = dim_r
-    table = LocalCohomologyTable(delta.dim + 1, delta.n_vertices, entries)
-    table._index, table._betti = index, betti
-    return table
-
-
-def _link_dim(link_facets):
-    """Dimension of a link given by its canonically ordered facets."""
-    return len(link_facets[-1]) - 1
+    return LocalCohomologyTable(links.d, links.delta.n_vertices, entries)
 
 
 def depth_report(delta, field):
-    """Depth and Cohen-Macaulayness from the table.
+    """Depth and Cohen-Macaulayness from the links.
 
     depth = min { i : H^i_m(k[Delta]) != 0 }; Cohen-Macaulay means
     depth = d.  The witness is the first table entry below d (in
     canonical order), None when CM.
     """
-    return _depth_report(local_cohomology_table(delta, field))
-
-
-def _depth_report(table):
-    depth = table.min_i()
-    witness = next(((i, s) for i, s, _ in table.entries() if i < table.d), None)
-    return DepthReport(depth, depth == table.d, witness)
+    return _Links(delta, field).depth
 
 
 def cohen_macaulay_direct(delta, field):
@@ -155,7 +190,7 @@ def cohen_macaulay_direct(delta, field):
 
     k[Delta] is Cohen-Macaulay iff H~_i(lk sigma; k) = 0 for every face
     sigma (the empty face included) and every i < dim lk sigma.  Kept
-    as a second code path so the table-derived verdict can be
+    as a second code path so the verdict of depth_report can be
     cross-checked.
     """
     if delta.is_void:
@@ -176,43 +211,17 @@ def a_invariant(delta, field):
     is never positive; it is 0 exactly when the complex itself has
     nonzero top reduced homology.
     """
-    return _a_invariant(local_cohomology_table(delta, field))
-
-
-def _a_invariant(table):
-    # A maximal-dimension facet always contributes H~^{-1} of an empty
-    # link at i = d, so the top module is never zero.
-    return -min(len(s) for i, s in table._entries if i == table.d)
-
-
-def _low_homology(table, ell=None, nonempty=False):
-    """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
-    -1 <= i < dim lk sigma and, when ell is given, i < ell - 1; None if
-    there is none.  nonempty skips the empty face."""
-    for sigma, lk in table._index.items():
-        if nonempty and not sigma:
-            continue
-        b = table._betti[sigma]
-        top = _link_dim(lk) if ell is None else min(ell - 1, _link_dim(lk))
-        for i in range(-1, top):
-            if b[i]:
-                return sigma, i
-    return None
+    return _Links(delta, field).a_invariant
 
 
 def is_buchsbaum(delta, field):
     """Buchsbaum test: links of nonempty faces have no low homology.
 
-    Returns (flag, witness) where witness is a violating (sigma, i)
-    pair or None.  The empty face is exempt, which is what separates
-    Buchsbaum from Cohen-Macaulay here.
+    Returns (flag, witness) where witness is the first violating
+    (sigma, i) pair or None.  The empty face is exempt, which is what
+    separates Buchsbaum from Cohen-Macaulay here.
     """
-    return _buchsbaum(local_cohomology_table(delta, field))
-
-
-def _buchsbaum(table):
-    witness = _low_homology(table, nonempty=True)
-    return witness is None, witness
+    return _Links(delta, field).buchsbaum
 
 
 def serre_condition(delta, field, ell):
@@ -226,4 +235,4 @@ def serre_condition(delta, field, ell):
     """
     if ell < 1:
         raise ValueError(f"ell must be at least 1, got {ell}")
-    return _low_homology(local_cohomology_table(delta, field), ell) is None
+    return _Links(delta, field).low_homology(ell) is None

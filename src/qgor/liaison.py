@@ -23,8 +23,8 @@ All four checks (the sequence, link restriction, CM linkage, the
 connectedness of Delta_B) read three analyses, of Delta, Delta_A and
 Delta_B, that share one memo: each Betti vector, link and table is
 computed at most once, on first use, and a check computes only what it
-reads.  Quasi-Gorenstein, Buchsbaum and Cohen-Macaulay are the
-analysis's views in classify.
+reads.  Quasi-Gorenstein is the analysis's view in classify; Buchsbaum
+and Cohen-Macaulay are the scans of hochster's link view it extends.
 """
 
 from functools import cached_property
@@ -187,7 +187,7 @@ class _Liaison:
 
     def lefschetz_report(self):
         d = self.whole.delta.dim
-        b_a, b_delta, b_b = self.a.betti, self.whole.betti, self.b.betti
+        b_a, b_delta, b_b = (x.betti(()) for x in (self.a, self.whole, self.b))
 
         terms = [("H~^0(Delta_B)", b_b[0])]
         for i in range(1, d):
@@ -241,7 +241,7 @@ class _Liaison:
             (f"|A| = {a} < dim Delta + 1 = {d + 1}", a < d + 1)) if not held]
         if failed:
             raise HypothesesNotMet(failed)
-        return self.b.betti[0] == 0
+        return self.b.betti(())[0] == 0
 
 
 def lefschetz_report(delta, partition, field):

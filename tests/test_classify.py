@@ -1,8 +1,11 @@
 """Classification predicates: pseudomanifolds, orientability, (quasi-)Gorenstein."""
 
+import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
+from _perfbench import gen
 
 import qgor
 from qgor import (
@@ -88,7 +91,7 @@ def test_pseudomanifold_ridge_count_agrees_with_the_report(delta):
 
 def test_pseudomanifold_predicates_answer_over_the_face_cap(monkeypatch):
     # Counting ridges is linear in the facets, so is_pseudomanifold answers
-    # facets over the face cap; the refusal comes from the homology behind it.
+    # facets over the face cap; orientability refuses them as homology does.
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
     boundary = from_facets([[v for v in range(1, 7) if v != w] for w in range(1, 7)], 6)
     assert is_pseudomanifold(boundary)
@@ -122,6 +125,34 @@ def test_long_cycle_is_orientable_without_elimination():
         assert is_orientable(cycle) is True
         assert classification_report(cycle, GF2).orientable is True
     assert spy.call_count == 0
+
+
+def _pseudomanifold_families():
+    """Pseudomanifolds of the corpus and of seeded constructions: spheres,
+    surfaces and their subdivisions, suspensions, joins and a pinched torus."""
+    rng = random.Random(14)
+    torus, rp2 = gen.torus(), gen.rp2()
+    spheres = [gen.simplex_boundary(n) for n in range(2, 7)]
+    spheres += [gen.cross_polytope_boundary(n) for n in range(1, 4)]
+    surfaces = [torus, rp2, gen.sd(torus), gen.sd(rp2)]
+    out = [fx.complex() for fx in corpus()] + spheres + surfaces
+    out += [gen.suspension(d) for d in spheres[:4] + surfaces[:2]]
+    out += [gen.join(a, b) for a in spheres[:3] + surfaces[:2] for b in spheres[:2]]
+    sd_torus, labels = surfaces[2], gen.sd_labels(torus)
+    pairs = [(labels[s], labels[t]) for s, t in combinations(torus.facets, 2)
+             if not set(s) & set(t)]
+    out.append(gen.identify_vertices(sd_torus, *rng.choice(pairs)))
+    return [d for d in out if is_pseudomanifold(d)]
+
+
+def test_orientation_cover_matches_rational_top_homology():
+    cases = _pseudomanifold_families()
+    assert len(cases) >= 30 and 0 < sum(map(is_orientable, cases)) < len(cases)
+    for delta in cases:
+        want = reduced_betti(delta, QQ)[delta.dim] != 0
+        assert is_orientable(delta) == want, delta
+        for field in FIELDS:
+            assert classification_report(delta, field).orientable == want, (delta, field)
 
 
 def test_orientability_requires_pseudomanifold():

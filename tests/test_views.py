@@ -1,25 +1,28 @@
 """Every link predicate against a naive per-face reference.
 
 The library reads CM, depth, the a-invariant, Buchsbaum, (S_l), the
-manifold flags, normality and the liaison comparisons off one Hochster
-table and one face -> link index per complex and field.  The references
+manifold flags, normality and the liaison comparisons off one lazily
+filled link view per complex and field.  The references
 below recompute each of them face by face from qgor.link and the
-independent oracle_betti, on seeded random complexes on at most seven
-vertices and on the corpus.  The counting tests pin that each link is
+independent oracle_betti, on the corpus, on two wedges of simplex
+boundaries and on seeded random complexes on at most seven vertices.  The counting tests pin that each link is
 computed once per call and once per `qgor classify`, `qgor hochster`
 and `qgor liaison` run, whose payload equals the four public liaison
-checks called one by one, and that a predicate builds only what it
-reads.
+checks called one by one, that a predicate builds only what it reads,
+and that a scan stops at its answer.
 """
 
 import json
 import random
+from itertools import combinations
 
 import pytest
+from _perfbench import gen
 
 import qgor.classify
 import qgor.cli
 import qgor.hochster
+import qgor.liaison
 from qgor import (
     CapacityExceeded,
     GF2,
@@ -63,7 +66,14 @@ def _random_complexes(seed, count):
     return out
 
 
-COMPLEXES = [fx.complex() for fx in corpus()] + _random_complexes(20221023, 40)
+def _wedge(k):
+    """Two boundaries of the k-simplex glued at vertex 1: lk{1} is disconnected."""
+    return from_facets(list(combinations(range(1, k + 2), k))
+                       + list(combinations((1, *range(k + 2, 2 * k + 2)), k)))
+
+
+COMPLEXES = ([fx.complex() for fx in corpus()] + [_wedge(3), _wedge(4)]
+             + _random_complexes(20221023, 40))
 
 
 def _links(delta, field):
@@ -100,11 +110,15 @@ def test_table_views_match_per_face_reference(field):
             want = _first_low(links, lambda dim: min(ell - 1, dim)) is None
             assert serre_condition(delta, field, ell) == want, (tag, ell)
 
-        degrees = [r + len(sigma) + 1 for sigma, _, b in links for r in b.nonzero()]
+        # (i, position in canonical order, sigma) for every nonzero entry
+        entries = [(r + len(sigma) + 1, k, sigma)
+                   for k, (sigma, _, b) in enumerate(links) for r in b.nonzero()]
+        depth, _, first = min(entries)
         report = depth_report(delta, field)
-        assert report.depth == min(degrees), tag
+        assert report.depth == depth, tag
+        assert report.witness == ((depth, first) if depth < d else None), tag
         reisner = _first_low(links, lambda dim: dim) is None
-        assert report.is_cohen_macaulay == reisner == (min(degrees) == d), tag
+        assert report.is_cohen_macaulay == reisner == (depth == d), tag
         top = [len(sigma) for sigma, _, b in links if b[d - len(sigma) - 1]]
         assert a_invariant(delta, field) == -min(top), tag
 
@@ -177,8 +191,9 @@ def _count_betti(monkeypatch):
         counts[key] = counts.get(key, 0) + 1
         return original(delta, field)
 
-    for module in (qgor.hochster, qgor.classify):
-        monkeypatch.setattr(module, "reduced_betti", counting)
+    # every Betti vector a predicate reads comes through hochster's link view
+    assert not any(hasattr(m, "reduced_betti") for m in (qgor.classify, qgor.liaison))
+    monkeypatch.setattr(qgor.hochster, "reduced_betti", counting)
     return counts
 
 
@@ -277,6 +292,39 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
     for field in FIELDS:
         assert not is_gorenstein(cone, field)
     assert tables == []
+
+
+def test_scans_stop_at_their_answer(monkeypatch):
+    counts = _count_betti(monkeypatch)
+    indexed = []
+    original = qgor.hochster._link_index
+    monkeypatch.setattr(qgor.hochster, "_link_index",
+                        lambda delta: indexed.append(delta) or original(delta))
+    # H~_2(sd-torus) != 0 fixes a = 0 at the empty face, before any index
+    sd_torus = gen.sd(gen.torus())
+    assert a_invariant(sd_torus, GF2) == 0
+    assert counts == {(sd_torus.facets, 2): 1} and indexed == []
+    # Buchsbaum exempts the empty face, so Delta's own vector is never computed
+    for delta in [sd_torus] + [d for d in COMPLEXES if not d.is_empty and core(d) == d]:
+        for field in FIELDS:
+            counts.clear()
+            is_buchsbaum(delta, field)
+            assert (delta.facets, field.p) not in counts, (delta, field)
+    # on the cone, the apex's link (H~_1 of the torus) is the first witness
+    cone = gen.cone(sd_torus)
+    apex = (cone.n_vertices,)
+    counts.clear()
+    assert is_buchsbaum(cone, GF2) == (False, (apex, 1))
+    faces = cone.faces()
+    assert set(counts) == {(link(cone, s).facets, 2) for s in faces[1:faces.index(apex) + 1]}
+    assert max(counts.values()) == 1
+    # two boundaries of the 4-simplex wedged at vertex 1: lk{1}, the second
+    # face in canonical order, is two 2-spheres and ends the manifold scan
+    wedge = _wedge(4)
+    assert len(wedge.faces()) == 60 and wedge.faces()[1] == (1,)
+    counts.clear()
+    assert is_homology_manifold(wedge, GF2) == (False, False)
+    assert sum(counts.values()) <= 2, counts
 
 
 def test_index_links_equal_absorbed_links():
