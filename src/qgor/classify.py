@@ -20,9 +20,8 @@ pass and each link's Betti vector are computed on first read, at most
 once, and only if read.  An analysis lives as long as its call.
 """
 
-from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import islice
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
@@ -103,13 +102,23 @@ def is_strongly_connected(delta):
 def is_pseudomanifold(delta):
     """Pure + strongly connected + every ridge in exactly two facets.
 
-    The facets of a pure complex through a ridge are counted directly,
-    one d-subset of each facet at a time, with no link built.
+    The facets of a pure complex through each ridge are read off its
+    ridge map, with no link built.
     """
+    return _ridges(delta) is not None and is_strongly_connected(delta)
+
+
+def _ridges(delta):
+    """The ridge map of a pure complex whose every ridge lies in exactly two
+    facets, None for any other complex.  It maps each ridge f - f[j] to the
+    (k, (-1)^j) of the facets f = delta.facets[k] through it."""
     if delta.is_void or delta.is_empty or not delta.is_pure():
-        return False
-    ridges = Counter(r for f in delta.facets for r in combinations(f, delta.dim))
-    return all(n == 2 for n in ridges.values()) and is_strongly_connected(delta)
+        return None
+    ridges = {}
+    for k, f in enumerate(delta.facets):
+        for j in range(len(f)):
+            ridges.setdefault(f[:j] + f[j + 1:], []).append((k, (-1) ** j))
+    return ridges if all(len(v) == 2 for v in ridges.values()) else None
 
 
 def is_orientable(delta):
@@ -118,23 +127,17 @@ def is_orientable(delta):
     Raises NotAPseudomanifold when the input is not a pseudomanifold
     (the notion presumes one).
     """
-    if not is_pseudomanifold(delta):
+    ridges = _ridges(delta)
+    if ridges is None or not is_strongly_connected(delta):
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
-    return _orientable(delta)
+    return _orientable(delta, ridges)
 
 
-def _orientable(delta):
-    """Whether signed facets of a pseudomanifold cancel on every ridge,
-    which is H~_d(Delta; Q) != 0.  Facet k induces the sign (-1)^j on its
-    ridge f - f[j]; across a ridge that facets k and m induce with signs
-    s and t, the orientation double cover joins (k, e) to (m, -e s t), and
-    on strongly connected facets it has two components exactly when the
-    signs can be chosen.  Refuses the facets that homology refuses."""
-    check_face_budget(delta.facets)
-    ridges = {}
-    for k, f in enumerate(delta.facets):
-        for j in range(len(f)):
-            ridges.setdefault(f[:j] + f[j + 1:], []).append((k, (-1) ** j))
+def _orientable(delta, ridges):
+    """Whether the facets of a pseudomanifold can be signed to cancel on every
+    ridge, which is H~_d(Delta; Q) != 0: the orientation double cover, (k, e)
+    to (m, -e s t) across a ridge of _ridges, has two components."""
+    check_face_budget(delta.facets)  # the facets homology refuses
     cover = {(k, e): [] for k in range(len(delta.facets)) for e in (1, -1)}
     for (k, s), (m, t) in ridges.values():
         for e in (1, -1):
@@ -169,9 +172,9 @@ class _Analysis(_Links):
         """(manifold, sphere) as is_homology_manifold defines them; the first
         non-sphere link ends the scan.  The empty complex is the (-1)-sphere."""
         def sphere(sigma):
-            return self.betti(sigma).nonzero() == {self.dim(sigma): 1}
+            return self.betti(sigma).nonzero() == {len(self.link(sigma)[-1]) - 1: 1}
 
-        manifold = all(map(sphere, self.faces(nonempty=True)))
+        manifold = all(map(sphere, islice(self.faces(), 1, None)))
         return manifold, manifold and sphere(())
 
     @cached_property
@@ -267,7 +270,7 @@ def classification_report(delta, field):
 
     strongly_connected = np_report.pure and is_strongly_connected(delta)
     pseudo = np_report.pure and np_report.ridge_condition and strongly_connected
-    orientable = pseudo and _orientable(delta)
+    orientable = pseudo and _orientable(delta, _ridges(delta))
 
     buchsbaum, bb_witness = analysis.buchsbaum
     if bb_witness is not None:

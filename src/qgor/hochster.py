@@ -44,8 +44,10 @@ class LocalCohomologyTable:
 
     def entries(self):
         """Nonzero (i, sigma, dim) triples in canonical order."""
-        return sorted(((i, s, v) for (i, s), v in self._entries.items()),
-                      key=lambda t: (t[0], face_key(t[1])))
+        return sorted(
+            ((i, s, v) for (i, s), v in self._entries.items()),
+            key=lambda t: (t[0], face_key(t[1])),
+        )
 
     def total(self, i, j):
         return sum(v for (ii, s), v in self._entries.items() if ii == i and len(s) == -j)
@@ -59,13 +61,20 @@ class LocalCohomologyTable:
         return sorted((i, j, v) for (i, j), v in agg.items())
 
     def to_json(self):
-        return {"d": self.d,
-                "entries": [{"i": i, "sigma": list(s), "dim": v} for i, s, v in self.entries()],
-                "total": [{"i": i, "j": j, "dim": v} for i, j, v in self.totals()]}
+        return {
+            "d": self.d,
+            "entries": [
+                {"i": i, "sigma": list(s), "dim": v} for i, s, v in self.entries()
+            ],
+            "total": [{"i": i, "j": j, "dim": v} for i, j, v in self.totals()],
+        }
 
     def __eq__(self, other):
-        return (isinstance(other, LocalCohomologyTable) and self.d == other.d
-                and self._entries == other._entries)
+        return (
+            isinstance(other, LocalCohomologyTable)
+            and self.d == other.d
+            and self._entries == other._entries
+        )
 
     def __repr__(self):
         return f"LocalCohomologyTable(d={self.d}, {len(self._entries)} nonzero entries)"
@@ -82,8 +91,10 @@ class DepthReport:
         self.witness = witness
 
     def __repr__(self):
-        return (f"DepthReport(depth={self.depth}, cm={self.is_cohen_macaulay}, "
-                f"witness={self.witness})")
+        return (
+            f"DepthReport(depth={self.depth}, cm={self.is_cohen_macaulay}, "
+            f"witness={self.witness})"
+        )
 
 
 class _Links:
@@ -92,9 +103,7 @@ class _Links:
     index (face -> link facets, canonical order) is built on the first read
     of a nonempty face, as lk(empty) is the complex itself.  betti(sigma)
     goes through memo (facets -> Betti vector), which the views of a complex
-    and its core, or of Delta, Delta_A and Delta_B, share.  Only _table
-    reads every face; the predicates are scans in canonical face order
-    that stop as soon as their answer is fixed.
+    and its core, or of Delta, Delta_A and Delta_B, share.
     """
 
     def __init__(self, delta, field, memo=None):
@@ -107,20 +116,18 @@ class _Links:
     def index(self):
         return _link_index(self.delta)
 
-    def faces(self, nonempty=False):
+    def faces(self):
         """The faces in canonical order; the index is read only past the empty face."""
-        if not nonempty:
-            yield ()
+        yield ()
         yield from islice(self.index, 1, None)
 
-    def dim(self, sigma):
-        return len((self.index[sigma] if sigma else self.delta.facets)[-1]) - 1
+    def link(self, sigma):
+        return self.index[sigma] if sigma else self.delta.facets
 
     def betti(self, sigma):
-        lk = self.index[sigma] if sigma else self.delta.facets
+        lk = self.link(sigma)
         if lk not in self.memo:
-            self.memo[lk] = reduced_betti(
-                SimplicialComplex(self.delta.n_vertices, lk) if sigma else self.delta, self.field)
+            self.memo[lk] = reduced_betti(SimplicialComplex(self.delta.n_vertices, lk), self.field)
         return self.memo[lk]
 
     @cached_property
@@ -148,9 +155,9 @@ class _Links:
         """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
         -1 <= i < dim lk sigma and, when ell is given, i < ell - 1; None if
         there is none.  nonempty skips the empty face."""
-        for sigma in self.faces(nonempty):
-            top = self.dim(sigma) if ell is None else min(ell - 1, self.dim(sigma))
-            for i in range(-1, top):
+        for sigma in islice(self.faces(), nonempty, None):
+            dim = len(self.link(sigma)[-1]) - 1
+            for i in range(-1, dim if ell is None else min(ell - 1, dim)):
                 if self.betti(sigma)[i]:
                     return sigma, i
 

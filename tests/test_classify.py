@@ -1,11 +1,10 @@
 """Classification predicates: pseudomanifolds, orientability, (quasi-)Gorenstein."""
 
 import random
-from itertools import combinations
 from unittest import mock
 
 import pytest
-from _perfbench import gen
+from _perfbench import families
 
 import qgor
 from qgor import (
@@ -127,26 +126,8 @@ def test_long_cycle_is_orientable_without_elimination():
     assert spy.call_count == 0
 
 
-def _pseudomanifold_families():
-    """Pseudomanifolds of the corpus and of seeded constructions: spheres,
-    surfaces and their subdivisions, suspensions, joins and a pinched torus."""
-    rng = random.Random(14)
-    torus, rp2 = gen.torus(), gen.rp2()
-    spheres = [gen.simplex_boundary(n) for n in range(2, 7)]
-    spheres += [gen.cross_polytope_boundary(n) for n in range(1, 4)]
-    surfaces = [torus, rp2, gen.sd(torus), gen.sd(rp2)]
-    out = [fx.complex() for fx in corpus()] + spheres + surfaces
-    out += [gen.suspension(d) for d in spheres[:4] + surfaces[:2]]
-    out += [gen.join(a, b) for a in spheres[:3] + surfaces[:2] for b in spheres[:2]]
-    sd_torus, labels = surfaces[2], gen.sd_labels(torus)
-    pairs = [(labels[s], labels[t]) for s, t in combinations(torus.facets, 2)
-             if not set(s) & set(t)]
-    out.append(gen.identify_vertices(sd_torus, *rng.choice(pairs)))
-    return [d for d in out if is_pseudomanifold(d)]
-
-
 def test_orientation_cover_matches_rational_top_homology():
-    cases = _pseudomanifold_families()
+    cases = [d for d in families(random.Random(14)) if is_pseudomanifold(d)]
     assert len(cases) >= 30 and 0 < sum(map(is_orientable, cases)) < len(cases)
     for delta in cases:
         want = reduced_betti(delta, QQ)[delta.dim] != 0

@@ -40,6 +40,7 @@ from qgor import (
     is_buchsbaum,
     is_gorenstein,
     is_homology_manifold,
+    is_orientable,
     is_quasi_gorenstein,
     lefschetz_report,
     link,
@@ -325,6 +326,28 @@ def test_scans_stop_at_their_answer(monkeypatch):
     counts.clear()
     assert is_homology_manifold(wedge, GF2) == (False, False)
     assert sum(counts.values()) <= 2, counts
+
+
+def test_a_scan_refuses_only_what_it_reads(monkeypatch):
+    # Past a cap of 31: the 20-cycle has 41 faces, so its face -> link index
+    # is refused, and the octahedron's d_1 has 6 x 12 entries, so its own
+    # Betti vector is refused.  A predicate refuses when what it reads does.
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
+    cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
+    octahedron = gen.cross_polytope_boundary(3)
+    for field in FIELDS:
+        # H~_1 of a graph is E - V + c, and it fixes a = 0 with no index read
+        assert a_invariant(cycle, field) == 0
+        for predicate in (depth_report, is_buchsbaum):
+            with pytest.raises(CapacityExceeded):
+                predicate(cycle, field)
+        # Buchsbaum exempts the empty face; the other links are graphs
+        assert is_buchsbaum(octahedron, field) == (True, None)
+        for predicate in (depth_report, a_invariant, classification_report):
+            with pytest.raises(CapacityExceeded):
+                predicate(octahedron, field)
+    # orienting the facets builds no boundary matrix
+    assert is_orientable(octahedron)
 
 
 def test_index_links_equal_absorbed_links():

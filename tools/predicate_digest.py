@@ -4,60 +4,41 @@ For each complex and each of Q, GF(2) and GF(3) it records the Hochster
 table JSON, the depth report (depth, verdict, witness), the a-invariant,
 Buchsbaum with its witness, (S_1), (S_2), (S_3), the manifold flags,
 orientability and the classification report JSON; an exception counts as
-an answer (its type and message).  The complexes are the fixture corpus,
-seeded constructions from perfbench/gen.py (spheres, surfaces, their
-subdivisions, cones, suspensions, joins, a pinched torus) and seeded
-random complexes, pure and not.  Two checkouts whose predicates agree
-print the same line, so a refactor can be checked with a plain diff:
+an answer (its type and message).  The complexes are the families of
+tests/_perfbench.py (the fixture corpus and seeded constructions from
+perfbench/gen.py), then seeded random complexes, pure and not, up to
+COUNT.  Two checkouts whose predicates agree print the same line, so a
+refactor can be checked with a plain diff:
 
     python3 tools/predicate_digest.py
     python3 tools/predicate_digest.py --root ../other-checkout
 
-qgor is imported from <root>/src and the generators from
-<root>/perfbench/gen.py (default root: the checkout this script lives in).
+qgor is imported from <root>/src (default root: the checkout this script
+lives in); the families and generators always come from this checkout.
 """
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import random
 import sys
 from itertools import combinations
 
-
-def _load(root):
-    sys.path.insert(0, os.path.join(root, "src"))
-    import qgor
-    from qgor.fixtures import corpus
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", os.path.join(root, "perfbench", "gen.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return qgor, corpus, gen
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED, COUNT = 14, 1000
 
 
-def complexes(qgor, corpus, gen, seed, count):
-    """The corpus, the constructions, then seeded random complexes up to count."""
-    rng = random.Random(seed)
-    torus, rp2 = gen.torus(), gen.rp2()
-    spheres = [gen.simplex_boundary(n) for n in range(2, 6)]
-    spheres += [gen.cross_polytope_boundary(n) for n in range(1, 4)]
-    surfaces = [torus, rp2, gen.sd(torus), gen.sd(rp2)]
-    out = [fx.complex() for fx in corpus()] + spheres + surfaces
-    out += [gen.cone(d) for d in spheres[:3] + surfaces] + [gen.suspension(d) for d in surfaces]
-    out += [gen.join(a, b) for a in spheres[:3] + surfaces[:2] for b in spheres[:2]]
-    labels = gen.sd_labels(torus)
-    pairs = [(labels[s], labels[t]) for s, t in combinations(torus.facets, 2)
-             if not set(s) & set(t)]
-    out.append(gen.identify_vertices(surfaces[2], *rng.choice(pairs)))
-    while len(out) < count:
+def complexes(qgor, perfbench):
+    """The families, then seeded random complexes up to COUNT."""
+    rng = random.Random(SEED)
+    out = perfbench.families(rng)
+    while len(out) < COUNT:
         n = rng.randint(2, 8)
         if rng.random() < 0.5:
             dim = rng.randint(0, min(3, n - 1))
             m = rng.randint(1, min(12, len(list(combinations(range(n), dim + 1)))))
-            out.append(gen.random_pure(rng, n, dim, m))
+            out.append(perfbench.gen.random_pure(rng, n, dim, m))
         else:
             out.append(qgor.from_facets(
                 [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
@@ -89,13 +70,14 @@ def answers(qgor, delta, field):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    parser.add_argument("--seed", type=int, default=14)
-    parser.add_argument("--count", type=int, default=1000, help="complexes (default 1000)")
+    parser.add_argument("--root", default=HERE, help="checkout whose src/qgor is digested")
     args = parser.parse_args(argv)
-    qgor, corpus, gen = _load(os.path.abspath(args.root))
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    import qgor
+    sys.path.insert(0, os.path.join(HERE, "tests"))
+    import _perfbench
     digest = hashlib.sha256()
-    cases = complexes(qgor, corpus, gen, args.seed, args.count)
+    cases = complexes(qgor, _perfbench)
     for delta in cases:
         for field in (qgor.QQ, qgor.GF2, qgor.GF3):
             record = [delta.n_vertices, delta.facets, str(field), answers(qgor, delta, field)]
