@@ -287,20 +287,17 @@ def removal_experiment(delta, b_indices):
     Returns True when Gamma_1 minus B is connected.  B must induce no
     edge of Gamma_2, otherwise GammaTwoNotIsolated reports the first
     offending pair; a graph on zero or one remaining vertices counts
-    as connected.
+    as connected.  Gamma_2 itself is never built: only the pairs of B
+    are checked, for |F_x cap F_y| >= dimDelta - 1, after Gamma_1 has
+    validated the complex.
     """
     b = sorted(set(b_indices))
     m = len(delta.facets)
     for i in b:
         if not 0 <= i < m:
             raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
-    # For dimDelta = 0 the threshold |sigma cap tau| >= dim+1-t is already
-    # nonpositive at t = dim+1, so clamping t reproduces the same graph the
-    # defining inequality would give at t = 2.
-    gamma2 = gamma_graph(delta, min(2, delta.dim + 1))
-    for x in range(len(b)):
-        for y in range(x + 1, len(b)):
-            if gamma2.has_edge(b[x], b[y]):
-                raise GammaTwoNotIsolated((b[x], b[y]))
     gamma1 = gamma_graph(delta, 1)
+    for x, y in combinations(b, 2):
+        if len(set(delta.facets[x]).intersection(delta.facets[y])) >= delta.dim - 1:
+            raise GammaTwoNotIsolated((x, y))
     return _components(gamma1.adjacency(), skip=frozenset(b)) <= 1

@@ -32,11 +32,10 @@ class LocalCohomologyTable:
     squarefree multidegrees with |sigma| = -j; positive j never occurs.
     """
 
-    __slots__ = ("d", "n_vertices", "_entries")
+    __slots__ = ("d", "_entries")
 
-    def __init__(self, d, n_vertices, entries):
+    def __init__(self, d, entries):
         self.d = d
-        self.n_vertices = n_vertices
         self._entries = dict(entries)
 
     def entry(self, i, sigma):
@@ -153,11 +152,12 @@ class _Links:
 
     def low_homology(self, ell=None, nonempty=False):
         """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
-        -1 <= i < dim lk sigma and, when ell is given, i < ell - 1; None if
-        there is none.  nonempty skips the empty face."""
+        0 <= i < dim lk sigma (H~_{-1} of a nonempty link is 0, so no link of
+        dimension <= 0 is computed) and, when ell is given, i < ell - 1; None
+        if there is none.  nonempty skips the empty face."""
         for sigma in islice(self.faces(), nonempty, None):
             dim = len(self.link(sigma)[-1]) - 1
-            for i in range(-1, dim if ell is None else min(ell - 1, dim)):
+            for i in range(dim if ell is None else min(ell - 1, dim)):
                 if self.betti(sigma)[i]:
                     return sigma, i
 
@@ -179,7 +179,7 @@ def _table(links):
         for r, dim_r in links.betti(sigma).dims.items():
             if dim_r:
                 entries[(r + len(sigma) + 1, sigma)] = dim_r
-    return LocalCohomologyTable(links.d, links.delta.n_vertices, entries)
+    return LocalCohomologyTable(links.d, entries)
 
 
 def depth_report(delta, field):

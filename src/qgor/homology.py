@@ -119,10 +119,6 @@ class FieldSpec:
             raise ValueError(f"field must be 'q' or a prime integer, got {text!r}") from None
         return cls(p)
 
-    @property
-    def is_rationals(self):
-        return self.p is None
-
     def spec_string(self):
         """The flag/JSON spelling: 'q' or the prime as a decimal string."""
         return "q" if self.p is None else str(self.p)

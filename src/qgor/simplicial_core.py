@@ -11,6 +11,8 @@ degree -1, which Hochster's formula relies on for links of facets.
 
 Vertex ids are 1-based and need not all occur in a facet; unused ids
 stay in the ambient set (this matters for multidegrees downstream).
+faces_of_dim is the one face enumerator: faces() and the face -> link
+index take the faces one size at a time, so nothing sorts all faces.
 """
 
 import math
@@ -101,20 +103,18 @@ class SimplicialComplex:
         return any(s.issubset(f) for f in self.facets)
 
     def faces(self):
-        """All faces in canonical order, including the empty face.
+        """All faces in canonical order: faces_of_dim(-1), faces_of_dim(0), ...
 
         The void complex yields nothing.  Raises CapacityExceeded when
         more than FACE_CAP faces would have to be materialized.
         """
         check_face_budget(self.facets)
-        seen = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                for s in combinations(f, k):
-                    seen.add(s)
-            if len(seen) > FACE_CAP:
+        out = []
+        for k in range(-1, len(self.facets[-1]) if self.facets else -1):
+            out += self.faces_of_dim(k)
+            if len(out) > FACE_CAP:
                 raise CapacityExceeded(f"more than {FACE_CAP} faces")
-        return sorted(seen, key=face_key)
+        return out
 
     def faces_of_dim(self, k):
         """All k-dimensional faces in lexicographic order.
@@ -244,24 +244,27 @@ def link(delta, sigma):
 def _link_index(delta):
     """Every face mapped to the facets of its link, in canonical face order.
 
-    One pass over the facets: each subset sigma of a facet F files
-    F - sigma under sigma.  As in link(), those lists are already the
+    Filled one face size at a time: each k-subset sigma of a facet F files
+    F - sigma under sigma, and the size's faces enter the index in
+    lexicographic order.  As in link(), those lists are already the
     canonical link facets.  Refuses the same inputs as faces().
     """
     check_face_budget(delta.facets)
     index = {}
-    for f in delta.facets:
-        n = len(f)
-        for k in range(n + 1):
+    for k in range(len(delta.facets[-1]) + 1 if delta.facets else 0):
+        level = {}
+        for f in (f for f in delta.facets if len(f) >= k):
             # The k-subsets of f in lexicographic order are the complements
-            # of its (n-k)-subsets in reverse lexicographic order.
-            rests = list(combinations(f, n - k))
+            # of its (|f|-k)-subsets in reverse lexicographic order.
+            rests = list(combinations(f, len(f) - k))
             rests.reverse()
             for s, rest in zip(combinations(f, k), rests):
-                index.setdefault(s, []).append(rest)
-        if len(index) > FACE_CAP:
-            raise CapacityExceeded(f"more than {FACE_CAP} faces")
-    return {s: tuple(index[s]) for s in sorted(index, key=face_key)}
+                level.setdefault(s, []).append(rest)
+            if len(index) + len(level) > FACE_CAP:
+                raise CapacityExceeded(f"more than {FACE_CAP} faces")
+        for s in sorted(level):
+            index[s] = tuple(level[s])
+    return index
 
 
 def restrict_to_facets(delta, indices):

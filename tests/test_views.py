@@ -17,7 +17,7 @@ import random
 from itertools import combinations
 
 import pytest
-from _perfbench import gen
+from _perfbench import families, gen
 
 import qgor.classify
 import qgor.cli
@@ -50,6 +50,7 @@ from qgor import (
     tconn_check,
 )
 from qgor.fixtures import corpus, get_fixture, oracle_betti
+from qgor.simplicial_core import face_key
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -240,7 +241,7 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                     except HypothesesNotMet:
                         pass
                     assert set(counts) <= allowed, (check, delta, field, counts)
-                    assert max(counts.values()) == 1, (check, delta, field, counts)
+                    assert max(counts.values(), default=1) == 1, (check, delta, field, counts)
     # one qgor liaison run computes each (complex, field) once
     pure = [d for d in cases + _random_complexes(5, 40) if d.is_pure() and len(d.facets) > 1]
     for delta in pure:
@@ -305,12 +306,21 @@ def test_scans_stop_at_their_answer(monkeypatch):
     sd_torus = gen.sd(gen.torus())
     assert a_invariant(sd_torus, GF2) == 0
     assert counts == {(sd_torus.facets, 2): 1} and indexed == []
-    # Buchsbaum exempts the empty face, so Delta's own vector is never computed
+    # Buchsbaum exempts the empty face, so Delta's own vector is never computed,
+    # and H~_{-1} of a nonempty link is 0, so neither is a link of dimension <= 0
     for delta in [sd_torus] + [d for d in COMPLEXES if not d.is_empty and core(d) == d]:
         for field in FIELDS:
             counts.clear()
             is_buchsbaum(delta, field)
             assert (delta.facets, field.p) not in counts, (delta, field)
+            assert all(len(lk[-1]) > 1 for lk, _ in counts), (delta, field, counts)
+            counts.clear()
+            serre_condition(delta, field, 3)
+            assert all(len(lk[-1]) > 1 for lk, _ in counts), (delta, field, counts)
+    # on sd-torus that is one vector per vertex link (a cycle), none per edge
+    counts.clear()
+    assert is_buchsbaum(sd_torus, GF2) == (True, None)
+    assert sum(counts.values()) == len(sd_torus.vertices()) == 42
     # on the cone, the apex's link (H~_1 of the torus) is the first witness
     cone = gen.cone(sd_torus)
     apex = (cone.n_vertices,)
@@ -350,10 +360,27 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
     assert is_orientable(octahedron)
 
 
+def _bitmask_faces(delta):
+    """Every face, by subset bitmasks of each facet, sorted by face_key."""
+    seen = {tuple(f[i] for i in range(len(f)) if mask >> i & 1)
+            for f in delta.facets for mask in range(2 ** len(f))}
+    return sorted(seen, key=face_key)
+
+
 def test_index_links_equal_absorbed_links():
-    for delta in COMPLEXES:
+    void, empty = from_facets([]), from_facets([[]])
+    for delta in [void, empty] + COMPLEXES + families(random.Random(14)):
+        want = _bitmask_faces(delta)
+        assert delta.faces() == want, delta
+        # faces_of_dim(k) is the slice of dimension k, and the slices tile faces()
+        start = 0
+        for k in range(-2, len(delta.facets[-1]) + 1 if delta.facets else 1):
+            stop = start + sum(len(f) == k + 1 for f in want)
+            assert delta.faces_of_dim(k) == want[start:stop], (delta, k)
+            start = stop
+        assert start == len(want)
         index = qgor.simplicial_core._link_index(delta)
-        assert list(index) == delta.faces()
+        assert list(index) == want
         for sigma, facets in index.items():
             assert facets == from_facets(facets, delta.n_vertices).facets == link(delta, sigma).facets
             assert facets == tuple(sorted(
@@ -372,6 +399,19 @@ def test_index_refuses_what_faces_refuses(monkeypatch):
             qgor.simplicial_core._link_index(delta)
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
     assert len(qgor.simplicial_core._link_index(two)) == 31
+    # a complex with n faces is refused at a cap of n - 1 and answered at n
+    csaszar = get_fixture("csaszar-torus").complex()
+    octahedron = gen.cross_polytope_boundary(3)
+    nonpure = from_facets([[1, 2, 3], [3, 4], [5]])
+    for delta, n in ((two, 31), (csaszar, 43), (octahedron, 27), (nonpure, 11)):
+        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", n - 1)
+        with pytest.raises(CapacityExceeded):
+            delta.faces()
+        with pytest.raises(CapacityExceeded):
+            qgor.simplicial_core._link_index(delta)
+        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", n)
+        assert len(delta.faces()) == n
+        assert list(qgor.simplicial_core._link_index(delta)) == delta.faces()
 
 
 def _standalone_payload(delta, partition, field):
