@@ -23,7 +23,6 @@ from .errors import (
     HypothesesNotMet,
     ParseError,
     QgorError,
-    TooLarge,
 )
 from .homology import FieldSpec, reduced_betti
 from .simplicial_core import from_facets
@@ -361,7 +360,7 @@ def main(argv=None):
         return 1
     try:
         return _COMMANDS[args.command](delta, args)
-    except (CapacityExceeded, TooLarge) as exc:
+    except CapacityExceeded as exc:
         print(f"qgor: capacity: {exc}", file=sys.stderr)
         return 2
     except QgorError as exc:

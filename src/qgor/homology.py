@@ -355,18 +355,18 @@ def reduced_betti(delta, field):
     dim H~_j = nullity(d_j) - rank(d_{j+1}) on the reduced (augmented)
     chain complex.  The empty complex has {-1: 1}; ordinary complexes
     report degrees 0..dim (H~_{-1} vanishes once there is a vertex).
-    Two cases are answered without elimination, after the facet-size
-    screen: a cone (every facet holds a common vertex, as a one-facet
-    complex does) has every entry 0, and a graph (dimension at most 1)
-    with V vertices, E edges and c components has H~_0 = c - 1 and
-    H~_1 = E - V + c.
+    Two cases are answered without elimination, after the span screen
+    of the widest facet alone (a facet-size screen): a cone (every facet
+    holds a common vertex, as a one-facet complex does) has every entry
+    0, and a graph (dimension at most 1) with V vertices, E edges and c
+    components has H~_0 = c - 1 and H~_1 = E - V + c.
     """
     if delta.is_void:
         raise ValueError("the void complex has no homology")
     d = delta.dim
     if d == -1:
         return BettiVector({-1: 1})
-    check_face_budget(delta.facets)
+    check_face_budget(delta.facets[-1:])
     if set(delta.facets[0]).intersection(*delta.facets[1:]):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
     if d <= 1:
@@ -387,9 +387,10 @@ def relative_betti(delta, gamma, field):
     complexes.  Over a field the same dimensions compute relative
     cohomology H^j(delta, gamma; field).
 
-    Raises NotASubcomplex when a facet of gamma is not a face of delta.
+    Raises NotASubcomplex when a facet of gamma is not a face of delta,
+    and CapacityExceeded from faces_of_dim's span screen before any face
+    of delta is built.
     """
-    check_face_budget(delta.facets)
     # degrees 0..dim delta; none for the void or the empty complex
     chains = {j: delta.faces_of_dim(j) for j in range(max(map(len, delta.facets), default=0))}
     faces = {f for fs in chains.values() for f in fs}

@@ -13,9 +13,10 @@ Vertex ids are 1-based and need not all occur in a facet; unused ids
 stay in the ambient set (this matters for multidegrees downstream).
 faces_of_dim is the one face enumerator: faces() and the face -> link
 index take the faces one size at a time, so nothing sorts all faces.
+check_face_budget is the one face screen: faces_of_dim and the link
+index run it on the facets' span before any face is built.
 """
 
-import math
 from itertools import combinations
 
 from .errors import (
@@ -26,8 +27,9 @@ from .errors import (
     VertexOutOfRange,
 )
 
-#: Cap on how many faces any single enumeration may produce.  Every
-#: refusal reads it at call time, so lowering it here lowers them all.
+#: Cap on the span sum 2^|F| over the facets F of any complex whose faces
+#: are built, and on boundary-matrix area in homology.  Every refusal
+#: reads it at call time, so lowering it here lowers them all.
 FACE_CAP = 2 ** 24
 
 
@@ -42,17 +44,15 @@ def face_key(f):
 
 
 def check_face_budget(facets):
-    """Refuse facets whose subset count alone already exceeds FACE_CAP.
+    """Refuse facets whose span, the sum of 2^|F| over them, exceeds FACE_CAP.
 
-    This is the cheap screen shared by every routine that enumerates
-    faces dimension by dimension; it guarantees such routines fail
-    before doing any real work on absurdly wide input.
+    The span bounds the number of faces they generate and costs one pass
+    over the facets, so every routine that builds faces runs this first
+    and refuses wide input before any face tuple exists.
     """
-    for f in facets:
-        if 2 ** len(f) > FACE_CAP:
-            raise CapacityExceeded(
-                f"facet of size {len(f)} alone has {2 ** len(f)} subsets, cap is {FACE_CAP}"
-            )
+    span = sum(2 ** len(f) for f in facets)
+    if span > FACE_CAP:
+        raise CapacityExceeded(f"facets span {span} faces, cap is {FACE_CAP}")
 
 
 class SimplicialComplex:
@@ -105,38 +105,29 @@ class SimplicialComplex:
     def faces(self):
         """All faces in canonical order: faces_of_dim(-1), faces_of_dim(0), ...
 
-        The void complex yields nothing.  Raises CapacityExceeded when
-        more than FACE_CAP faces would have to be materialized.
+        The void complex yields nothing.  Raises CapacityExceeded, before
+        any face is built, when the facets span more than FACE_CAP.
         """
-        check_face_budget(self.facets)
         out = []
         for k in range(-1, len(self.facets[-1]) if self.facets else -1):
             out += self.faces_of_dim(k)
-            if len(out) > FACE_CAP:
-                raise CapacityExceeded(f"more than {FACE_CAP} faces")
         return out
 
     def faces_of_dim(self, k):
         """All k-dimensional faces in lexicographic order.
 
         k = -1 yields the empty face (unless the complex is void);
-        out-of-range k yields an empty list.
+        out-of-range k yields an empty list.  Raises CapacityExceeded,
+        before any face is built, when the facets span more than FACE_CAP.
         """
         if self.is_void or k < -1:
             return []
+        check_face_budget(self.facets)
         if k == -1:
             return [()]
         seen = set()
         for f in self.facets:
-            if len(f) < k + 1:
-                continue
-            if math.comb(len(f), k + 1) > FACE_CAP:
-                raise CapacityExceeded(
-                    f"facet of size {len(f)} has too many {k}-faces, cap is {FACE_CAP}"
-                )
             seen.update(combinations(f, k + 1))
-            if len(seen) > FACE_CAP:
-                raise CapacityExceeded(f"more than {FACE_CAP} faces of dimension {k}")
         return sorted(seen)
 
     def face_count(self):
@@ -247,7 +238,8 @@ def _link_index(delta):
     Filled one face size at a time: each k-subset sigma of a facet F files
     F - sigma under sigma, and the size's faces enter the index in
     lexicographic order.  As in link(), those lists are already the
-    canonical link facets.  Refuses the same inputs as faces().
+    canonical link facets.  Refuses the same inputs as faces(), by the
+    same span screen before any face is filed.
     """
     check_face_budget(delta.facets)
     index = {}
@@ -260,8 +252,6 @@ def _link_index(delta):
             rests.reverse()
             for s, rest in zip(combinations(f, k), rests):
                 level.setdefault(s, []).append(rest)
-            if len(index) + len(level) > FACE_CAP:
-                raise CapacityExceeded(f"more than {FACE_CAP} faces")
         for s in sorted(level):
             index[s] = tuple(level[s])
     return index

@@ -2,15 +2,17 @@
 
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
 
 from qgor import simplicial_core
 from qgor.cli import main, parse_facet_file
-from qgor.errors import ParseError
+from qgor.errors import CapacityExceeded, ParseError
 from qgor.fixtures import corpus, get_fixture
-from qgor.simplicial_core import from_facets
+from qgor.homology import GF2, relative_betti
+from qgor.simplicial_core import from_facets, restrict_to_facets
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -242,11 +244,31 @@ def test_cli_exit_two_on_capacity(tmp_path, capsys):
         assert "capacity" in err
 
 
+def test_cli_refuses_a_wide_span_before_building_faces(tmp_path, capsys):
+    # Three 24-vertex facets on X+Y, Y+Z, Z+X (12 vertices per block): each
+    # facet alone spans exactly the cap, all three span 3 * 2^24.  No face
+    # is built, so every refusal is immediate.
+    x, y, z = (list(range(b, b + 12)) for b in (1, 13, 25))
+    facets = [x + y, y + z, z + x]
+    wide = tmp_path / "wide-span.cplx"
+    wide.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    for argv in (("homology",), ("hochster",), ("classify",),
+                 ("liaison", "--facets-a", "1"), ("collapse", "--forbid", "1")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv[0], str(wide), *argv[1:])
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert "capacity" in err, argv
+    delta = from_facets(facets)
+    with pytest.raises(CapacityExceeded):
+        relative_betti(delta, restrict_to_facets(delta, [0]), GF2)
+
+
 def test_cli_exit_two_on_boundary_area(monkeypatch, capsys):
-    monkeypatch.setattr(simplicial_core, "FACE_CAP", 100)
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 120)
     code, out, err = _run(capsys, "homology", _fixture_path("csaszar-torus"))
     assert (code, out) == (2, "")
-    assert err.startswith("qgor: capacity: boundary matrix with 7 x 21 entries, cap is 100")
+    assert err.startswith("qgor: capacity: boundary matrix with 7 x 21 entries, cap is 120")
 
 
 def test_cli_payloads_validate_against_schemas(capsys):

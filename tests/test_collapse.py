@@ -238,7 +238,7 @@ def test_free_faces_match_the_definition():
 
 
 def test_collapse_refuses_what_faces_refuses(monkeypatch):
-    two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
+    two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, span 16 + 16
     monkeypatch.setattr(simplicial_core, "FACE_CAP", 20)
     with pytest.raises(CapacityExceeded):
         two.faces()
@@ -246,7 +246,7 @@ def test_collapse_refuses_what_faces_refuses(monkeypatch):
         collapse_onto(two, {1})
     with pytest.raises(CapacityExceeded):
         free_faces(two)
-    monkeypatch.setattr(simplicial_core, "FACE_CAP", 31)
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 32)
     assert isinstance(collapse_onto(two, {1}), CollapseTrace)
 
 

@@ -495,10 +495,10 @@ def test_long_cycle_is_a_graph():
 
 def test_boundary_area_refusals_read_the_face_cap(monkeypatch):
     torus = get_fixture("csaszar-torus").complex()
-    monkeypatch.setattr(simplicial_core, "FACE_CAP", 100)
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 120)
     with pytest.raises(CapacityExceeded) as exc:
         reduced_betti(torus, QQ)
-    assert str(exc.value) == "boundary matrix with 7 x 21 entries, cap is 100"
+    assert str(exc.value) == "boundary matrix with 7 x 21 entries, cap is 120"
     with pytest.raises(CapacityExceeded) as exc:
         relative_betti(torus, restrict_to_facets(torus, [0]), QQ)
-    assert str(exc.value) == "relative boundary matrix with 18 x 13 entries, cap is 100"
+    assert str(exc.value) == "relative boundary matrix with 18 x 13 entries, cap is 120"

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import time
 
 import pytest
 
@@ -212,6 +213,17 @@ def test_face_enumeration_cap(monkeypatch):
         delta.faces_of_dim(1)
     monkeypatch.undo()
     assert delta.face_count() == 1 + 7 + 21 + 14
+
+
+def test_faces_of_dim_screens_the_span_first():
+    # one 30-vertex facet: its 14-faces alone are C(30, 15) > 2^24, and the
+    # span 2^30 refuses every dimension before a single face is built
+    wide = from_facets([range(1, 31)])
+    start = time.perf_counter()
+    for k in (-1, 0, 14):
+        with pytest.raises(CapacityExceeded):
+            wide.faces_of_dim(k)
+    assert time.perf_counter() - start < 1
 
 
 def test_no_public_callable_takes_a_cap():

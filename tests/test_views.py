@@ -339,10 +339,11 @@ def test_scans_stop_at_their_answer(monkeypatch):
 
 
 def test_a_scan_refuses_only_what_it_reads(monkeypatch):
-    # Past a cap of 31: the 20-cycle has 41 faces, so its face -> link index
-    # is refused, and the octahedron's d_1 has 6 x 12 entries, so its own
-    # Betti vector is refused.  A predicate refuses when what it reads does.
-    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
+    # At a cap of 64: the 20-cycle's facets span 80, so its face -> link index
+    # is refused, the octahedron's span 64 admits its index, and its d_1 has
+    # 6 x 12 entries, so its own Betti vector is refused.  A predicate
+    # refuses when what it reads does.
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
     octahedron = gen.cross_polytope_boundary(3)
     for field in FIELDS:
@@ -391,25 +392,27 @@ def test_index_links_equal_absorbed_links():
 def test_index_refuses_what_faces_refuses(monkeypatch):
     wide = from_facets([range(1, 6)])  # one facet with 32 subsets
     two = from_facets([[1, 2, 3, 4], [5, 6, 7, 8]])  # 31 faces, 16 per facet
+    # built before the cap is lowered: the octahedron generator lists faces
+    csaszar = get_fixture("csaszar-torus").complex()
+    octahedron = gen.cross_polytope_boundary(3)
+    nonpure = from_facets([[1, 2, 3], [3, 4], [5]])
     for delta, cap in ((wide, 16), (two, 20)):
         monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", cap)
         with pytest.raises(CapacityExceeded):
             delta.faces()
         with pytest.raises(CapacityExceeded):
             qgor.simplicial_core._link_index(delta)
-    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 31)
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 32)
     assert len(qgor.simplicial_core._link_index(two)) == 31
-    # a complex with n faces is refused at a cap of n - 1 and answered at n
-    csaszar = get_fixture("csaszar-torus").complex()
-    octahedron = gen.cross_polytope_boundary(3)
-    nonpure = from_facets([[1, 2, 3], [3, 4], [5]])
-    for delta, n in ((two, 31), (csaszar, 43), (octahedron, 27), (nonpure, 11)):
-        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", n - 1)
+    # a complex whose facets span s (the sum of 2^|F|) and which has n faces
+    # is refused at a cap of s - 1 and answered at s
+    for delta, s, n in ((two, 32, 31), (csaszar, 112, 43), (octahedron, 64, 27), (nonpure, 14, 11)):
+        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", s - 1)
         with pytest.raises(CapacityExceeded):
             delta.faces()
         with pytest.raises(CapacityExceeded):
             qgor.simplicial_core._link_index(delta)
-        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", n)
+        monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", s)
         assert len(delta.faces()) == n
         assert list(qgor.simplicial_core._link_index(delta)) == delta.faces()
 
