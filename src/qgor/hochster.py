@@ -9,13 +9,15 @@ for every face sigma (the empty face included), and every other
 multidegree vanishes.  Link homology is computed in one place, a link
 view of the (complex, field) that fills itself on first read: the face
 -> link index only once a nonempty face is read, and each link's Betti
-vector once, with links that coincide as facet lists sharing it.  The
-table is the one full read of that view.  Depth and the Reisner
-Cohen-Macaulay criterion, the a-invariant, the Buchsbaum predicate and
-the Serre condition (S_l) here, and the manifold flags in classify, are
-scans of it in canonical face order that stop as soon as their answer
-is fixed.  Over a field the cohomology dimensions of a link equal its
-homology dimensions, so link Betti vectors serve throughout.
+vector once per class of links equal up to an order-preserving
+renumbering of their vertices (isomorphic complexes, so one vector
+serves the class).  The table is the one full read of that view.
+Depth and the Reisner Cohen-Macaulay criterion, the a-invariant, the
+Buchsbaum predicate and the Serre condition (S_l) here, and the
+manifold flags in classify, are scans of it in canonical face order
+that stop as soon as their answer is fixed.  Over a field the
+cohomology dimensions of a link equal its homology dimensions, so link
+Betti vectors serve throughout.
 """
 
 from functools import cached_property
@@ -102,7 +104,11 @@ class _Links:
     index (face -> link facets, canonical order) is built on the first read
     of a nonempty face, as lk(empty) is the complex itself.  betti(sigma)
     goes through memo (facets -> Betti vector), which the views of a complex
-    and its core, or of Delta, Delta_A and Delta_B, share.
+    and its core, or of Delta, Delta_A and Delta_B, share.  A link is looked
+    up by its own facets, then by its class key, the facets with the
+    vertices renumbered 1..m in ascending order (written as a string, so it
+    never equals a facet tuple); only a class seen for the first time is
+    computed, on the link itself, and the vector is stored under both keys.
     """
 
     def __init__(self, delta, field, memo=None):
@@ -125,9 +131,21 @@ class _Links:
 
     def betti(self, sigma):
         lk = self.link(sigma)
-        if lk not in self.memo:
-            self.memo[lk] = reduced_betti(SimplicialComplex(self.delta.n_vertices, lk), self.field)
-        return self.memo[lk]
+        vector = self.memo.get(lk)
+        if vector is None:
+            # Renumbering the vertices 1..m in ascending order keeps the facets
+            # sorted and in canonical order, so isomorphic links meet at one key.
+            # One string ("1,2;1,3") rather than a tuple of tuples: a burst of
+            # short-lived small tuples stays in CPython's tuple free lists and
+            # raised the peak RSS.
+            vertices = sorted({v for f in lk for v in f})
+            rank = dict(zip(vertices, map(str, range(1, len(vertices) + 1))))
+            key = ";".join(",".join(map(rank.__getitem__, f)) for f in lk)
+            vector = self.memo.get(key)
+            if vector is None:
+                vector = reduced_betti(SimplicialComplex(self.delta.n_vertices, lk), self.field)
+            self.memo[lk] = self.memo[key] = vector
+        return vector
 
     @cached_property
     def depth(self):

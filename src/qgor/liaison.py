@@ -21,7 +21,8 @@ discrepancy.
 
 All four checks (the sequence, link restriction, CM linkage, the
 connectedness of Delta_B) read three analyses, of Delta, Delta_A and
-Delta_B, that share one memo: each Betti vector, link and table is
+Delta_B, that share one memo: each link, table and Betti vector (one
+per class of links equal up to an order-preserving renumbering) is
 computed at most once, on first use, and a check computes only what it
 reads.  Quasi-Gorenstein is the analysis's view in classify; Buchsbaum
 and Cohen-Macaulay are the scans of hochster's link view it extends.
@@ -161,8 +162,10 @@ class CmLinkageReport:
 class _Liaison:
     """One (Delta, partition, field).  The constructor checks that the
     partition applies and builds Delta_A and Delta_B; each is one analysis,
-    and the three share one memo keyed by facets (the link of the empty
-    face is the complex itself, so tables and Betti vectors share it)."""
+    and the three share one memo keyed by facets and by renumbered facets
+    (the link of the empty face is the complex itself, so tables and Betti
+    vectors share it, and links of the three equal up to an order-preserving
+    renumbering share one vector)."""
 
     def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:

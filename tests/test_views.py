@@ -8,8 +8,9 @@ independent oracle_betti, on the corpus, on two wedges of simplex
 boundaries and on seeded random complexes on at most seven vertices.  The counting tests pin that each link is
 computed once per call and once per `qgor classify`, `qgor hochster`
 and `qgor liaison` run, whose payload equals the four public liaison
-checks called one by one, that a predicate builds only what it reads,
-and that a scan stops at its answer.
+checks called one by one, that links equal up to an order-preserving
+renumbering share one computed Betti vector, that a predicate builds
+only what it reads, and that a scan stops at its answer.
 """
 
 import json
@@ -45,6 +46,7 @@ from qgor import (
     lefschetz_report,
     link,
     link_restriction_check,
+    local_cohomology_table,
     normal_pseudomanifold_report,
     serre_condition,
     tconn_check,
@@ -317,17 +319,21 @@ def test_scans_stop_at_their_answer(monkeypatch):
             counts.clear()
             serre_condition(delta, field, 3)
             assert all(len(lk[-1]) > 1 for lk, _ in counts), (delta, field, counts)
-    # on sd-torus that is one vector per vertex link (a cycle), none per edge
+    # on sd-torus that is one vector per class of vertex links (cycles of
+    # one length), none per edge
     counts.clear()
     assert is_buchsbaum(sd_torus, GF2) == (True, None)
-    assert sum(counts.values()) == len(sd_torus.vertices()) == 42
+    cycles = _classes(link(sd_torus, (v,)).facets for v in sd_torus.vertices())
+    assert set(counts) == {(lk, 2) for lk in cycles} and len(cycles) == 8
+    assert sum(counts.values()) == 8
     # on the cone, the apex's link (H~_1 of the torus) is the first witness
     cone = gen.cone(sd_torus)
     apex = (cone.n_vertices,)
     counts.clear()
     assert is_buchsbaum(cone, GF2) == (False, (apex, 1))
     faces = cone.faces()
-    assert set(counts) == {(link(cone, s).facets, 2) for s in faces[1:faces.index(apex) + 1]}
+    read = _classes(link(cone, s).facets for s in faces[1:faces.index(apex) + 1])
+    assert set(counts) == {(lk, 2) for lk in read} and len(read) == 9
     assert max(counts.values()) == 1
     # two boundaries of the 4-simplex wedged at vertex 1: lk{1}, the second
     # face in canonical order, is two 2-spheres and ends the manifold scan
@@ -336,6 +342,52 @@ def test_scans_stop_at_their_answer(monkeypatch):
     counts.clear()
     assert is_homology_manifold(wedge, GF2) == (False, False)
     assert sum(counts.values()) <= 2, counts
+
+
+def _renumbered(facets):
+    """The facets with their vertices renumbered 1..m in ascending order."""
+    order = sorted(set().union(*facets))
+    return tuple(tuple(order.index(v) + 1 for v in f) for f in facets)
+
+
+def _classes(links):
+    """The first facet list of each class equal up to an order-preserving
+    renumbering, in the order given."""
+    first = {}
+    for lk in links:
+        first.setdefault(_renumbered(lk), lk)
+    return list(first.values())
+
+
+def test_links_share_betti_vectors_by_class(monkeypatch):
+    counts = _count_betti(monkeypatch)
+    # a hexagon and two disjoint triangle boundaries: both links have six
+    # vertices and six edges, and they are not isomorphic
+    hexagon = [(v, v % 6 + 1, 7) for v in range(1, 7)]
+    triangles = [(a, b, 14) for t in ((8, 9, 10), (11, 12, 13)) for a, b in combinations(t, 2)]
+    delta = from_facets(hexagon + triangles)
+    assert link(delta, (7,)).facets != link(delta, (14,)).facets
+    assert _renumbered(link(delta, (7,)).facets) != _renumbered(link(delta, (14,)).facets)
+    for field in FIELDS:
+        table = local_cohomology_table(delta, field)
+        want = {}
+        for sigma in delta.faces():
+            for r, dim_r in oracle_betti(link(delta, sigma), field).nonzero().items():
+                want[(r + len(sigma) + 1, sigma)] = dim_r
+        assert table._entries == want, field
+        # H~_1 = 1 against H~_0 = 1, H~_1 = 2, at i = r + |sigma| + 1
+        assert [table.entry(i, (7,)) for i in (2, 3)] == [0, 1], field
+        assert [table.entry(i, (14,)) for i in (2, 3)] == [1, 2], field
+    # sd(boundary of the 4-simplex): 8 classes of links, by link dimension
+    # 1 (the facets' {empty}) + 1 (two points) + 2 + 3 + 1 (the complex)
+    sphere = gen.sd(gen.simplex_boundary(5))
+    links = [link(sphere, s).facets for s in sphere.faces()]
+    assert len(set(links)) == 242
+    counts.clear()
+    local_cohomology_table(sphere, GF2)
+    assert sum(counts.values()) == len(counts) == len(_classes(links)) == 8
+    dims = sorted(len(lk[-1]) - 1 for lk, _ in counts)
+    assert dims == [-1, 0, 1, 1, 2, 2, 2, 3], counts
 
 
 def test_a_scan_refuses_only_what_it_reads(monkeypatch):

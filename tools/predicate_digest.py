@@ -7,8 +7,13 @@ orientability and the classification report JSON; an exception counts as
 an answer (its type and message).  The complexes are the families of
 tests/_perfbench.py (the fixture corpus and seeded constructions from
 perfbench/gen.py), then seeded random complexes, pure and not, up to
-COUNT.  Two checkouts whose predicates agree print the same line, so a
-refactor can be checked with a plain diff:
+COUNT.  A second line digests the four liaison reports (the Lefschetz
+report, link restriction and CM linkage as JSON, tconn as its verdict or
+its exception) on seeded complementary facet partitions of the pure
+complexes among them, over the same three fields; these read Delta,
+Delta_A and Delta_B through one shared memo.  Two checkouts whose
+predicates agree print the same lines, so a refactor can be checked with
+a plain diff:
 
     python3 tools/predicate_digest.py
     python3 tools/predicate_digest.py --root ../other-checkout
@@ -68,6 +73,31 @@ def answers(qgor, delta, field):
     }
 
 
+def partitions(qgor, cases):
+    """(delta, partition) for up to two seeded complementary partitions of
+    each pure complex with at least two facets: A is a random set of k
+    facets for two distinct sizes k drawn from 1..m-1."""
+    rng = random.Random(SEED)
+    out = []
+    for delta in cases:
+        m = len(delta.facets)
+        if m < 2 or not delta.is_pure():
+            continue
+        for k in rng.sample(range(1, m), min(2, m - 1)):
+            out.append((delta, qgor.FacetPartition.complementary(delta, rng.sample(range(m), k))))
+    return out
+
+
+def liaison_answers(qgor, delta, partition, field):
+    return {
+        "lefschetz": _answer(lambda: qgor.lefschetz_report(delta, partition, field).to_json()),
+        "link_restriction": _answer(
+            lambda: qgor.link_restriction_check(delta, partition, field).to_json()),
+        "cm_linkage": _answer(lambda: qgor.cm_linkage_check(delta, partition, field).to_json()),
+        "tconn": _answer(lambda: qgor.tconn_check(delta, partition, field)),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=HERE, help="checkout whose src/qgor is digested")
@@ -83,6 +113,14 @@ def main(argv=None):
             record = [delta.n_vertices, delta.facets, str(field), answers(qgor, delta, field)]
             digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
     print(f"{len(cases)} complexes x 3 fields: sha256 {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    pairs = partitions(qgor, cases)
+    for delta, partition in pairs:
+        for field in (qgor.QQ, qgor.GF2, qgor.GF3):
+            record = [delta.n_vertices, delta.facets, sorted(partition.a), str(field),
+                      liaison_answers(qgor, delta, partition, field)]
+            digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
+    print(f"{len(pairs)} partitions x 3 fields of liaison reports: sha256 {digest.hexdigest()}")
     return 0
 
 
