@@ -16,17 +16,20 @@ order, so failures are reproducible.
 
 Each predicate over a field is a read of one analysis of the complex,
 hochster's link view: the face -> link index, the normal-pseudomanifold
-pass and each link's Betti vector are computed on first read, at most
-once, and only if read.  An analysis lives as long as its call.
+report and each link's Betti vector are computed on first read, at most
+once, and only if read.  Normality is read off link homology: a link is
+connected exactly when its H~_0 and H~_{-1} vanish, which does not
+depend on the field.  An analysis lives as long as its call.
 """
 
 from functools import cached_property
-from itertools import islice
+from itertools import islice, takewhile
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
 from .hochster import _Links, _table
-from .simplicial_core import _link_index, check_face_budget, core, face_key
+from .homology import GF2
+from .simplicial_core import check_face_budget, core, face_key
 
 
 class NormalPseudomanifoldReport:
@@ -60,34 +63,10 @@ def normal_pseudomanifold_report(delta):
     dimension at most dim(Delta) - 2, the empty face included.  The
     ridge condition asks that every (dim Delta - 1)-face lie in exactly
     two facets; in dimension 0 the relevant ridge is the empty face, so
-    a 0-sphere passes and three points fail.
+    a 0-sphere passes and three points fail.  Connectivity is H~_0 and
+    H~_{-1}, which do not depend on the field.
     """
-    _classifiable(delta)
-    return _normal_pseudomanifold(delta, _link_index(delta))
-
-
-def _normal_pseudomanifold(delta, index):
-    """The report read off the face -> link facets index.
-
-    A ridge lies in as many facets as its link has facets.
-    """
-    d = delta.dim
-    witnesses = {}
-    pure = delta.is_pure()
-    if not pure:
-        witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
-    # faces of dimension at most d - 2 need connected links
-    normal_w = next((s for s, lk in index.items()
-                     if len(s) < d and _components(_vertex_graph(lk)) != 1), None)
-    ridge_w = next(((s, len(lk)) for s, lk in index.items()
-                    if len(s) == d and len(lk) != 2), None)
-    normal, ridge_condition = normal_w is None, ridge_w is None
-    if not normal:
-        witnesses["normal"] = normal_w
-    if not ridge_condition:
-        witnesses["ridge_condition"] = ridge_w
-    ok = pure and normal and ridge_condition
-    return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
+    return _Analysis(delta, GF2).normal
 
 
 def is_strongly_connected(delta):
@@ -160,7 +139,28 @@ class _Analysis(_Links):
 
     @cached_property
     def normal(self):
-        return _normal_pseudomanifold(self.delta, self.index)
+        """The normal-pseudomanifold report.  A nonempty face's link is
+        disconnected when its H~_0 or H~_{-1} (nonzero on the link {empty} of
+        a lower-dimensional facet) is; Delta's own connectivity is its vertex
+        graph's, so Delta's homology is never read.  A ridge lies in as many
+        facets as its link has facets."""
+        delta, d = self.delta, self.delta.dim
+        witnesses = {}
+        pure = delta.is_pure()
+        if not pure:
+            witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
+        disconnected = (lambda s: (self.betti(s)[0] or self.betti(s)[-1]) if s
+                        else _components(_vertex_graph(delta.facets)) != 1)
+        normal_w = next(filter(disconnected, takewhile(lambda s: len(s) < d, self.faces())), None)
+        ridge_w = next(((s, len(lk)) for s, lk in self.index.items()
+                        if len(s) == d and len(lk) != 2), None)
+        normal, ridge_condition = normal_w is None, ridge_w is None
+        if not normal:
+            witnesses["normal"] = normal_w
+        if not ridge_condition:
+            witnesses["ridge_condition"] = ridge_w
+        ok = pure and normal and ridge_condition
+        return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
 
     @cached_property
     def quasi_gorenstein(self):

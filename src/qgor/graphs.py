@@ -44,12 +44,6 @@ class GammaGraph:
     def n_vertices(self):
         return len(self.facets)
 
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
-
-    def neighbors(self, i):
-        return sorted(self.adjacency()[i])
-
     def adjacency(self):
         adj = {i: set() for i in range(len(self.facets))}
         for a, b in self.edges:

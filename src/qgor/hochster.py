@@ -14,8 +14,9 @@ renumbering of their vertices (isomorphic complexes, so one vector
 serves the class).  The table is the one full read of that view.
 Depth and the Reisner Cohen-Macaulay criterion, the a-invariant, the
 Buchsbaum predicate and the Serre condition (S_l) here, and the
-manifold flags in classify, are scans of it in canonical face order
-that stop as soon as their answer is fixed.  Over a field the
+manifold flags and normality in classify (a link is connected exactly
+when its H~_0 and H~_{-1} vanish), are scans of it in canonical face
+order that stop as soon as their answer is fixed.  Over a field the
 cohomology dimensions of a link equal its homology dimensions, so link
 Betti vectors serve throughout.
 """
@@ -30,7 +31,7 @@ from .simplicial_core import SimplicialComplex, _link_index, face, face_key, lin
 class LocalCohomologyTable:
     """Sparse table of dim_k H^i_m(k[Delta])_{-sigma} over faces sigma.
 
-    Only nonzero entries are stored.  total(i, j) aggregates over the
+    Only nonzero entries are stored.  totals() aggregates (i, j) over the
     squarefree multidegrees with |sigma| = -j; positive j never occurs.
     """
 
@@ -49,9 +50,6 @@ class LocalCohomologyTable:
             ((i, s, v) for (i, s), v in self._entries.items()),
             key=lambda t: (t[0], face_key(t[1])),
         )
-
-    def total(self, i, j):
-        return sum(v for (ii, s), v in self._entries.items() if ii == i and len(s) == -j)
 
     def totals(self):
         """Nonzero (i, j, dim) aggregates in canonical order."""
@@ -230,7 +228,7 @@ def cohen_macaulay_direct(delta, field):
 
 
 def a_invariant(delta, field):
-    """The a-invariant: the top degree j with total(d, j) nonzero.
+    """The a-invariant: the top degree j with a nonzero total (d, j).
 
     Equals -min{ |sigma| : H~^{d - |sigma| - 1}(lk sigma; k) != 0 } and
     is never positive; it is 0 exactly when the complex itself has

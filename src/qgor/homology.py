@@ -163,9 +163,6 @@ class BettiVector:
         """Reduced Euler characteristic sum_j (-1)^j dim H~_j."""
         return sum((-1) ** j * d for j, d in self.dims.items())
 
-    def total(self):
-        return sum(self.dims.values())
-
     def to_json(self):
         return {str(j): self.dims[j] for j in sorted(self.dims)}
 

@@ -130,10 +130,6 @@ class SimplicialComplex:
             seen.update(combinations(f, k + 1))
         return sorted(seen)
 
-    def face_count(self):
-        """Total number of faces, empty face included."""
-        return len(self.faces())
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)

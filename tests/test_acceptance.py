@@ -275,8 +275,9 @@ def test_criterion_09_poincare_degree_zero():
             seen.add(fx.name)
             table = local_cohomology_table(delta, field)
             d = table.d
+            total = {(i, j): v for i, j, v in table.totals()}
             for i in range(1, d - 1):
-                assert table.total(d - i, 0) == table.total(i + 1, 0), \
+                assert total.get((d - i, 0), 0) == total.get((i + 1, 0), 0), \
                     (fx.name, str(field), i)
     assert {"csaszar-torus", "boundary-4-simplex", "boundary-3-simplex"} <= seen
     _check_budget("criterion 9 (Poincare degree 0)", t0, 5)

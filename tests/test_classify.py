@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from _perfbench import families
+from _perfbench import families, gen
 
 import qgor
 from qgor import (
@@ -221,11 +221,16 @@ def test_buchsbaum_normal_pseudomanifolds_are_manifolds():
 
 
 def test_normality_flag_is_field_independent_serre_two():
-    for fx in corpus():
-        delta = fx.complex()
+    # on a pure complex the faces below the ridges are those whose links
+    # have dimension >= 1, where (S_2) asks H~_0 = 0, that is connectivity
+    rng = random.Random(18)
+    cases = families(rng) + [gen.random_pure(rng, rng.randint(5, 7), rng.randint(1, 2),
+                                             rng.randint(2, 8)) for _ in range(40)]
+    for delta in cases:
         report = classification_report(delta, QQ)
+        assert normal_pseudomanifold_report(delta).normal == report.normal, delta
         for field in FIELDS:
-            assert serre_condition(delta, field, 2) == report.normal, (fx.name, field)
+            assert serre_condition(delta, field, 2) == report.normal, (delta, field)
 
 
 def test_report_witnesses_and_serialization():
@@ -251,13 +256,14 @@ def test_non_pseudomanifold_reports_false_instead_of_raising():
 def test_report_runs_one_normal_pseudomanifold_pass_per_complex(monkeypatch):
     # The complex and, when it differs, its nonempty core: one pass each.
     passes = []
-    original = qgor.classify._normal_pseudomanifold
+    view = qgor.classify._Analysis.__dict__["normal"]
+    original = view.func
 
-    def counting(delta, index):
-        passes.append(delta)
-        return original(delta, index)
+    def counting(analysis):
+        passes.append(analysis.delta)
+        return original(analysis)
 
-    monkeypatch.setattr(qgor.classify, "_normal_pseudomanifold", counting)
+    monkeypatch.setattr(view, "func", counting)
     distinct = {"csaszar-torus": 1, "rp2-6": 1, "cone-four-cycle": 2, "paper-cex1": 2}
     for fx in corpus():
         delta = fx.complex()

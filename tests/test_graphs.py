@@ -35,7 +35,7 @@ def test_gamma_one_of_simplex_boundary_is_complete():
     g = gamma_graph(delta, 1)
     assert g.n_vertices == 4
     assert len(g.edges) == 6
-    assert all(g.has_edge(i, j) for i in range(4) for j in range(i + 1, 4))
+    assert all((i, j) in g.edges for i in range(4) for j in range(i + 1, 4))
 
 
 def test_gamma_zero_is_edgeless():
@@ -48,7 +48,7 @@ def test_gamma_one_of_four_cycle_is_the_cycle():
     g = gamma_graph(delta, 1)
     # canonical facet order: (1,2), (1,4), (2,3), (3,4)
     assert g.edges == frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})
-    assert g.neighbors(0) == [1, 2]
+    assert sorted(g.adjacency()[0]) == [1, 2]
 
 
 def test_gamma_rejects_bad_inputs():
@@ -277,7 +277,7 @@ def test_removal_exhaustive_on_corpus():
         valid = 0
         for size in range(1, m + 1):
             for b in combinations(range(m), size):
-                if any(g2.has_edge(i, j) for i, j in combinations(b, 2)):
+                if any(e in g2.edges for e in combinations(b, 2)):
                     continue
                 valid += 1
                 assert removal_experiment(delta, b), (fx.name, b)
@@ -291,7 +291,7 @@ def test_torus_has_twenty_one_valid_removal_sets():
         b
         for size in (1, 2, 3)
         for b in combinations(range(14), size)
-        if not any(g2.has_edge(i, j) for i, j in combinations(b, 2))
+        if not any(e in g2.edges for e in combinations(b, 2))
     ]
     assert len(sets) == 21
     assert sum(1 for b in sets if len(b) == 1) == 14

@@ -197,5 +197,6 @@ def test_poincare_symmetry_degree_zero():
                 continue
             table = local_cohomology_table(delta, field)
             d = table.d
+            total = {(i, j): v for i, j, v in table.totals()}
             for i in range(1, d - 1):
-                assert table.total(d - i, 0) == table.total(i + 1, 0), (fx.name, field, i)
+                assert total.get((d - i, 0), 0) == total.get((i + 1, 0), 0), (fx.name, field, i)

@@ -212,7 +212,7 @@ def test_face_enumeration_cap(monkeypatch):
     with pytest.raises(CapacityExceeded):
         delta.faces_of_dim(1)
     monkeypatch.undo()
-    assert delta.face_count() == 1 + 7 + 21 + 14
+    assert len(delta.faces()) == 1 + 7 + 21 + 14
 
 
 def test_faces_of_dim_screens_the_span_first():

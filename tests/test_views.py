@@ -2,15 +2,18 @@
 
 The library reads CM, depth, the a-invariant, Buchsbaum, (S_l), the
 manifold flags, normality and the liaison comparisons off one lazily
-filled link view per complex and field.  The references
-below recompute each of them face by face from qgor.link and the
-independent oracle_betti, on the corpus, on two wedges of simplex
-boundaries and on seeded random complexes on at most seven vertices.  The counting tests pin that each link is
-computed once per call and once per `qgor classify`, `qgor hochster`
-and `qgor liaison` run, whose payload equals the four public liaison
-checks called one by one, that links equal up to an order-preserving
-renumbering share one computed Betti vector, that a predicate builds
-only what it reads, and that a scan stops at its answer.
+filled link view per complex and field.  The references below recompute
+each of them face by face from qgor.link and the independent
+oracle_betti, on the corpus, on two wedges of simplex boundaries and on
+seeded random complexes on at most seven vertices; normality also on
+the checked families of tests/_perfbench.py and on seeded non-pure
+complexes with facets below the ridges.  The counting tests pin that
+each link is computed once per call and once per `qgor classify`,
+`qgor hochster` and `qgor liaison` run, whose payload equals the four
+public liaison checks called one by one, that links equal up to an
+order-preserving renumbering share one computed Betti vector, that a
+predicate builds only what it reads, and that a scan stops at its
+answer.
 """
 
 import json
@@ -48,6 +51,7 @@ from qgor import (
     link_restriction_check,
     local_cohomology_table,
     normal_pseudomanifold_report,
+    reduced_betti,
     serre_condition,
     tconn_check,
 )
@@ -132,15 +136,33 @@ def test_table_views_match_per_face_reference(field):
             assert is_homology_manifold(delta, field) == (manifold, manifold and sphere[0]), tag
 
 
+def _nonpure_complexes(seed, count):
+    """Seeded complexes of dimension 2 or 3 with smaller facets beside the
+    top ones: some faces below the ridges have 0-dimensional links, and
+    some facets lie below the ridges (their link is {empty})."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, top = rng.randint(5, 8), rng.randint(3, 4)
+        facets = [rng.sample(range(1, n + 1), top) for _ in range(rng.randint(1, 4))]
+        facets += [rng.sample(range(1, n + 1), rng.randint(1, top - 1))
+                   for _ in range(rng.randint(1, 4))]
+        out.append(from_facets(facets, n))
+    return out
+
+
 def test_normal_pseudomanifold_matches_per_face_reference():
-    for delta in COMPLEXES:
+    low_link_dims = set()
+    for delta in COMPLEXES + families(random.Random(18)) + _nonpure_complexes(18, 60):
         if delta.is_empty:
             continue
         d = delta.dim
         report = normal_pseudomanifold_report(delta)
+        low = [(sigma, link(delta, sigma)) for sigma in delta.faces() if len(sigma) - 1 <= d - 2]
+        low_link_dims.update(lk.dim for sigma, lk in low if sigma)
         # connected and nonempty <=> no reduced homology in degrees -1, 0
-        disconnected = [sigma for sigma in delta.faces() if len(sigma) - 1 <= d - 2
-                        and oracle_betti(link(delta, sigma), GF2).nonzero().keys() & {-1, 0}]
+        disconnected = [sigma for sigma, lk in low
+                        if oracle_betti(lk, GF2).nonzero().keys() & {-1, 0}]
         assert report.normal == (not disconnected), delta
         assert report.witnesses.get("normal") == (disconnected[0] if disconnected else None), delta
         counts = [(r, sum(1 for f in delta.facets if set(r) <= set(f)))
@@ -148,6 +170,19 @@ def test_normal_pseudomanifold_matches_per_face_reference():
         bad = [rc for rc in counts if rc[1] != 2]
         assert report.ridge_condition == (not bad), delta
         assert report.witnesses.get("ridge_condition") == (bad[0] if bad else None), delta
+    # lower-dimensional facets and 0-dimensional links below the ridges occur
+    assert {-1, 0} <= low_link_dims
+
+
+def test_normal_pseudomanifold_answers_past_the_homology_cap():
+    # sd^2 of the boundary of the 4-simplex: its own d_1 has 3420 x 5760
+    # entries, over the default cap, but normality reads its vertex graph and
+    # the links of its low faces, never its own homology
+    sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
+    with pytest.raises(CapacityExceeded):
+        reduced_betti(sphere, GF2)
+    report = normal_pseudomanifold_report(sphere)
+    assert report.ok and report.witnesses == {}
 
 
 def _partitions(delta, rng):
@@ -236,6 +271,9 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                 delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
                 allowed = {(c, field.p) for c in (delta.facets, delta_b.facets)}
                 allowed |= {(link(delta_a, s).facets, field.p) for s in delta_a.faces()}
+                # quasi-Gorenstein reads normality off the links of Delta's low faces
+                allowed |= {(link(delta, s).facets, field.p) for s in delta.faces()
+                            if s and len(s) < delta.dim}
                 for check in (lefschetz_report, tconn_check):
                     counts.clear()
                     try:
@@ -280,14 +318,24 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
     for module in (qgor.hochster, qgor.classify):
         monkeypatch.setattr(module, "_table", spy)
     for delta in [fx.complex() for fx in corpus() if not fx.complex().is_empty]:
+        report = normal_pseudomanifold_report(delta)
+        # the links of the nonempty faces of size < dim Delta, in canonical
+        # order up to the normal witness (none when it is the empty face),
+        # one per class of links
+        low = [s for s in delta.faces()[1:] if len(s) < delta.dim]
+        witness = report.witnesses.get("normal")
+        if witness is not None:
+            low = low[:low.index(witness) + 1] if witness else []
+        read = _classes(link(delta, s).facets for s in low)
         for field in FIELDS:
             counts.clear()
             qg = is_quasi_gorenstein(delta, field)
             assert not tables, (delta, field)
-            # Delta's own Betti vector, and only for a normal pseudomanifold
-            npm = normal_pseudomanifold_report(delta).ok
-            assert set(counts) == ({(delta.facets, field.p)} if npm else set()), (delta, field)
-            assert qg <= npm
+            # plus Delta's own Betti vector, and only for a normal pseudomanifold
+            want = {(lk, field.p) for lk in read}
+            assert set(counts) == want | ({(delta.facets, field.p)} if report.ok else set()), \
+                (delta, field)
+            assert qg <= report.ok
     # a cone over a core that is Buchsbaum but no normal pseudomanifold
     two = get_fixture("two-triangles").complex()
     cone = from_facets([f + (7,) for f in two.facets], 7)

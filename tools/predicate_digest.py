@@ -1,4 +1,4 @@
-"""Print one digest of every link predicate's answers on seeded complexes.
+"""Print digests of every predicate's answers on seeded complexes.
 
 For each complex and each of Q, GF(2) and GF(3) it records the Hochster
 table JSON, the depth report (depth, verdict, witness), the a-invariant,
@@ -11,9 +11,12 @@ COUNT.  A second line digests the four liaison reports (the Lefschetz
 report, link restriction and CM linkage as JSON, tconn as its verdict or
 its exception) on seeded complementary facet partitions of the pure
 complexes among them, over the same three fields; these read Delta,
-Delta_A and Delta_B through one shared memo.  Two checkouts whose
-predicates agree print the same lines, so a refactor can be checked with
-a plain diff:
+Delta_A and Delta_B through one shared memo.  A third line digests the
+predicates that take no field on every complex: the normal-pseudomanifold
+report (its flags and witnesses), is_pseudomanifold and
+is_strongly_connected, exceptions again counting as answers.  Two
+checkouts whose predicates agree print the same lines, so a refactor can
+be checked with a plain diff:
 
     python3 tools/predicate_digest.py
     python3 tools/predicate_digest.py --root ../other-checkout
@@ -73,6 +76,18 @@ def answers(qgor, delta, field):
     }
 
 
+def field_free_answers(qgor, delta):
+    def normal():
+        r = qgor.normal_pseudomanifold_report(delta)
+        return [r.ok, r.pure, r.normal, r.ridge_condition, r.witnesses]
+
+    return {
+        "normal_pseudomanifold": _answer(normal),
+        "pseudomanifold": _answer(lambda: qgor.is_pseudomanifold(delta)),
+        "strongly_connected": _answer(lambda: qgor.is_strongly_connected(delta)),
+    }
+
+
 def partitions(qgor, cases):
     """(delta, partition) for up to two seeded complementary partitions of
     each pure complex with at least two facets: A is a random set of k
@@ -121,6 +136,11 @@ def main(argv=None):
                       liaison_answers(qgor, delta, partition, field)]
             digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
     print(f"{len(pairs)} partitions x 3 fields of liaison reports: sha256 {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for delta in cases:
+        record = [delta.n_vertices, delta.facets, field_free_answers(qgor, delta)]
+        digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
+    print(f"{len(cases)} complexes of field-free predicates: sha256 {digest.hexdigest()}")
     return 0
 
 
