@@ -17,18 +17,17 @@ order, so failures are reproducible.
 Each predicate over a field is a read of one analysis of the complex,
 hochster's link view: the face -> link index, the normal-pseudomanifold
 report and each link's Betti vector are computed on first read, at most
-once, and only if read.  Normality is read off link homology: a link is
-connected exactly when its H~_0 and H~_{-1} vanish, which does not
-depend on the field.  An analysis lives as long as its call.
+once, and only if read.  Normality reads each low link's vertex graph
+off the index, so it reads no homology.  An analysis lives as long as
+its call.
 """
 
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import islice
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
 from .hochster import _Links, _table
-from .homology import GF2
 from .simplicial_core import check_face_budget, core, face_key
 
 
@@ -63,10 +62,9 @@ def normal_pseudomanifold_report(delta):
     dimension at most dim(Delta) - 2, the empty face included.  The
     ridge condition asks that every (dim Delta - 1)-face lie in exactly
     two facets; in dimension 0 the relevant ridge is the empty face, so
-    a 0-sphere passes and three points fail.  Connectivity is H~_0 and
-    H~_{-1}, which do not depend on the field.
+    a 0-sphere passes and three points fail.
     """
-    return _Analysis(delta, GF2).normal
+    return _Analysis(delta, None).normal  # no homology is read, so no field
 
 
 def is_strongly_connected(delta):
@@ -139,19 +137,18 @@ class _Analysis(_Links):
 
     @cached_property
     def normal(self):
-        """The normal-pseudomanifold report.  A nonempty face's link is
-        disconnected when its H~_0 or H~_{-1} (nonzero on the link {empty} of
-        a lower-dimensional facet) is; Delta's own connectivity is its vertex
-        graph's, so Delta's homology is never read.  A ridge lies in as many
-        facets as its link has facets."""
+        """The normal-pseudomanifold report, read off the view's index.  A
+        link is connected when its vertex graph has one component, so no
+        homology is read.  A ridge lies in as many facets as its link has
+        facets."""
         delta, d = self.delta, self.delta.dim
         witnesses = {}
         pure = delta.is_pure()
         if not pure:
             witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
-        disconnected = (lambda s: (self.betti(s)[0] or self.betti(s)[-1]) if s
-                        else _components(_vertex_graph(delta.facets)) != 1)
-        normal_w = next(filter(disconnected, takewhile(lambda s: len(s) < d, self.faces())), None)
+        # faces of dimension at most d - 2 need connected links
+        normal_w = next((s for s, lk in self.index.items()
+                         if len(s) < d and _components(_vertex_graph(lk)) != 1), None)
         ridge_w = next(((s, len(lk)) for s, lk in self.index.items()
                         if len(s) == d and len(lk) != 2), None)
         normal, ridge_condition = normal_w is None, ridge_w is None

@@ -14,9 +14,8 @@ renumbering of their vertices (isomorphic complexes, so one vector
 serves the class).  The table is the one full read of that view.
 Depth and the Reisner Cohen-Macaulay criterion, the a-invariant, the
 Buchsbaum predicate and the Serre condition (S_l) here, and the
-manifold flags and normality in classify (a link is connected exactly
-when its H~_0 and H~_{-1} vanish), are scans of it in canonical face
-order that stop as soon as their answer is fixed.  Over a field the
+manifold flags in classify, are scans of it in canonical face order
+that stop as soon as their answer is fixed.  Over a field the
 cohomology dimensions of a link equal its homology dimensions, so link
 Betti vectors serve throughout.
 """

@@ -176,13 +176,20 @@ def test_normal_pseudomanifold_matches_per_face_reference():
 
 def test_normal_pseudomanifold_answers_past_the_homology_cap():
     # sd^2 of the boundary of the 4-simplex: its own d_1 has 3420 x 5760
-    # entries, over the default cap, but normality reads its vertex graph and
-    # the links of its low faces, never its own homology
+    # entries, over the default cap, but normality reads the vertex graphs of
+    # its links and of itself, never their homology
     sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
     with pytest.raises(CapacityExceeded):
         reduced_betti(sphere, GF2)
     report = normal_pseudomanifold_report(sphere)
     assert report.ok and report.witnesses == {}
+    # the cone point's link is that sphere; the cone is a ball, so its
+    # boundary ridges lie in one facet and no homology decides the answer
+    cone = gen.cone(sphere)
+    report = normal_pseudomanifold_report(cone)
+    assert report.normal and not report.ridge_condition
+    for field in FIELDS:
+        assert not is_quasi_gorenstein(cone, field)
 
 
 def _partitions(delta, rng):
@@ -271,9 +278,6 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                 delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
                 allowed = {(c, field.p) for c in (delta.facets, delta_b.facets)}
                 allowed |= {(link(delta_a, s).facets, field.p) for s in delta_a.faces()}
-                # quasi-Gorenstein reads normality off the links of Delta's low faces
-                allowed |= {(link(delta, s).facets, field.p) for s in delta.faces()
-                            if s and len(s) < delta.dim}
                 for check in (lefschetz_report, tconn_check):
                     counts.clear()
                     try:
@@ -318,24 +322,14 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
     for module in (qgor.hochster, qgor.classify):
         monkeypatch.setattr(module, "_table", spy)
     for delta in [fx.complex() for fx in corpus() if not fx.complex().is_empty]:
-        report = normal_pseudomanifold_report(delta)
-        # the links of the nonempty faces of size < dim Delta, in canonical
-        # order up to the normal witness (none when it is the empty face),
-        # one per class of links
-        low = [s for s in delta.faces()[1:] if len(s) < delta.dim]
-        witness = report.witnesses.get("normal")
-        if witness is not None:
-            low = low[:low.index(witness) + 1] if witness else []
-        read = _classes(link(delta, s).facets for s in low)
         for field in FIELDS:
             counts.clear()
             qg = is_quasi_gorenstein(delta, field)
             assert not tables, (delta, field)
-            # plus Delta's own Betti vector, and only for a normal pseudomanifold
-            want = {(lk, field.p) for lk in read}
-            assert set(counts) == want | ({(delta.facets, field.p)} if report.ok else set()), \
-                (delta, field)
-            assert qg <= report.ok
+            # Delta's own Betti vector, and only for a normal pseudomanifold
+            npm = normal_pseudomanifold_report(delta).ok
+            assert set(counts) == ({(delta.facets, field.p)} if npm else set()), (delta, field)
+            assert qg <= npm
     # a cone over a core that is Buchsbaum but no normal pseudomanifold
     two = get_fixture("two-triangles").complex()
     cone = from_facets([f + (7,) for f in two.facets], 7)
