@@ -23,8 +23,8 @@ _HOMES = {name: module for module, names in (
                         "restrict_to_facets"),
     ("homology", "GF2 GF3 QQ BettiVector ExactMatrix FieldSpec boundary_matrix rank "
                  "reduced_betti relative_betti"),
-    ("hochster", "DepthReport LocalCohomologyTable a_invariant cohen_macaulay_direct "
-                 "depth_report is_buchsbaum local_cohomology_table serre_condition"),
+    ("hochster", "DepthReport LocalCohomologyTable a_invariant depth_report is_buchsbaum "
+                 "local_cohomology_table serre_condition"),
     ("classify", "ClassificationReport NormalPseudomanifoldReport classification_report "
                  "is_gorenstein is_homology_manifold is_orientable is_pseudomanifold "
                  "is_quasi_gorenstein is_strongly_connected normal_pseudomanifold_report"),

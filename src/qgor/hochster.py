@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import islice
 
 from .homology import reduced_betti
-from .simplicial_core import SimplicialComplex, _link_index, face, face_key, link
+from .simplicial_core import SimplicialComplex, _link_index, face, face_key
 
 
 class LocalCohomologyTable:
@@ -205,25 +205,6 @@ def depth_report(delta, field):
     canonical order), None when CM.
     """
     return _Links(delta, field).depth
-
-
-def cohen_macaulay_direct(delta, field):
-    """Reisner's criterion checked directly on links, without the table.
-
-    k[Delta] is Cohen-Macaulay iff H~_i(lk sigma; k) = 0 for every face
-    sigma (the empty face included) and every i < dim lk sigma.  Kept
-    as a second code path so the verdict of depth_report can be
-    cross-checked.
-    """
-    if delta.is_void:
-        raise ValueError("the void complex has no Stanley-Reisner ring")
-    for sigma in delta.faces():
-        lk = link(delta, sigma)
-        b = reduced_betti(lk, field)
-        for i in range(-1, lk.dim):
-            if b[i]:
-                return False
-    return True
 
 
 def a_invariant(delta, field):

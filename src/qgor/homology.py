@@ -20,6 +20,16 @@ so d_j s is a combination of the columns of d_j before s, and dropping
 the column of s leaves rank d_j unchanged.  Those columns, which the
 reduction would only bring down to zero, are never built.
 
+The cells of a chain complex are numbered in one top-down pass over
+Delta: the facets first, then, level by level from the top degree,
+each boundary face when it is first reached, with every cell's boundary
+and coboundary ids recorded in the same pass.  The relative complex is
+the same structure with the empty face and the faces of Gamma (the
+down-set of Gamma's facets) marked dead, so reduced and relative
+homology run one kernel.  No face is enumerated per degree and no face
+list is sorted: only the cells that survive coreduction are put into
+canonical order, for the boundary matrices.
+
 Before any matrix is built, the chain complex is coreduced (Mrozek and
 Batko, Coreduction homology algorithm, DCG 2009; in discrete Morse
 terms an acyclic matching, Forman 1998).  A cell b whose only remaining
@@ -29,13 +39,13 @@ the remaining cells: the general reduction d'c = d c - (<d c, a> /
 <d b, a>) d b only clears the a-entry of d c, as d b is +-a.  The
 coefficient +-1 is a unit over every field, so the pairs are the same
 over Q and every GF(p), and the ranks are taken on what is left.  On
-the augmented chains the empty face pairs with the first vertex, and a
-relative complex, which has no empty face, needs nothing extra.  The
-queue of candidate cells is first in, first out: the pairs then spread
-outward from the first vertex like a breadth-first search, and on a
-subdivided sphere they remove every cell but one facet, where a
+the augmented chains the empty face pairs with the first vertex in id
+order, and a relative complex, whose empty face is dead, needs nothing
+extra.  The queue of candidate cells is first in, first out: the pairs
+then spread outward from that vertex like a breadth-first search, and
+on a subdivided sphere they remove every cell but one facet, where a
 last-in, first-out stack runs deep into the complex and strands most
-of it (sd^3 of the boundary of the 4-simplex keeps 226,423 of its
+of it (sd^3 of the boundary of the 4-simplex keeps 225,739 of its
 301,681 cells under a stack and 1 under the queue).
 
 Two kinds of complex need no matrix, and reduced_betti answers them
@@ -57,7 +67,7 @@ from math import gcd
 from . import simplicial_core
 from .errors import CapacityExceeded, NotASubcomplex
 from .graphs import _components, _vertex_graph
-from .simplicial_core import check_face_budget
+from .simplicial_core import _faces_of_dim, check_face_budget
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound.
@@ -238,13 +248,13 @@ def rank(matrix):
     return len(pivots)
 
 
-def _check_area(rows, cols, kind):
+def _check_area(n_rows, n_cols, kind):
     """Refuse a boundary matrix of more than simplicial_core.FACE_CAP
-    rows x cols, read through the module so a lowered cap applies here
-    too."""
+    n_rows x n_cols, read through the module so a lowered cap applies
+    here too."""
     cap = simplicial_core.FACE_CAP
-    if len(rows) * len(cols) > cap:
-        raise CapacityExceeded(f"{kind} with {len(rows)} x {len(cols)} entries, cap is {cap}")
+    if n_rows * n_cols > cap:
+        raise CapacityExceeded(f"{kind} with {n_rows} x {n_cols} entries, cap is {cap}")
 
 
 def _boundary(cols, rows, field):
@@ -274,73 +284,174 @@ def boundary_matrix(delta, i, field):
     matrix the augmentation row of the reduced chain complex.
     """
     cols, rows = delta.faces_of_dim(i), delta.faces_of_dim(i - 1)
-    _check_area(rows, cols, "boundary matrix")
+    _check_area(len(rows), len(cols), "boundary matrix")
     return _boundary(cols, rows, field)
 
 
-def _coreduce(chains):
-    """The cells of chains left after coreduction, per degree in their order.
+class _Cells:
+    """The cells of a complex as _cells numbers them.
 
-    Cells are numbered in canonical order (ascending degree, then the
-    order of chains[j]); each keeps its boundary faces present in
-    chains, the cells that have it as such a face, and a count of its
-    live faces.  A FIFO queue, seeded in canonical order with the cells
-    of count 1, yields the pairs: a popped cell b still alive with
-    exactly one live face a is removed with a, and every live coface of
-    a or b loses one face, joining the queue when its count reaches 1.
-    See the module docstring for why the survivors have the same
-    homology as chains over every field.
+    faces[b] is the face of cell b, bd[b] the ids of its boundary faces
+    and cob[b] the ids of the cells that have b among theirs.  dead holds
+    the ids of the cells outside the chain complex: the empty face and
+    gamma's faces of a relative one.  sizes[j] counts the live j-cells
+    for j = -1..dim.  Once a pair of levels is over the area cap, sizes
+    is all there is: faces, bd and cob are None.
     """
-    degrees = sorted(chains)
-    ident = {f: k for k, f in enumerate(f for j in degrees for f in chains[j])}
-    faces = [[g for g in map(ident.get, combinations(f, len(f) - 1)) if g is not None] if f else []
-             for f in ident]
-    cofaces = [[] for _ in faces]
-    for b, fs in enumerate(faces):
-        for a in fs:
-            cofaces[a].append(b)
-    count = [len(fs) for fs in faces]
-    alive = [True] * len(faces)
+
+    __slots__ = ("faces", "bd", "cob", "dead", "sizes")
+
+    def __init__(self, faces, bd, cob, dead, sizes):
+        self.faces = faces
+        self.bd = bd
+        self.cob = cob
+        self.dead = dead
+        self.sizes = sizes
+
+
+def _cells(delta, gamma=None):
+    """Delta's cells, numbered top-down with their boundary and coboundary
+    ids as the module docstring describes; with gamma, the cells of the
+    relative chain complex, gamma's faces and the empty face dead.
+
+    Each pair of adjacent levels is checked against the area cap as soon
+    as both live sizes are known.  From the first pair over it no more
+    ids are recorded and the levels below are only counted, one face set
+    at a time, so that _check_area refuses in ascending degree at no
+    more cost than enumerating those faces.  Raises NotASubcomplex for
+    the first facet of gamma, in canonical order, that is not a face of
+    delta.
+    """
+    check_face_budget(delta.facets)
+    cap = simplicial_core.FACE_CAP
+    facets = delta.facets
+    faces = list(facets)
+    ident = {f: b for b, f in enumerate(faces)}
+    bd = [()] * len(faces)
+    cob = [[] for _ in faces]
+    number = ident.setdefault
+    by_size = {}
+    for b, f in enumerate(facets):
+        by_size.setdefault(len(f), []).append(b)
+    gamma_facets = [g for g in gamma.facets if g] if gamma is not None else []
+    found = set()
+    dead = set()
+    sizes = {}
+    top = len(facets[-1]) - 1 if facets else -2
+    level = by_size.get(top + 1, [])
+    for k in range(top, -2, -1):
+        for g in gamma_facets:
+            if len(g) == k + 1 and g in ident:
+                found.add(g)
+                dead.add(ident[g])
+        if k < 0 and gamma is not None:
+            dead.add(ident[()])
+        sizes[k] = len(level) - len(dead.intersection(level))
+        if k < top and sizes[k] * sizes[k + 1] > cap:
+            # over the cap: drop the ids and only count the levels below,
+            # each face set freed before the next is built
+            ident = faces = bd = cob = number = None
+            for j in range(k - 1, -1, -1):
+                level = _faces_of_dim(facets, j)
+                found.update(g for g in gamma_facets if len(g) == j + 1 and g in level)
+                sizes[j] = len(level) - len(_faces_of_dim(found, j))
+                del level
+            sizes[-1] = int(gamma is None)
+            break
+        if k < 0:
+            break
+        below = by_size.get(k, [])
+        n = len(faces)
+        for b in level:
+            ids = []
+            for g in combinations(faces[b], k):
+                a = number(g, n)
+                if a == n:
+                    faces.append(g)
+                    cob.append([b])
+                    below.append(a)
+                    n += 1
+                else:
+                    cob[a].append(b)
+                ids.append(a)
+            bd[b] = ids
+            if b in dead:
+                dead.update(ids)
+        bd += [()] * (n - len(bd))
+        level = below
+    for g in gamma_facets:
+        if g not in found:
+            raise NotASubcomplex(f"{list(g)} is not a face of the ambient complex")
+    return _Cells(faces, bd, cob, dead, sizes)
+
+
+def _coreduce(cells):
+    """The live faces left after coreducing cells (from _cells), per
+    degree -1..dim in canonical order.
+
+    The pass runs on cell ids with the boundary and coboundary lists of
+    cells.  Each cell starts with the count of its live boundary faces.
+    A FIFO queue, seeded in id order with the cells of count 1, yields
+    the pairs: a popped cell b still alive with exactly one live face a
+    is removed with a, and every live coface of a or b loses one face,
+    joining the queue when its count reaches 1.  See the module
+    docstring for why the survivors have the same homology as the chain
+    complex over every field.  Only the survivors are sorted.
+    """
+    bd, cob = cells.bd, cells.cob
+    alive = [True] * len(bd)
+    count = [len(fs) for fs in bd]
+    for a in cells.dead:
+        alive[a] = False
+        for c in cob[a]:
+            count[c] -= 1
     queue = deque(b for b, n in enumerate(count) if n == 1)
     while queue:
         b = queue.popleft()
         if not alive[b] or count[b] != 1:
             continue
-        a = next(g for g in faces[b] if alive[g])
+        for a in bd[b]:
+            if alive[a]:
+                break
         alive[a] = alive[b] = False
-        for c in (*cofaces[a], *cofaces[b]):
+        for c in (*cob[a], *cob[b]):
             if alive[c]:
                 count[c] -= 1
                 if count[c] == 1:
                     queue.append(c)
-    return {j: [f for f in chains[j] if alive[ident[f]]] for j in degrees}
+    survivors = {j: [] for j in cells.sizes}
+    for f, live in zip(cells.faces, alive):
+        if live:
+            survivors[len(f) - 1].append(f)
+    return {j: sorted(fs) for j, fs in sorted(survivors.items())}
 
 
-def _betti(chains, field, kind="boundary matrix"):
-    """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top, where
-    chains maps each degree to its faces (a missing degree has none).
+def _betti(cells, field, kind="boundary matrix"):
+    """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top on
+    the live cells of cells (built by _cells).
 
     Every d_j is screened against the face cap on its full shape, in
-    ascending degree, before any elimination.  Then chains is coreduced
-    (_coreduce), and the formula is taken on the surviving cells, whose
-    boundary is d restricted to them: _boundary builds it as it stands,
-    skipping the rows of removed cells.  This is exact over every field
-    because each removed pair (a, b) has d b = +-a, a unit, and it uses
-    a FIFO queue because a stack strands most cells of a subdivided
-    sphere (both in the module docstring).  The ranks are taken top degree
-    first: the pivot rows of d_{j+1} index chains[j], the columns of
-    d_j, and those columns are cleared (neither built nor reduced),
-    which leaves rank d_j unchanged (see the module docstring).
+    ascending degree, before any elimination.  Then the cells are
+    coreduced (_coreduce), and the formula is taken on the survivors,
+    whose boundary is d restricted to them: _boundary builds it as it
+    stands, skipping the rows of removed cells.  This is exact over
+    every field because each removed pair (a, b) has d b = +-a, a unit,
+    and it uses a FIFO queue because a stack strands most cells of a
+    subdivided sphere (both in the module docstring).  The ranks are
+    taken top degree first: the pivot rows of d_{j+1} index chains[j],
+    the columns of d_j, and those columns are cleared (neither built nor
+    reduced), which leaves rank d_j unchanged (see the module docstring).
     """
-    top = max(chains)
+    sizes = cells.sizes
+    top = max(sizes)
     for j in range(0, top + 1):
-        _check_area(chains.get(j - 1, []), chains[j], kind)
-    chains = _coreduce(chains)
+        _check_area(sizes[j - 1], sizes[j], kind)
+    chains = _coreduce(cells)
     ranks = {top + 1: 0}
     cleared = ()
     for j in range(top, -1, -1):
         m = _boundary([f for k, f in enumerate(chains[j]) if k not in cleared],
-                      chains.get(j - 1, []), field)
+                      chains[j - 1], field)
         ranks[j] = rank(m)
         cleared = m.pivot_rows
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
@@ -371,7 +482,7 @@ def reduced_betti(delta, field):
         c = _components(adj)
         edges = sum(len(f) == 2 for f in delta.facets)
         return BettiVector({0: c - 1, 1: edges - len(adj) + c} if d else {0: c - 1})
-    return _betti({j: delta.faces_of_dim(j) for j in range(-1, d + 1)}, field)
+    return _betti(_cells(delta), field)
 
 
 def relative_betti(delta, gamma, field):
@@ -384,18 +495,16 @@ def relative_betti(delta, gamma, field):
     complexes.  Over a field the same dimensions compute relative
     cohomology H^j(delta, gamma; field).
 
-    Raises NotASubcomplex when a facet of gamma is not a face of delta,
-    and CapacityExceeded from faces_of_dim's span screen before any face
-    of delta is built.
+    The chains are delta's cells with the empty face and gamma's faces
+    dead (_cells), so this is reduced_betti's kernel.  Raises, in this
+    order: CapacityExceeded when delta's facets span more than the cap,
+    before any face is built; NotASubcomplex, naming the first facet of
+    gamma in canonical order that is not a face of delta;
+    CapacityExceeded when gamma's facets span more than the cap, or
+    when a relative boundary matrix is over the area cap.
     """
-    # degrees 0..dim delta; none for the void or the empty complex
-    chains = {j: delta.faces_of_dim(j) for j in range(max(map(len, delta.facets), default=0))}
-    faces = {f for fs in chains.values() for f in fs}
-    for f in gamma.facets:
-        if f and f not in faces:
-            raise NotASubcomplex(f"{list(f)} is not a face of the ambient complex")
-    if not chains:
+    cells = _cells(delta, gamma)
+    if delta.is_void or delta.is_empty:
         return BettiVector({})
-    gamma_faces = set(gamma.faces())
-    rel = {j: [f for f in fs if f not in gamma_faces] for j, fs in chains.items()}
-    return _betti(rel, field, "relative boundary matrix")
+    check_face_budget(gamma.facets)
+    return _betti(cells, field, "relative boundary matrix")

@@ -11,10 +11,13 @@ degree -1, which Hochster's formula relies on for links of facets.
 
 Vertex ids are 1-based and need not all occur in a facet; unused ids
 stay in the ambient set (this matters for multidegrees downstream).
-faces_of_dim is the one face enumerator: faces() and the face -> link
-index take the faces one size at a time, so nothing sorts all faces.
-check_face_budget is the one face screen: faces_of_dim and the link
-index run it on the facets' span before any face is built.
+faces_of_dim enumerates the faces of one size, for faces() (and so for
+collapses) and for homology.boundary_matrix; the face -> link index
+fills one size at a time, so nothing sorts all faces.  The cells that
+homology eliminates are enumerated by its own top-down builder, which
+puts only the cells left after coreduction into canonical order.
+check_face_budget is the one face screen: faces_of_dim, the link index
+and that builder run it on the facets' span before any face is built.
 """
 
 from itertools import combinations
@@ -125,10 +128,7 @@ class SimplicialComplex:
         check_face_budget(self.facets)
         if k == -1:
             return [()]
-        seen = set()
-        for f in self.facets:
-            seen.update(combinations(f, k + 1))
-        return sorted(seen)
+        return sorted(_faces_of_dim(self.facets, k))
 
     def __eq__(self, other):
         return (
@@ -147,6 +147,14 @@ class SimplicialComplex:
             return f"SimplicialComplex(n={self.n_vertices}, empty)"
         body = ",".join("".join(map(str, f)) if all(v < 10 for v in f) else str(f) for f in self.facets)
         return f"SimplicialComplex(n={self.n_vertices}, <{body}>)"
+
+
+def _faces_of_dim(facets, k):
+    """The set of k-dimensional faces of the given facets, k >= 0."""
+    seen = set()
+    for f in facets:
+        seen.update(combinations(f, k + 1))
+    return seen
 
 
 def from_facets(raw_facets, n_vertices=None):

@@ -19,7 +19,6 @@ from qgor import (
     FacetPartition,
     Failure,
     cm_linkage_check,
-    cohen_macaulay_direct,
     collapse_onto,
     connectivity_report,
     depth_report,
@@ -38,6 +37,7 @@ from qgor import (
     restrict_to_facets,
     verify_trace,
 )
+from _oracles import cohen_macaulay_direct
 from qgor.fixtures import corpus, get_fixture, oracle_betti
 
 FIELDS = [QQ, GF2, GF3]

@@ -11,7 +11,7 @@ from qgor import simplicial_core
 from qgor.cli import main, parse_facet_file
 from qgor.errors import CapacityExceeded, ParseError
 from qgor.fixtures import corpus, get_fixture
-from qgor.homology import GF2, relative_betti
+from qgor.homology import GF2, reduced_betti, relative_betti
 from qgor.simplicial_core import from_facets, restrict_to_facets
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -262,6 +262,25 @@ def test_cli_refuses_a_wide_span_before_building_faces(tmp_path, capsys):
     delta = from_facets(facets)
     with pytest.raises(CapacityExceeded):
         relative_betti(delta, restrict_to_facets(delta, [0]), GF2)
+
+
+def test_cli_refuses_the_first_wide_boundary_in_ascending_degree(tmp_path, capsys):
+    # Three 16-vertex facets on X+Y, Y+Z, Z+X (8 vertices per block) pass
+    # the span screen; the first boundary over the area cap in ascending
+    # degree is d_4, from 3 * C(16, 5) - 3 * C(8, 5) = 12,936 faces onto
+    # 3 * C(16, 4) - 3 * C(8, 4) = 5,250, although the levels above it are
+    # wider still.
+    x, y, z = (list(range(b, b + 8)) for b in (1, 9, 17))
+    facets = [x + y, y + z, z + x]
+    message = "boundary matrix with 5250 x 12936 entries, cap is 16777216"
+    with pytest.raises(CapacityExceeded) as exc:
+        reduced_betti(from_facets(facets), GF2)
+    assert str(exc.value) == message
+    wide = tmp_path / "wide-area.cplx"
+    wide.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    code, out, err = _run(capsys, "homology", str(wide))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"qgor: capacity: {message}")
 
 
 def test_cli_exit_two_on_boundary_area(monkeypatch, capsys):

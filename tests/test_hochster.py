@@ -7,7 +7,6 @@ from qgor import (
     GF3,
     QQ,
     a_invariant,
-    cohen_macaulay_direct,
     depth_report,
     from_facets,
     is_buchsbaum,
@@ -18,6 +17,7 @@ from qgor import (
     reduced_betti,
     serre_condition,
 )
+from _oracles import cohen_macaulay_direct
 from qgor.fixtures import corpus, get_fixture
 
 FIELDS = [QQ, GF2, GF3]

@@ -391,8 +391,7 @@ FAMILIES = {"cone": _cone, "one-facet": _one_facet, "points": _points,
 
 def _eliminated(delta, field):
     """reduced_betti's answer through the one elimination path."""
-    chains = {j: delta.faces_of_dim(j) for j in range(-1, delta.dim + 1)}
-    return homology._betti(chains, field)
+    return homology._betti(homology._cells(delta), field)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -436,7 +435,7 @@ def test_betti_clears_the_pivot_rows_of_the_degree_above():
     for delta, betti, kept in ((gen.sd(gen.torus()), {1: 2, 2: 1}, {1: 27, 2: 26}),
                                (gen.cross_polytope_boundary(6), {5: 1}, {5: 1})):
         d = delta.dim
-        survivors = homology._coreduce({j: delta.faces_of_dim(j) for j in range(-1, d + 1)})
+        survivors = homology._coreduce(homology._cells(delta))
         s = {j: len(fs) for j, fs in survivors.items()}
         assert {j: n for j, n in s.items() if n} == kept
         for field in (QQ, GF2):
