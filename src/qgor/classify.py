@@ -27,7 +27,7 @@ from itertools import islice
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components, _vertex_graph, gamma_graph
-from .hochster import _Links, _table
+from .hochster import _Links
 from .simplicial_core import check_face_budget, core, face_key
 
 
@@ -130,10 +130,6 @@ class _Analysis(_Links):
     def __init__(self, delta, field, memo=None):
         _classifiable(delta)
         super().__init__(delta, field, memo)
-
-    @cached_property
-    def table(self):
-        return _table(self)
 
     @cached_property
     def normal(self):

@@ -209,10 +209,10 @@ def _cmd_homology(delta, args):
 
 
 def _cmd_hochster(delta, args):
-    from .hochster import _Links, _table
+    from .hochster import _Links
 
     links = _Links(delta, args.field)
-    table = _table(links)
+    table = links.table
     depth = links.depth
     payload = {
         "field": args.field.spec_string(),
@@ -363,10 +363,7 @@ def main(argv=None):
     except CapacityExceeded as exc:
         print(f"qgor: capacity: {exc}", file=sys.stderr)
         return 2
-    except QgorError as exc:
-        print(f"qgor: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (QgorError, ValueError) as exc:
         print(f"qgor: error: {exc}", file=sys.stderr)
         return 1
 

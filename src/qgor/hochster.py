@@ -145,6 +145,16 @@ class _Links:
         return vector
 
     @cached_property
+    def table(self):
+        """The one full read of the view: every face's Betti vector, as entries."""
+        entries = {}
+        for sigma in self.index:
+            for r, dim_r in self.betti(sigma).dims.items():
+                if dim_r:
+                    entries[(r + len(sigma) + 1, sigma)] = dim_r
+        return LocalCohomologyTable(self.d, entries)
+
+    @cached_property
     def depth(self):
         # Faces come by size, and sigma gives i >= |sigma| + 1 unless it is a
         # facet (i = |sigma|).  A facet F beside others never gives the least
@@ -184,17 +194,7 @@ class _Links:
 
 def local_cohomology_table(delta, field):
     """The full Hochster table of delta over the given field."""
-    return _table(_Links(delta, field))
-
-
-def _table(links):
-    """The one full read of links: every face's Betti vector, as entries."""
-    entries = {}
-    for sigma in links.index:
-        for r, dim_r in links.betti(sigma).dims.items():
-            if dim_r:
-                entries[(r + len(sigma) + 1, sigma)] = dim_r
-    return LocalCohomologyTable(links.d, entries)
+    return _Links(delta, field).table
 
 
 def depth_report(delta, field):

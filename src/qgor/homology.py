@@ -12,14 +12,6 @@ nonzero row computes every rank over every field.  All arithmetic is
 exact: integers over Q, residues over GF(p).  The order of the columns
 and pivots is fixed, so every matrix and rank is reproducible.
 
-The Betti numbers of a chain complex are computed top degree first,
-with the pivot rows of d_{j+1} cleared from d_j ("clearing", Chen and
-Kerber, Persistent homology computation with a twist, EuroCG 2011): a
-reduced column of d_{j+1} whose lowest row is the j-face s is a cycle,
-so d_j s is a combination of the columns of d_j before s, and dropping
-the column of s leaves rank d_j unchanged.  Those columns, which the
-reduction would only bring down to zero, are never built.
-
 The cells of a chain complex are numbered in one top-down pass over
 Delta: the facets first, then, level by level from the top degree,
 each boundary face when it is first reached, with every cell's boundary
@@ -190,17 +182,15 @@ class ExactMatrix:
     columns[c] is a {row: nonzero int} dict.  The constructor drops
     zero entries and, over GF(p), reduces the rest into 1..p-1, so every
     stored entry is a nonzero field element.  Only what homology needs:
-    shape, columns, rank.  pivot_rows is None until rank() sets it to
-    the lowest rows of the reduced nonzero columns.
+    shape, columns, rank.
     """
 
-    __slots__ = ("field", "rows", "cols", "columns", "pivot_rows")
+    __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, rows, cols, columns):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.pivot_rows = None
         self.columns = [_nonzero(col, field.p) for col in columns]
         if len(self.columns) != cols or any(r not in range(rows) for c in self.columns for r in c):
             raise ValueError(f"columns do not fit a {rows} x {cols} matrix")
@@ -223,9 +213,7 @@ def rank(matrix):
     row is already the pivot of a reduced column is replaced by
     a*col - b*pivot_col, which clears that row; a column that reaches a
     new lowest row becomes its pivot, and one that vanishes is
-    dependent.  The rank is the number of pivots, and their rows are
-    left on the matrix as matrix.pivot_rows: on a boundary matrix d_{j+1}
-    these are the j-faces _betti clears from d_j.  Over GF(p) entries
+    dependent.  The rank is the number of pivots.  Over GF(p) entries
     stay reduced mod p; over Q they stay integers, each new column
     divided by the gcd of its entries, which keeps them small.
     """
@@ -244,16 +232,16 @@ def rank(matrix):
             if p is None and col:
                 g = gcd(*col.values())
                 col = {r: x // g for r, x in col.items()}
-    matrix.pivot_rows = set(pivots)
     return len(pivots)
 
 
-def _check_area(n_rows, n_cols, kind):
-    """Refuse a boundary matrix of more than simplicial_core.FACE_CAP
-    n_rows x n_cols, read through the module so a lowered cap applies
-    here too."""
+def _check_area(n_rows, n_cols, relative=False):
+    """Refuse a (relative) boundary matrix of more than
+    simplicial_core.FACE_CAP n_rows x n_cols, read through the module so
+    a lowered cap applies here too."""
     cap = simplicial_core.FACE_CAP
     if n_rows * n_cols > cap:
+        kind = "relative boundary matrix" if relative else "boundary matrix"
         raise CapacityExceeded(f"{kind} with {n_rows} x {n_cols} entries, cap is {cap}")
 
 
@@ -284,7 +272,7 @@ def boundary_matrix(delta, i, field):
     matrix the augmentation row of the reduced chain complex.
     """
     cols, rows = delta.faces_of_dim(i), delta.faces_of_dim(i - 1)
-    _check_area(len(rows), len(cols), "boundary matrix")
+    _check_area(len(rows), len(cols))
     return _boundary(cols, rows, field)
 
 
@@ -426,34 +414,31 @@ def _coreduce(cells):
     return {j: sorted(fs) for j, fs in sorted(survivors.items())}
 
 
-def _betti(cells, field, kind="boundary matrix"):
+def _betti(cells, field):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top on
     the live cells of cells (built by _cells).
 
     Every d_j is screened against the face cap on its full shape, in
-    ascending degree, before any elimination.  Then the cells are
-    coreduced (_coreduce), and the formula is taken on the survivors,
-    whose boundary is d restricted to them: _boundary builds it as it
-    stands, skipping the rows of removed cells.  This is exact over
-    every field because each removed pair (a, b) has d b = +-a, a unit,
-    and it uses a FIFO queue because a stack strands most cells of a
-    subdivided sphere (both in the module docstring).  The ranks are
-    taken top degree first: the pivot rows of d_{j+1} index chains[j],
-    the columns of d_j, and those columns are cleared (neither built nor
-    reduced), which leaves rank d_j unchanged (see the module docstring).
+    ascending degree, before any elimination; a relative complex, whose
+    empty face is dead, is refused as a relative boundary matrix.  Then
+    the cells are coreduced (_coreduce), and the formula is taken on the
+    survivors, whose boundary is d restricted to them: _boundary builds
+    it as it stands, skipping the rows of removed cells.  This is exact
+    over every field because each removed pair (a, b) has d b = +-a, a
+    unit, and it uses a FIFO queue because a stack strands most cells of
+    a subdivided sphere (both in the module docstring).  Each d_j is
+    ranked once; when no (j-1)-cell survives it maps into the zero space,
+    so it is handed to rank with no columns.
     """
     sizes = cells.sizes
     top = max(sizes)
     for j in range(0, top + 1):
-        _check_area(sizes[j - 1], sizes[j], kind)
+        _check_area(sizes[j - 1], sizes[j], not sizes[-1])
     chains = _coreduce(cells)
     ranks = {top + 1: 0}
-    cleared = ()
-    for j in range(top, -1, -1):
-        m = _boundary([f for k, f in enumerate(chains[j]) if k not in cleared],
-                      chains[j - 1], field)
-        ranks[j] = rank(m)
-        cleared = m.pivot_rows
+    for j in range(0, top + 1):
+        rows = chains[j - 1]
+        ranks[j] = rank(_boundary(chains[j] if rows else [], rows, field))
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
 
 
@@ -507,4 +492,4 @@ def relative_betti(delta, gamma, field):
     if delta.is_void or delta.is_empty:
         return BettiVector({})
     check_face_budget(gamma.facets)
-    return _betti(cells, field, "relative boundary matrix")
+    return _betti(cells, field)

@@ -142,6 +142,11 @@ def test_orientability_requires_pseudomanifold():
         is_orientable(get_fixture("paper-moebius").complex())
     with pytest.raises(NotAPseudomanifold):
         is_orientable(get_fixture("two-triangles").complex())
+    # a non-pure complex and the empty complex have no ridge map
+    for delta in (from_facets([[1, 2, 3], [3, 4]], 4), from_facets([[]])):
+        assert not is_pseudomanifold(delta)
+        with pytest.raises(NotAPseudomanifold):
+            is_orientable(delta)
 
 
 def test_homology_manifold():

@@ -168,7 +168,7 @@ def test_cli_collapse_failure(capsys):
     assert "end" not in payload
 
 
-def test_cli_graph(capsys):
+def test_cli_graph(tmp_path, capsys):
     payload = _run_json(capsys, "graph", _fixture_path("boundary-3-simplex"), "--json")
     assert payload["t"] == 1
     assert payload["connectivity"]["two_connected"] is True
@@ -189,6 +189,13 @@ def test_cli_graph(capsys):
     assert payload["removal"]["connected"] is None
     assert payload["removal"]["gamma2_edge"] == [1, 2]
 
+    # a strip of three triangles: Gamma_1 is the path 1 - 2 - 3
+    strip = tmp_path / "strip.cplx"
+    strip.write_text("1 2 3\n2 3 4\n3 4 5\n")
+    code, out, _ = _run(capsys, "graph", str(strip))
+    assert code == 0
+    assert "articulation_points: [2]" in out.splitlines()
+
 
 def test_cli_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.cplx"
@@ -200,6 +207,7 @@ def test_cli_exit_one(tmp_path, capsys):
         ("classify", _fixture_path("four-cycle"), "--field", "4"),
         ("liaison", _fixture_path("full-simplex-3"), "--facets-a", "1"),
         ("liaison", _fixture_path("four-cycle"), "--facets-a", "9"),
+        ("liaison", _fixture_path("four-cycle"), "--facets-a", "1,x"),
         ("graph", _fixture_path("four-cycle"), "--t", "5"),
         ("frobnicate", _fixture_path("four-cycle")),
     ]
@@ -207,6 +215,9 @@ def test_cli_exit_one(tmp_path, capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 1, argv
         assert err.strip(), argv
+    # asking for help is not an error
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0 and out.startswith("usage:")
 
 
 def test_cli_large_prime_field(capsys):

@@ -313,14 +313,18 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
 def test_analysis_builds_only_what_it_reads(monkeypatch):
     counts = _count_betti(monkeypatch)
     tables = []
-    original = qgor.hochster._table
+    view = qgor.hochster._Links.__dict__["table"]
+    original = view.func
 
-    def spy(delta, *args):
-        tables.append(delta)
-        return original(delta, *args)
+    def spy(links):
+        tables.append(links.delta)
+        return original(links)
 
-    for module in (qgor.hochster, qgor.classify):
-        monkeypatch.setattr(module, "_table", spy)
+    monkeypatch.setattr(view, "func", spy)
+    torus = get_fixture("csaszar-torus").complex()
+    local_cohomology_table(torus, QQ)
+    assert tables == [torus]
+    tables.clear()
     for delta in [fx.complex() for fx in corpus() if not fx.complex().is_empty]:
         for field in FIELDS:
             counts.clear()
