@@ -12,13 +12,16 @@ gamma_graph costs what its output costs rather than one intersection
 per facet pair: with k = dimDelta + 1 - t, two facets are adjacent
 exactly when they share a k-subset, so each facet is filed under its
 k-subsets and only facets filed together are paired.  For k <= 0 the
-graph is complete and is written down directly.  Filing costs
-C(dimDelta + 1, k) subsets per facet whatever the output, so when that
-exceeds the number of facet pairs the pairwise scan runs instead.
-connectivity_report reads a complete graph off its edge count, without
-a depth-first search.
+graph is complete, and its edge set lists no pair: it is every pair
+i < j < m held as m, a frozen set with O(1) size and membership,
+lexicographic iteration and set algebra that returns frozensets.
+Filing costs C(dimDelta + 1, k) subsets per facet whatever the output,
+so when that exceeds the number of facet pairs the pairwise scan runs
+instead.  connectivity_report reads a complete graph off its edge count,
+without building an adjacency or running a depth-first search.
 """
 
+from collections.abc import Set
 from itertools import combinations
 from math import comb
 
@@ -38,7 +41,7 @@ class GammaGraph:
     def __init__(self, t, facets, edges):
         self.t = t
         self.facets = facets
-        self.edges = frozenset(edges)
+        self.edges = edges if isinstance(edges, _AllPairs) else frozenset(edges)
 
     @property
     def n_vertices(self):
@@ -83,10 +86,38 @@ class GammaGraph:
         )
 
 
+class _AllPairs(Set):
+    """Every pair (i, j) with i < j < n, the edge set of the complete graph
+    on n vertices, held as n: len and membership are O(1), iteration is
+    lexicographic, and set algebra with it returns frozensets."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n * (self.n - 1) // 2
+
+    def __contains__(self, pair):
+        return (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(v, int) for v in pair) and 0 <= pair[0] < pair[1] < self.n)
+
+    def __iter__(self):
+        return combinations(range(self.n), 2)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    __hash__ = Set._hash
+
+
 def gamma_graph(delta, t):
     """Build Gamma_t: facets adjacent iff |sigma cap tau| >= dimDelta+1-t.
 
-    With k = dimDelta + 1 - t: k <= 0 gives the complete graph; otherwise
+    With k = dimDelta + 1 - t: k <= 0 gives the complete graph, whose
+    edges are held as the facet count; otherwise
     facets are paired through the k-subsets they share, unless filing
     every facet under its C(dimDelta + 1, k) subsets would cost more
     than intersecting every pair of facets, which is then done instead.
@@ -102,7 +133,7 @@ def gamma_graph(delta, t):
     m = len(facets)
     k = d + 1 - t
     if k <= 0:
-        edges = combinations(range(m), 2)
+        edges = _AllPairs(m)
     elif m * comb(d + 1, k) > m * (m - 1) // 2:
         edges = _pairwise_edges(facets, k)
     else:

@@ -99,9 +99,11 @@ class _Links:
     """The link homology of one (complex, field), each piece on first read.
 
     index (face -> link facets, canonical order) is built on the first read
-    of a nonempty face, as lk(empty) is the complex itself.  betti(sigma)
-    goes through memo (facets -> Betti vector), which the views of a complex
-    and its core, or of Delta, Delta_A and Delta_B, share.  A link is looked
+    of a nonempty face, as lk(empty) is the complex itself.  betti(sigma) is
+    link_betti(link(sigma)); link_betti takes any link by its facets, such as
+    a link of Delta_B filtered out of one of Delta, and goes through memo
+    (facets -> Betti vector), which the views of a complex and its core, or
+    of Delta, Delta_A and Delta_B, share.  A link is looked
     up by its own facets, then by its class key, the facets with the
     vertices renumbered 1..m in ascending order (written as a string, so it
     never equals a facet tuple); only a class seen for the first time is
@@ -127,7 +129,10 @@ class _Links:
         return self.index[sigma] if sigma else self.delta.facets
 
     def betti(self, sigma):
-        lk = self.link(sigma)
+        return self.link_betti(self.link(sigma))
+
+    def link_betti(self, lk):
+        """The Betti vector of the complex with facets lk, a link of the view."""
         vector = self.memo.get(lk)
         if vector is None:
             # Renumbering the vertices 1..m in ascending order keeps the facets

@@ -21,11 +21,18 @@ discrepancy.
 
 All four checks (the sequence, link restriction, CM linkage, the
 connectedness of Delta_B) read three analyses, of Delta, Delta_A and
-Delta_B, that share one memo: each link, table and Betti vector (one
-per class of links equal up to an order-preserving renumbering) is
-computed at most once, on first use, and a check computes only what it
-reads.  Quasi-Gorenstein is the analysis's view in classify; Buchsbaum
-and Cohen-Macaulay are the scans of hochster's link view it extends.
+Delta_B, that share one memo: each link index and Betti vector (one per
+class of links equal up to an order-preserving renumbering) is computed
+at most once, on first use, and a check computes only what it reads.
+Quasi-Gorenstein is the analysis's view in classify; Buchsbaum and
+Cohen-Macaulay are the scans of hochster's link view it extends.
+
+Link restriction and CM linkage compare the Hochster tables of Delta
+and Delta_B, which can differ only at the faces of Delta_A: every facet
+through a face outside Delta_A lies in B, so the face has one link in
+both.  The comparison walks Delta_A's faces, reads each link in Delta
+off Delta's index and filters the link in Delta_B out of it, so neither
+table is built and Delta_B gets no link index.
 """
 
 from functools import cached_property
@@ -163,9 +170,11 @@ class _Liaison:
     """One (Delta, partition, field).  The constructor checks that the
     partition applies and builds Delta_A and Delta_B; each is one analysis,
     and the three share one memo keyed by facets and by renumbered facets
-    (the link of the empty face is the complex itself, so tables and Betti
-    vectors share it, and links of the three equal up to an order-preserving
-    renumbering share one vector)."""
+    (the link of the empty face is the complex itself, so a complex's own
+    vector serves both, and links of the three equal up to an
+    order-preserving renumbering share one vector).  The analyses of Delta
+    and Delta_A build their link indexes when a check reads them; the
+    analysis of Delta_B is only read at its empty face."""
 
     def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:
@@ -181,12 +190,29 @@ class _Liaison:
 
     @cached_property
     def differences(self):
-        """(i, sigma, dim for Delta, dim for Delta_B) wherever the two tables
-        differ below the Krull dimension of Delta, in no particular order."""
-        table, table_b = self.whole.table, self.b.table
-        keys = {k for t in (table, table_b) for k in t._entries if k[0] < table.d}
-        dims = ((i, sigma, table.entry(i, sigma), table_b.entry(i, sigma)) for i, sigma in keys)
-        return [w for w in dims if w[2] != w[3]]
+        """(i, sigma, dim for Delta, dim for Delta_B, sigma in Delta_B) wherever
+        the tables of Delta and Delta_B differ below the Krull dimension of
+        Delta, in no particular order.
+
+        Only the faces of Delta_A are read.  A face outside Delta_A lies in
+        facets of B alone, so its links in Delta and in Delta_B are one facet
+        tuple.  At a face of Delta_A, lk_{Delta_B} sigma is lk_Delta sigma
+        without the facets of lk_{Delta_A} sigma (sigma + r is a facet of
+        exactly one block), a filter that keeps canonical order; it is empty
+        exactly when sigma is not in Delta_B, and then its entries are 0."""
+        whole, a, d = self.whole, self.a, self.whole.d
+        out = []
+        for sigma in a.faces():
+            lk = whole.link(sigma)
+            in_a = set(a.link(sigma))
+            lk_b = tuple(r for r in lk if r not in in_a)
+            ambient = whole.link_betti(lk).dims
+            restricted = whole.link_betti(lk_b).dims if lk_b else {}
+            for r in ambient.keys() | restricted.keys():
+                dim, dim_b = ambient.get(r, 0), restricted.get(r, 0)
+                if dim != dim_b and r + len(sigma) + 1 < d:
+                    out.append((r + len(sigma) + 1, sigma, dim, dim_b, bool(lk_b)))
+        return out
 
     def lefschetz_report(self):
         d = self.whole.delta.dim
@@ -220,17 +246,17 @@ class _Liaison:
         )
 
     def link_restriction_check(self):
-        in_b = self.b.index
         witnesses = sorted(
-            ((sigma, i - len(sigma) - 1, sigma in in_b, dim_b, dim)
-             for i, sigma, dim, dim_b in self.differences if sigma),
+            ((sigma, i - len(sigma) - 1, in_b, dim_b, dim)
+             for i, sigma, dim, dim_b, in_b in self.differences if sigma),
             key=lambda w: (face_key(w[0]), w[1]),
         )
         hypotheses_met = self.whole.quasi_gorenstein and self.a.buchsbaum[0]
         return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
 
     def cm_linkage_check(self):
-        witness = min(self.differences, key=lambda w: (w[0], face_key(w[1])), default=None)
+        first = min(self.differences, key=lambda w: (w[0], face_key(w[1])), default=None)
+        witness = None if first is None else first[:4]
         hypotheses = {"quasi_gorenstein": self.whole.quasi_gorenstein,
                       "cm_A": self.a.depth.is_cohen_macaulay}
         return CmLinkageReport(ok=witness is None, hypotheses_met=all(hypotheses.values()),

@@ -1,6 +1,7 @@
 """Gamma_t facet graphs, 2-connectivity, removal experiments."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -190,6 +191,10 @@ def test_gamma_on_sd3_torus():
     share_vertex = sum(comb(k, 2) for k in degree.values()) - ridges
     counts = [len(gamma_graph(surface, t).edges) for t in range(3)]
     assert counts == [0, ridges, share_vertex] == [0, 4536, 30912]
+    # Gamma_3 is complete, and none of its pairs is listed
+    graph, peak = _traced(lambda: gamma_graph(surface, 3))
+    assert len(graph.edges) == comb(m, 2) == 4570776
+    assert peak < 2 ** 20
     assert is_strongly_connected(surface)
     removal, used = [], set()
     for i, f in enumerate(surface.facets):
@@ -198,6 +203,54 @@ def test_gamma_on_sd3_torus():
             used |= set(f)
     assert len(removal) > 100
     assert removal_experiment(surface, removal)
+
+
+def _traced(call):
+    """call()'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _gamma_and_report(delta, t):
+    graph = gamma_graph(delta, t)
+    return graph, connectivity_report(graph)
+
+
+def test_complete_gamma_lists_no_pairs():
+    surface = gen.sd(gen.sd(gen.torus()))
+    (graph, report), peak = _traced(lambda: _gamma_and_report(surface, 3))
+    assert len(graph.edges) == comb(len(surface.facets), 2) == 126756
+    assert (report.components, report.two_connected, report.articulation_points) == (1, True, [])
+    assert peak < 2 ** 20
+
+
+def test_complete_gamma_is_the_set_of_all_pairs():
+    probes = 0
+    for fx in corpus():
+        delta = fx.complex()
+        if delta.is_void or delta.is_empty or not delta.is_pure():
+            continue
+        d, m = delta.dim, len(delta.facets)
+        full = gamma_graph(delta, d + 1).edges
+        pairs = frozenset(combinations(range(m), 2))
+        assert full == pairs and pairs == full and not full != pairs, fx.name
+        assert hash(full) == hash(pairs), fx.name
+        below = gamma_graph(delta, d).edges
+        assert below <= full and full >= below, fx.name
+        assert list(full) == sorted(pairs), fx.name
+        assert isinstance(full & below, frozenset) and full & below == below == below & full
+        assert isinstance(full | below, frozenset) and full | below == pairs
+        for i, j in pairs:
+            assert (i, j) in full and (j, i) not in full and (i, i) not in full
+            probes += 1
+        for probe in ((m - 1, m), (-1, 0), (0, m), (m, m + 1), (0,), (0, 1, 2),
+                      [0, 1], "01", 0, None, (0.5, 1), ("0", "1")):
+            assert probe not in full, (fx.name, probe)
+    assert probes > 100
 
 
 def test_connectivity_report_complete_graph():

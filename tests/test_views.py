@@ -12,8 +12,9 @@ each link is computed once per call and once per `qgor classify`,
 `qgor hochster` and `qgor liaison` run, whose payload equals the four
 public liaison checks called one by one, that links equal up to an
 order-preserving renumbering share one computed Betti vector, that a
-predicate builds only what it reads, and that a scan stops at its
-answer.
+predicate builds only what it reads, that the liaison comparisons read
+only the faces of Delta_A and never build Delta_B's link index, and that
+a scan stops at its answer.
 """
 
 import json
@@ -193,10 +194,17 @@ def test_normal_pseudomanifold_answers_past_the_homology_cap():
 
 
 def _partitions(delta, rng):
+    """Two seeded complementary partitions, then the extremes that leave B
+    nonempty: A the first facet, A every facet but the last, and A the star
+    of the first vertex."""
     m = len(delta.facets)
     sizes = range(1, m)
-    for k in rng.sample(sizes, min(2, len(sizes))):
-        yield FacetPartition.complementary(delta, rng.sample(range(m), k))
+    blocks = [rng.sample(range(m), k) for k in rng.sample(sizes, min(2, len(sizes)))]
+    v = delta.facets[0][0]
+    blocks += [[0], list(range(m - 1)), [i for i, f in enumerate(delta.facets) if v in f]]
+    for a in blocks:
+        if 0 < len(a) < m:
+            yield FacetPartition.complementary(delta, a)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -308,6 +316,48 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                 assert qgor.cli.main([sub, path, "--field", field]) == 0, (sub, delta)
                 capsys.readouterr()
                 assert max(counts.values()) == 1, (sub, delta, field, counts)
+
+
+def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
+    # Vertex-star partitions, as the benchmark's partition sweep builds them.
+    # The comparisons read Delta's index and Delta_A's, never Delta_B's, and
+    # compute the vectors of Delta, Delta_A, Delta_B and of the links of the
+    # faces of Delta_A in the three: a face outside Delta_A is never read.
+    counts = _count_betti(monkeypatch)
+    indexed = []
+    original = qgor.hochster._link_index
+    monkeypatch.setattr(qgor.hochster, "_link_index",
+                        lambda delta: indexed.append(delta.facets) or original(delta))
+    for base in (gen.torus(), gen.simplex_boundary(5)):
+        delta, labels = gen.sd(base), gen.sd_labels(base)
+        path = _facet_file(tmp_path, delta)
+        for v in base.vertices()[:2]:
+            star = labels[(v,)]
+            a = [i for i, f in enumerate(delta.facets) if star in f]
+            partition = FacetPartition.complementary(delta, a)
+            delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
+            delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
+            b_faces = set(delta_b.faces())
+            allowed = {delta.facets, delta_a.facets, delta_b.facets}
+            for sigma in delta_a.faces():
+                allowed |= {link(delta, sigma).facets, link(delta_a, sigma).facets}
+                if sigma in b_faces:
+                    allowed.add(link(delta_b, sigma).facets)
+            for field in FIELDS:
+                runs = [lambda: link_restriction_check(delta, partition, field),
+                        lambda: cm_linkage_check(delta, partition, field),
+                        lambda: qgor.cli.main(["liaison", path, "--facets-a",
+                                               ",".join(str(i + 1) for i in a),
+                                               "--field", field.spec_string()])]
+                for run in runs:
+                    counts.clear()
+                    indexed.clear()
+                    run()
+                    capsys.readouterr()
+                    assert delta_b.facets not in indexed, (base, v, field, run)
+                    assert sorted(indexed) == sorted([delta.facets, delta_a.facets])
+                    assert counts and {lk for lk, _ in counts} <= allowed, (base, v, field)
+                    assert max(counts.values()) == 1, (base, v, field, counts)
 
 
 def test_analysis_builds_only_what_it_reads(monkeypatch):

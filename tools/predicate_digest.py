@@ -14,7 +14,9 @@ complexes among them, over the same three fields; these read Delta,
 Delta_A and Delta_B through one shared memo.  A third line digests the
 predicates that take no field on every complex: the normal-pseudomanifold
 report (its flags and witnesses), is_pseudomanifold and
-is_strongly_connected, exceptions again counting as answers.  Two
+is_strongly_connected, exceptions again counting as answers.  A fourth
+line digests the facet graphs of every pure complex among them: for each
+t in 0..dim+1, Gamma_t as JSON and its connectivity report as JSON.  Two
 checkouts whose predicates agree print the same lines, so a refactor can
 be checked with a plain diff:
 
@@ -113,6 +115,14 @@ def liaison_answers(qgor, delta, partition, field):
     }
 
 
+def gamma_answers(qgor, delta, t):
+    def graph():
+        g = qgor.gamma_graph(delta, t)
+        return [g.to_json(), qgor.connectivity_report(g).to_json()]
+
+    return _answer(graph)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=HERE, help="checkout whose src/qgor is digested")
@@ -141,6 +151,14 @@ def main(argv=None):
         record = [delta.n_vertices, delta.facets, field_free_answers(qgor, delta)]
         digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
     print(f"{len(cases)} complexes of field-free predicates: sha256 {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    graphs = 0
+    for delta in (d for d in cases if d.is_pure()):
+        for t in range(delta.dim + 2):
+            record = [delta.n_vertices, delta.facets, t, gamma_answers(qgor, delta, t)]
+            digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
+            graphs += 1
+    print(f"{graphs} facet graphs with connectivity reports: sha256 {digest.hexdigest()}")
     return 0
 
 
