@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import islice
 
 from .errors import NotAPseudomanifold, NotPure
-from .graphs import _components, _vertex_graph, gamma_graph
+from .graphs import _components, _facet_components, _vertex_graph
 from .hochster import _Links
 from .simplicial_core import check_face_budget, core, face_key
 
@@ -68,12 +68,13 @@ def normal_pseudomanifold_report(delta):
 
 
 def is_strongly_connected(delta):
-    """True when any two facets are joined by a walk across ridges."""
+    """True when any two facets are joined by a walk across ridges, read
+    off the facets filed under their ridges with no pair of Gamma_1 listed."""
     if not delta.is_pure():
         raise NotPure("strong connectivity is defined for pure complexes")
     if len(delta.facets) <= 1:
         return True
-    return _components(gamma_graph(delta, 1).adjacency()) == 1
+    return _facet_components(delta) == 1
 
 
 def is_pseudomanifold(delta):

@@ -8,21 +8,22 @@ Gamma_{dimDelta+1} is complete.  removal_experiment checks the
 connectedness statement: deleting a set of facets that is edgeless in
 Gamma_2 never disconnects Gamma_1.
 
-gamma_graph costs what its output costs rather than one intersection
-per facet pair: with k = dimDelta + 1 - t, two facets are adjacent
-exactly when they share a k-subset, so each facet is filed under its
-k-subsets and only facets filed together are paired.  For k <= 0 the
-graph is complete, and its edge set lists no pair: it is every pair
-i < j < m held as m, a frozen set with O(1) size and membership,
-lexicographic iteration and set algebra that returns frozensets.
-Filing costs C(dimDelta + 1, k) subsets per facet whatever the output,
-so when that exceeds the number of facet pairs the pairwise scan runs
-instead.  connectivity_report reads a complete graph off its edge count,
-without building an adjacency or running a depth-first search.
+With k = dimDelta + 1 - t, two facets are adjacent exactly when they
+share a k-subset, so each facet is filed under its k-subsets.
+gamma_graph pairs only facets filed together, so it costs what its
+output costs; when filing (C(dimDelta + 1, k) subsets per facet) would
+cost more than the facet pairs, it intersects every pair instead.  For
+k <= 0 its edge set lists no pair: it is every pair i < j < m held as m,
+a frozen set with O(1) size and membership, lexicographic iteration and
+set algebra that returns frozensets.  Strong connectivity and the
+removal experiment list no pair at all: Gamma_1 has the components of
+the vertex graph of its ridge buckets, each joined as a star, so a ridge
+in n facets costs n, not n(n-1)/2.  connectivity_report reads a complete
+graph off its edge count and any other graph off one depth-first search.
 """
 
 from collections.abc import Set
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import GammaTwoNotIsolated, IndexOutOfRange, NotPure, TOutOfRange
@@ -117,15 +118,12 @@ def gamma_graph(delta, t):
     """Build Gamma_t: facets adjacent iff |sigma cap tau| >= dimDelta+1-t.
 
     With k = dimDelta + 1 - t: k <= 0 gives the complete graph, whose
-    edges are held as the facet count; otherwise
-    facets are paired through the k-subsets they share, unless filing
-    every facet under its C(dimDelta + 1, k) subsets would cost more
-    than intersecting every pair of facets, which is then done instead.
+    edges are held as the facet count; otherwise facets are paired
+    through the k-subsets they share, unless filing every facet under its
+    C(dimDelta + 1, k) subsets would cost more than intersecting every
+    pair of facets, which is then done instead.
     """
-    if delta.is_void or delta.is_empty:
-        raise ValueError("Gamma_t needs a complex with at least one facet vertex")
-    if not delta.is_pure():
-        raise NotPure("Gamma_t is defined for pure complexes")
+    _check_facet_graph(delta)
     d = delta.dim
     if not 0 <= t <= d + 1:
         raise TOutOfRange(f"t must lie in 0..{d + 1}, got {t}")
@@ -141,6 +139,14 @@ def gamma_graph(delta, t):
     return GammaGraph(t, facets, edges)
 
 
+def _check_facet_graph(delta):
+    """Refuse a void, empty or impure complex, as every facet graph does."""
+    if delta.is_void or delta.is_empty:
+        raise ValueError("Gamma_t needs a complex with at least one facet vertex")
+    if not delta.is_pure():
+        raise NotPure("Gamma_t is defined for pure complexes")
+
+
 def _pairwise_edges(facets, k):
     """The pairs i < j of facets sharing at least k vertices, by intersecting
     every pair."""
@@ -149,19 +155,27 @@ def _pairwise_edges(facets, k):
             if len(sets[i] & sets[j]) >= k]
 
 
-def _shared_subset_edges(facets, k):
-    """The pairs i < j of facets sharing at least k vertices, by filing each
-    facet under its k-subsets; facet indices enter each bucket in
-    increasing order, so every pair comes out as i < j."""
+def _subset_buckets(facets, k, removed=()):
+    """The facet indices filed under each k-subset of a facet, one increasing
+    list per subset, with the removed indices left out."""
     buckets = {}
     for i, f in enumerate(facets):
-        for s in combinations(f, k):
-            buckets.setdefault(s, []).append(i)
-    edges = set()
-    for bucket in buckets.values():
-        if len(bucket) > 1:
-            edges.update(combinations(bucket, 2))
-    return edges
+        if i not in removed:
+            for s in combinations(f, k):
+                buckets.setdefault(s, []).append(i)
+    return buckets.values()
+
+
+def _shared_subset_edges(facets, k):
+    """The pairs i < j of facets sharing at least k vertices, listed within
+    the buckets of their k-subsets."""
+    return set(chain.from_iterable(combinations(b, 2) for b in _subset_buckets(facets, k)))
+
+
+def _facet_components(delta, removed=()):
+    """Components of Gamma_1 less the removed facets, with no pair listed: the
+    vertex graph of the ridge buckets, each bucket joined as a star."""
+    return _components(_vertex_graph(_subset_buckets(delta.facets, delta.dim, removed)))
 
 
 class ConnectivityReport:
@@ -199,18 +213,13 @@ class ConnectivityReport:
         )
 
 
-def _components(adj, skip=frozenset()):
-    """Connected-component count of the graph minus a vertex set.
-
-    adj maps each vertex to its neighbours.  This is the one
-    connectivity helper: facet graphs here, link connectivity and
-    strong connectivity in classify, and H~_0 of graphs in homology all
-    count components with it.
-    """
-    alive = [v for v in adj if v not in skip]
+def _components(adj):
+    """Connected-component count of a graph, adj mapping each vertex to its
+    neighbours: the one connectivity helper, for facet graphs here, links
+    and orientation covers in classify and H~_0 of graphs in homology."""
     seen = set()
     count = 0
-    for start in alive:
+    for start in adj:
         if start in seen:
             continue
         count += 1
@@ -219,7 +228,7 @@ def _components(adj, skip=frozenset()):
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w not in skip and w not in seen:
+                if w not in seen:
                     seen.add(w)
                     stack.append(w)
     return count
@@ -228,7 +237,7 @@ def _components(adj, skip=frozenset()):
 def _vertex_graph(facets):
     """Adjacency on the vertices of a complex, each facet joined as a star;
     it has one component exactly when the complex is connected.  For a
-    complex of dimension at most 1 it is the complex itself as a graph.
+    graph it is the graph, and for Gamma_1's ridge buckets Gamma_1.
     """
     adj = {v: set() for f in facets for v in f}
     for f in facets:
@@ -239,18 +248,15 @@ def _vertex_graph(facets):
 
 
 def _articulation_points(adj):
-    """Articulation points by iterative depth-first search.
-
-    Standard low-link computation; the root of each DFS tree is an
-    articulation point iff it has at least two tree children.
-    """
-    disc = {}
-    low = {}
-    points = set()
-    timer = 0
+    """(components, articulation points) by one iterative depth-first search:
+    standard low-link computation, one tree per component, whose root is an
+    articulation point iff it has at least two tree children."""
+    disc, low, points = {}, {}, set()
+    timer = components = 0
     for root in adj:
         if root in disc:
             continue
+        components += 1
         root_children = 0
         disc[root] = low[root] = timer
         timer += 1
@@ -258,7 +264,6 @@ def _articulation_points(adj):
         stack = [(root, None, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if w == parent:
                     continue
@@ -270,18 +275,16 @@ def _articulation_points(adj):
                     if v == root:
                         root_children += 1
                     stack.append((w, v, iter(adj[w])))
-                    advanced = True
                     break
-            if advanced:
-                continue
-            stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if parent != root and low[v] >= disc[parent]:
-                    points.add(parent)
+            else:  # v has no unvisited neighbour left
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if parent != root and low[v] >= disc[parent]:
+                        points.add(parent)
         if root_children >= 2:
             points.add(root)
-    return sorted(points)
+    return components, sorted(points)
 
 
 def connectivity_report(graph):
@@ -289,20 +292,15 @@ def connectivity_report(graph):
 
     A GammaGraph holds only pairs i < j < n, so n(n-1)/2 edges means the
     complete graph: one component (none when n = 0) and no articulation
-    point, with no adjacency built and no depth-first search.
+    point, with no adjacency built; any other graph is searched once.
     """
     n = graph.n_vertices
     if len(graph.edges) == n * (n - 1) // 2:
         components, points = min(n, 1), []
     else:
-        adj = graph.adjacency()
-        components = _components(adj)
-        points = _articulation_points(adj)
+        components, points = _articulation_points(graph.adjacency())
     trivial = n <= 2
-    if trivial:
-        two_connected = components == 1
-    else:
-        two_connected = components == 1 and not points
+    two_connected = components == 1 and (trivial or not points)
     return ConnectivityReport(components, two_connected, points, trivial)
 
 
@@ -312,17 +310,17 @@ def removal_experiment(delta, b_indices):
     Returns True when Gamma_1 minus B is connected.  B must induce no
     edge of Gamma_2, otherwise GammaTwoNotIsolated reports the first
     offending pair; a graph on zero or one remaining vertices counts
-    as connected.  Gamma_2 itself is never built: only the pairs of B
-    are checked, for |F_x cap F_y| >= dimDelta - 1, after Gamma_1 has
-    validated the complex.
+    as connected.  The complex is refused as by gamma_graph, but neither
+    graph is built: the pairs of B are checked for |F_x cap F_y| >=
+    dimDelta - 1, and the other facets counted through their ridges.
     """
     b = sorted(set(b_indices))
     m = len(delta.facets)
     for i in b:
         if not 0 <= i < m:
             raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
-    gamma1 = gamma_graph(delta, 1)
+    _check_facet_graph(delta)
     for x, y in combinations(b, 2):
         if len(set(delta.facets[x]).intersection(delta.facets[y])) >= delta.dim - 1:
             raise GammaTwoNotIsolated((x, y))
-    return _components(gamma1.adjacency(), skip=frozenset(b)) <= 1
+    return _facet_components(delta, set(b)) <= 1

@@ -1,31 +1,37 @@
 """Gamma_t facet graphs, 2-connectivity, removal experiments."""
 
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest import mock
 
 import pytest
-from _perfbench import gen
+from _perfbench import families, gen
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgor import (
+    GF2,
     GammaGraph,
     GammaTwoNotIsolated,
     IndexOutOfRange,
     NotPure,
     QQ,
     TOutOfRange,
+    classification_report,
     connectivity_report,
     from_facets,
     gamma_graph,
     graphs,
+    is_orientable,
+    is_pseudomanifold,
     is_quasi_gorenstein,
     is_strongly_connected,
     removal_experiment,
 )
+from qgor.cli import main
 from qgor.fixtures import corpus, get_fixture
 
 FIELDS_QG = [QQ]
@@ -367,3 +373,196 @@ def test_graph_serialization():
     assert dot.startswith("graph gamma_1 {")
     assert 'f1 [label="{1,2}"];' in dot
     assert dot.rstrip().endswith("}")
+
+
+# Strong connectivity and the removal experiment count Gamma_1's components
+# through its ridge buckets and never list its pairs; connectivity_report
+# reads components and articulation points off one search.
+
+
+def _book(pages, spine=(1, 2)):
+    """The pages spine + {v} for v past the spine: every facet through one ridge."""
+    first = max(spine) + 1
+    return from_facets([(*spine, v) for v in range(first, first + pages)])
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def test_book_is_connected_in_linear_time(tmp_path, capsys):
+    # 2,000 triangles on one edge: Gamma_1 is complete with 1,999,000 pairs,
+    # which took 2.6-3.6 s and about 465 MB to list per call
+    book = _book(2000)
+    calls = {
+        "is_strongly_connected": lambda: is_strongly_connected(book),
+        "classification_report": lambda: classification_report(book, GF2).strongly_connected,
+        "removal_experiment": lambda: removal_experiment(book, [0]),
+    }
+    for name, call in calls.items():
+        result, seconds = _timed(call)
+        assert result is True, name
+        assert seconds < 1, (name, seconds)
+        assert _traced(call)[1] < 8 * 2 ** 20, name
+    path = tmp_path / "book.cplx"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in book.facets))
+    code, seconds = _timed(lambda: main(["classify", str(path)]))
+    out = capsys.readouterr().out
+    assert code == 0 and "strongly_connected: yes" in out
+    assert seconds < 1, seconds
+
+
+def _reference_components(adj, removed=()):
+    """Components of a graph less some vertices, by a plain depth-first search."""
+    seen, count = set(removed), 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _reference_report(graph):
+    """(components, two_connected, articulation points, trivial), the points
+    found by deleting each vertex and recounting."""
+    adj = graph.adjacency()
+    components = _reference_components(adj)
+    points = [v for v in adj if _reference_components(adj, {v}) > components]
+    trivial = graph.n_vertices <= 2
+    return components, components == 1 and (trivial or not points), points, trivial
+
+
+def _gamma_two_pairs(delta, b):
+    """The pairs x < y of b whose facets share at least dim - 1 vertices."""
+    return [(x, y) for x, y in combinations(sorted(b), 2)
+            if len(set(delta.facets[x]) & set(delta.facets[y])) >= delta.dim - 1]
+
+
+def _removal_sets(rng, delta):
+    """The benchmark's draw (facets in random order, each kept when it shares
+    no vertex with those kept, at most eight), the empty set, random sets
+    grown the same way under the Gamma_2 check, and random sets."""
+    m = len(delta.facets)
+    order = list(range(m))
+    rng.shuffle(order)
+    disjoint, used = [], set()
+    for i in order:
+        if len(disjoint) < 8 and not used & set(delta.facets[i]):
+            disjoint.append(i)
+            used |= set(delta.facets[i])
+    sets = [disjoint, []]
+    for _ in range(3):
+        rng.shuffle(order)
+        grown = []
+        for i in order[:rng.randint(1, m)]:
+            if not _gamma_two_pairs(delta, grown + [i]):
+                grown.append(i)
+        sets.append(grown)
+    return sets + [rng.sample(range(m), rng.randint(1, m)) for _ in range(2)]
+
+
+def _differential_inputs(rng):
+    randoms = []
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        d = rng.randint(0, min(n - 1, 3))
+        randoms.append(gen.random_pure(rng, n, d, rng.randint(1, min(comb(n, d + 1), 14))))
+    books = [_book(p, spine) for p in (1, 2, 5) for spine in ((1,), (1, 2), (1, 2, 3))]
+    return (families(rng) + randoms + [gen.cone(d) for d in randoms[:40]] + books
+            + [gen.add_dangling_edge(b, 1) for b in books[:3]])
+
+
+def test_facet_components_match_a_reference_search():
+    rng = random.Random(22)
+    removals = disconnected = 0
+    for delta in _differential_inputs(rng):
+        if delta.is_void or delta.is_empty or not delta.is_pure():
+            continue
+        d, m = delta.dim, len(delta.facets)
+        adj = gamma_graph(delta, 1).adjacency()
+        assert is_strongly_connected(delta) == (_reference_components(adj) <= 1), delta
+        for t in range(min(2, d + 1) + 1):
+            graph = gamma_graph(delta, t)
+            report = connectivity_report(graph)
+            got = (report.components, report.two_connected,
+                   report.articulation_points, report.trivial)
+            assert got == _reference_report(graph), (delta, t)
+        for b in _removal_sets(rng, delta):
+            bad = _gamma_two_pairs(delta, b)
+            if bad:
+                with pytest.raises(GammaTwoNotIsolated) as exc:
+                    removal_experiment(delta, b)
+                assert exc.value.pair == bad[0], (delta, b)
+                continue
+            want = _reference_components(adj, set(b)) <= 1
+            assert removal_experiment(delta, b) == want, (delta, b)
+            removals += 1
+            disconnected += not want
+    assert removals > 500 and disconnected > 50, (removals, disconnected)
+
+
+def _pair_listings(call):
+    """call()'s result, or the exception it raised, with the pair listings
+    graphs made during it: each list of facet indices paired by
+    combinations(..., 2), as _shared_subset_edges pairs a bucket (a facet,
+    filed under its 2-subsets, is a tuple), and the _pairwise_edges calls."""
+    real, listed = graphs.combinations, []
+
+    def spy(items, r):
+        if r == 2 and isinstance(items, list):
+            listed.append(tuple(items))
+        return real(items, r)
+
+    with mock.patch.object(graphs, "combinations", spy), \
+            mock.patch.object(graphs, "_pairwise_edges", wraps=graphs._pairwise_edges) as pairwise:
+        try:
+            result = call()
+        except Exception as exc:  # a refusal is an answer here
+            result = exc
+    return result, listed, pairwise.call_count
+
+
+def test_connectivity_predicates_list_no_facet_pair():
+    rng = random.Random(5)
+    cases = families(rng)
+    assert len(cases) > len(corpus())
+    for delta in cases:
+        calls = [lambda: is_strongly_connected(delta), lambda: is_pseudomanifold(delta),
+                 lambda: is_orientable(delta), lambda: classification_report(delta, GF2)]
+        for call in calls:
+            _, listed, pairwise = _pair_listings(call)
+            assert (listed, pairwise) == ([], 0), delta
+        if delta.is_void or delta.is_empty or not delta.is_pure():
+            continue
+        for b in _removal_sets(rng, delta)[:3]:
+            # only the removed set's own pairs are read, by the Gamma_2 check
+            _, listed, pairwise = _pair_listings(lambda: removal_experiment(delta, b))
+            assert pairwise == 0 and set(listed) <= {tuple(sorted(set(b)))}, (delta, b)
+
+
+def test_connectivity_report_searches_once():
+    searched = 0
+    for fx in corpus():
+        delta = fx.complex()
+        if delta.is_void or delta.is_empty or not delta.is_pure():
+            continue
+        graph = gamma_graph(delta, 1)
+        n = graph.n_vertices
+        if len(graph.edges) == n * (n - 1) // 2:
+            continue
+        with mock.patch.object(graphs, "_components", wraps=graphs._components) as count, \
+                mock.patch.object(graphs, "_articulation_points",
+                                  wraps=graphs._articulation_points) as search:
+            connectivity_report(graph)
+        assert (count.call_count, search.call_count) == (0, 1), fx.name
+        searched += 1
+    assert searched >= 3

@@ -16,9 +16,14 @@ predicates that take no field on every complex: the normal-pseudomanifold
 report (its flags and witnesses), is_pseudomanifold and
 is_strongly_connected, exceptions again counting as answers.  A fourth
 line digests the facet graphs of every pure complex among them: for each
-t in 0..dim+1, Gamma_t as JSON and its connectivity report as JSON.  Two
-checkouts whose predicates agree print the same lines, so a refactor can
-be checked with a plain diff:
+t in 0..dim+1, Gamma_t as JSON and its connectivity report as JSON.  A
+fifth line digests removal_experiment, exceptions counting as answers, on
+every pure complex among them, for three facet sets each: the greedy
+vertex-disjoint set that the partition-sweep benchmark draws (facets in
+seeded random order, each kept when it shares no vertex with those kept,
+at most eight) and two seeded random facet sets.  Two checkouts whose
+predicates agree print the same lines, so a refactor can be checked with
+a plain diff:
 
     python3 tools/predicate_digest.py
     python3 tools/predicate_digest.py --root ../other-checkout
@@ -123,6 +128,19 @@ def gamma_answers(qgor, delta, t):
     return _answer(graph)
 
 
+def removal_sets(rng, delta):
+    """The benchmark's greedy vertex-disjoint facet set, then two random ones."""
+    m = len(delta.facets)
+    order = list(range(m))
+    rng.shuffle(order)
+    greedy, used = [], set()
+    for i in order:
+        if len(greedy) < 8 and not used & set(delta.facets[i]):
+            greedy.append(i)
+            used |= set(delta.facets[i])
+    return [greedy] + [rng.sample(range(m), rng.randint(1, m)) for _ in range(2)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=HERE, help="checkout whose src/qgor is digested")
@@ -159,6 +177,16 @@ def main(argv=None):
             digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
             graphs += 1
     print(f"{graphs} facet graphs with connectivity reports: sha256 {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    rng = random.Random(SEED)
+    removals = 0
+    for delta in (d for d in cases if d.is_pure()):
+        for b in removal_sets(rng, delta):
+            record = [delta.n_vertices, delta.facets, b,
+                      _answer(lambda: qgor.removal_experiment(delta, b))]
+            digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
+            removals += 1
+    print(f"{removals} removal experiments: sha256 {digest.hexdigest()}")
     return 0
 
 
