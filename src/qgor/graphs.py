@@ -237,7 +237,7 @@ def _components(adj):
 def _vertex_graph(facets):
     """Adjacency on the vertices of a complex, each facet joined as a star;
     it has one component exactly when the complex is connected.  For a
-    graph it is the graph, and for Gamma_1's ridge buckets Gamma_1.
+    graph it is the graph; on Gamma_1's ridge buckets it has its components.
     """
     adj = {v: set() for f in facets for v in f}
     for f in facets:
