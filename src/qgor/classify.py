@@ -9,24 +9,25 @@ dimension d over a field k:
     normal pseudomanifold  =  pure + connected low links + every ridge
                               in exactly two facets
 
-Orientability is decided by orienting the facets of a pseudomanifold
-across its ridges, which is exactly H~_d(Delta; Q) != 0, over every
-field.  Every predicate returns its first witness in canonical face
-order, so failures are reproducible.
+Strong connectivity, the ridge condition and orientability read one
+signed ridge map per call; orientability orients the facets of a
+pseudomanifold across its ridges, which is exactly H~_d(Delta; Q) != 0,
+over every field.  Every predicate returns its first witness in
+canonical face order, so failures are reproducible.
 
 Each predicate over a field is a read of one analysis of the complex,
 hochster's link view: the face -> link index, the normal-pseudomanifold
 report and each link's Betti vector are computed on first read, at most
-once, and only if read.  Normality reads each low link's vertex graph
-off the index, so it reads no homology.  An analysis lives as long as
-its call.
+once, and only if read.  Normality counts the components of each low
+link's facets off the index, so it reads no homology.  An analysis
+lives as long as its call.
 """
 
 from functools import cached_property
 from itertools import islice
 
 from .errors import NotAPseudomanifold, NotPure
-from .graphs import _components, _facet_components, _vertex_graph
+from .graphs import _components
 from .hochster import _Links
 from .simplicial_core import check_face_budget, core, face_key
 
@@ -69,12 +70,11 @@ def normal_pseudomanifold_report(delta):
 
 def is_strongly_connected(delta):
     """True when any two facets are joined by a walk across ridges, read
-    off the facets filed under their ridges with no pair of Gamma_1 listed."""
+    off the ridge map with no pair of Gamma_1 listed."""
     if not delta.is_pure():
         raise NotPure("strong connectivity is defined for pure complexes")
-    if len(delta.facets) <= 1:
-        return True
-    return _facet_components(delta) == 1
+    ridges = _ridges(delta)
+    return ridges is None or _strongly_connected(ridges)
 
 
 def is_pseudomanifold(delta):
@@ -83,20 +83,34 @@ def is_pseudomanifold(delta):
     The facets of a pure complex through each ridge are read off its
     ridge map, with no link built.
     """
-    return _ridges(delta) is not None and is_strongly_connected(delta)
+    return _pseudomanifold(_ridges(delta))
 
 
 def _ridges(delta):
-    """The ridge map of a pure complex whose every ridge lies in exactly two
-    facets, None for any other complex.  It maps each ridge f - f[j] to the
-    (k, (-1)^j) of the facets f = delta.facets[k] through it."""
+    """The signed ridge map of a pure complex with a vertex, None for any
+    other complex: each ridge f - f[j] maps to the (k, (-1)^j) of the facets
+    f = delta.facets[k] through it.  Its buckets give strong connectivity,
+    the ridge condition and the orientation cover."""
     if delta.is_void or delta.is_empty or not delta.is_pure():
         return None
     ridges = {}
     for k, f in enumerate(delta.facets):
         for j in range(len(f)):
             ridges.setdefault(f[:j] + f[j + 1:], []).append((k, (-1) ** j))
-    return ridges if all(len(v) == 2 for v in ridges.values()) else None
+    return ridges
+
+
+def _strongly_connected(ridges):
+    """Whether the facets of a ridge map form one component of Gamma_1: the
+    complex whose facets are the buckets' facet ids is connected."""
+    return _components([k for k, _ in bucket] for bucket in ridges.values()) == 1
+
+
+def _pseudomanifold(ridges):
+    """Whether a ridge map (None unless the complex is pure with a vertex)
+    has every ridge in exactly two facets, which are strongly connected."""
+    return (ridges is not None and all(len(bucket) == 2 for bucket in ridges.values())
+            and _strongly_connected(ridges))
 
 
 def is_orientable(delta):
@@ -106,22 +120,19 @@ def is_orientable(delta):
     (the notion presumes one).
     """
     ridges = _ridges(delta)
-    if ridges is None or not is_strongly_connected(delta):
+    if not _pseudomanifold(ridges):
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
     return _orientable(delta, ridges)
 
 
 def _orientable(delta, ridges):
     """Whether the facets of a pseudomanifold can be signed to cancel on every
-    ridge, which is H~_d(Delta; Q) != 0: the orientation double cover, (k, e)
-    to (m, -e s t) across a ridge of _ridges, has two components."""
+    ridge, which is H~_d(Delta; Q) != 0: the orientation double cover, whose
+    edges (k, e) -- (m, -e s t) across each ridge of _ridges are passed to
+    _components as two-vertex facets, has two components."""
     check_face_budget(delta.facets[-1:])  # the facet size reduced_betti refuses
-    cover = {(k, e): [] for k in range(len(delta.facets)) for e in (1, -1)}
-    for (k, s), (m, t) in ridges.values():
-        for e in (1, -1):
-            cover[k, e].append((m, -e * s * t))
-            cover[m, -e * s * t].append((k, e))
-    return _components(cover) == 2
+    return _components(((k, e), (m, -e * s * t))
+                       for (k, s), (m, t) in ridges.values() for e in (1, -1)) == 2
 
 
 class _Analysis(_Links):
@@ -135,9 +146,9 @@ class _Analysis(_Links):
     @cached_property
     def normal(self):
         """The normal-pseudomanifold report, read off the view's index.  A
-        link is connected when its vertex graph has one component, so no
-        homology is read.  A ridge lies in as many facets as its link has
-        facets."""
+        link is connected when its facets form one component (_components),
+        so no homology is read.  A ridge lies in as many facets as its link
+        has facets."""
         delta, d = self.delta, self.delta.dim
         witnesses = {}
         pure = delta.is_pure()
@@ -145,7 +156,7 @@ class _Analysis(_Links):
             witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
         # faces of dimension at most d - 2 need connected links
         normal_w = next((s for s, lk in self.index.items()
-                         if len(s) < d and _components(_vertex_graph(lk)) != 1), None)
+                         if len(s) < d and _components(lk) != 1), None)
         ridge_w = next(((s, len(lk)) for s, lk in self.index.items()
                         if len(s) == d and len(lk) != 2), None)
         normal, ridge_condition = normal_w is None, ridge_w is None
@@ -262,9 +273,10 @@ def classification_report(delta, field):
     np_report = analysis.normal
     witnesses = dict(np_report.witnesses)
 
-    strongly_connected = np_report.pure and is_strongly_connected(delta)
-    pseudo = np_report.pure and np_report.ridge_condition and strongly_connected
-    orientable = pseudo and _orientable(delta, _ridges(delta))
+    ridges = _ridges(delta)  # None exactly when delta is impure
+    strongly_connected = ridges is not None and _strongly_connected(ridges)
+    pseudo = np_report.ridge_condition and strongly_connected
+    orientable = pseudo and _orientable(delta, ridges)
 
     buchsbaum, bb_witness = analysis.buchsbaum
     if bb_witness is not None:

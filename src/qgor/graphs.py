@@ -16,10 +16,11 @@ cost more than the facet pairs, it intersects every pair instead.  For
 k <= 0 its edge set lists no pair: it is every pair i < j < m held as m,
 a frozen set with O(1) size and membership, lexicographic iteration and
 set algebra that returns frozensets.  Strong connectivity and the
-removal experiment list no pair at all: Gamma_1 has the components of
-the vertex graph of its ridge buckets, each joined as a star, so a ridge
-in n facets costs n, not n(n-1)/2.  connectivity_report reads a complete
-graph off its edge count and any other graph off one depth-first search.
+removal experiment list no pair at all: _components, one union-find over
+facets, counts Gamma_1's components off its ridge buckets, so a ridge in
+n facets costs n, not n(n-1)/2, and a Gamma_2 edge within B is found by
+filing B's facets alone.  connectivity_report reads a complete graph off
+its edge count and any other graph off one depth-first search.
 """
 
 from collections.abc import Set
@@ -172,12 +173,6 @@ def _shared_subset_edges(facets, k):
     return set(chain.from_iterable(combinations(b, 2) for b in _subset_buckets(facets, k)))
 
 
-def _facet_components(delta, removed=()):
-    """Components of Gamma_1 less the removed facets, with no pair listed: the
-    vertex graph of the ridge buckets, each bucket joined as a star."""
-    return _components(_vertex_graph(_subset_buckets(delta.facets, delta.dim, removed)))
-
-
 class ConnectivityReport:
     """Components, articulation points and the 2-connectivity verdict.
 
@@ -213,38 +208,26 @@ class ConnectivityReport:
         )
 
 
-def _components(adj):
-    """Connected-component count of a graph, adj mapping each vertex to its
-    neighbours: the one connectivity helper, for facet graphs here, links
-    and orientation covers in classify and H~_0 of graphs in homology."""
-    seen = set()
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
-
-
-def _vertex_graph(facets):
-    """Adjacency on the vertices of a complex, each facet joined as a star;
-    it has one component exactly when the complex is connected.  For a
-    graph it is the graph; on Gamma_1's ridge buckets it has its components.
-    """
-    adj = {v: set() for f in facets for v in f}
+def _components(facets):
+    """The component count of the complex the facets generate, each facet an
+    iterable of hashable vertices (never None) read once.  Union-find with
+    path halving (van Leeuwen and Tarjan, J. ACM 1984): each vertex's root
+    is joined to the root of its facet's first vertex."""
+    parent, count = {}, 0
     for f in facets:
-        for v in f[1:]:
-            adj[f[0]].add(v)
-            adj[v].add(f[0])
-    return adj
+        first = None
+        for v in f:
+            if v not in parent:
+                parent[v] = v
+                count += 1
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if first is None:
+                first = v
+            elif v != first:
+                parent[v] = first
+                count -= 1
+    return count
 
 
 def _articulation_points(adj):
@@ -311,16 +294,18 @@ def removal_experiment(delta, b_indices):
     edge of Gamma_2, otherwise GammaTwoNotIsolated reports the first
     offending pair; a graph on zero or one remaining vertices counts
     as connected.  The complex is refused as by gamma_graph, but neither
-    graph is built: the pairs of B are checked for |F_x cap F_y| >=
-    dimDelta - 1, and the other facets counted through their ridges.
+    graph is built: B's facets alone are filed under their max(dimDelta -
+    1, 0)-subsets, the least (bucket[0], bucket[1]) being the first Gamma_2
+    edge, and the other facets are counted through their ridges.
     """
-    b = sorted(set(b_indices))
+    b = set(b_indices)
     m = len(delta.facets)
-    for i in b:
+    for i in sorted(b):
         if not 0 <= i < m:
             raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
     _check_facet_graph(delta)
-    for x, y in combinations(b, 2):
-        if len(set(delta.facets[x]).intersection(delta.facets[y])) >= delta.dim - 1:
-            raise GammaTwoNotIsolated((x, y))
-    return _facet_components(delta, set(b)) <= 1
+    pairs = [(s[0], s[1]) for s in _subset_buckets(delta.facets, max(delta.dim - 1, 0),
+                                                   set(range(m)) - b) if len(s) > 1]
+    if pairs:
+        raise GammaTwoNotIsolated(min(pairs))
+    return _components(_subset_buckets(delta.facets, delta.dim, b)) <= 1

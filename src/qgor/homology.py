@@ -58,7 +58,7 @@ from math import gcd
 
 from . import simplicial_core
 from .errors import CapacityExceeded, NotASubcomplex
-from .graphs import _components, _vertex_graph
+from .graphs import _components
 from .simplicial_core import _faces_of_dim, check_face_budget
 
 
@@ -463,10 +463,9 @@ def reduced_betti(delta, field):
     if set(delta.facets[0]).intersection(*delta.facets[1:]):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
     if d <= 1:
-        adj = _vertex_graph(delta.facets)
-        c = _components(adj)
+        c = _components(delta.facets)
         edges = sum(len(f) == 2 for f in delta.facets)
-        return BettiVector({0: c - 1, 1: edges - len(adj) + c} if d else {0: c - 1})
+        return BettiVector({0: c - 1, 1: edges - len(delta.vertices()) + c} if d else {0: c - 1})
     return _betti(_cells(delta), field)
 
 
