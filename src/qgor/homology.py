@@ -46,20 +46,28 @@ a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
 E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c.  In a
 manifold of dimension at most 3 every link below a vertex link is a
 graph, and in a cone every link of a face missing the apex is a cone.
+Any other complex may be traded for its nerve N(Delta), whose facets are
+the vertex stars {k : v in F_k} on the facet ids: the facets cover Delta
+by simplices whose nonempty intersections are simplices, so by the nerve
+theorem (Borsuk 1948; Bjorner, Topological methods, 1995, section 10)
+Delta and N(Delta) have the same reduced homology over every field.  A
+few wide facets have a tiny nerve.  simplicial_core.FACE_CAP, read when
+a refusal runs, bounds the facets' span, the boundary ids of the cells
+and the entries elimination touches, so it bounds work as well as faces.
 
 Over a field the dimensions of cohomology equal those of homology in
 each degree (universal coefficients), so the Betti vectors computed
 here serve for both H~_i and H~^i.
 """
 
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque, namedtuple
+from itertools import chain, combinations
 from math import gcd
 
 from . import simplicial_core
 from .errors import CapacityExceeded, NotASubcomplex
 from .graphs import _components
-from .simplicial_core import _faces_of_dim, check_face_budget
+from .simplicial_core import check_face_budget
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound.
@@ -216,8 +224,12 @@ def rank(matrix):
     dependent.  The rank is the number of pivots.  Over GF(p) entries
     stay reduced mod p; over Q they stay integers, each new column
     divided by the gcd of its entries, which keeps them small.
+    Each column operation touches the entries of both columns; once
+    their running count passes the face cap, CapacityExceeded is raised.
     """
     p = matrix.field.p
+    cap = simplicial_core.FACE_CAP
+    touched = 0
     pivots = {}
     for col in matrix.columns:
         while col:
@@ -226,6 +238,9 @@ def rank(matrix):
             if pivot is None:
                 pivots[low] = col
                 break
+            touched += len(col) + len(pivot)
+            if touched > cap:
+                raise CapacityExceeded(f"elimination touched {touched} entries, cap is {cap}")
             a, b = pivot[low], col[low]
             col = _nonzero({r: a * col.get(r, 0) - b * pivot.get(r, 0)
                             for r in col.keys() | pivot.keys()}, p)
@@ -233,16 +248,6 @@ def rank(matrix):
                 g = gcd(*col.values())
                 col = {r: x // g for r, x in col.items()}
     return len(pivots)
-
-
-def _check_area(n_rows, n_cols, relative=False):
-    """Refuse a (relative) boundary matrix of more than
-    simplicial_core.FACE_CAP n_rows x n_cols, read through the module so
-    a lowered cap applies here too."""
-    cap = simplicial_core.FACE_CAP
-    if n_rows * n_cols > cap:
-        kind = "relative boundary matrix" if relative else "boundary matrix"
-        raise CapacityExceeded(f"{kind} with {n_rows} x {n_cols} entries, cap is {cap}")
 
 
 def _boundary(cols, rows, field):
@@ -269,32 +274,17 @@ def boundary_matrix(delta, i, field):
 
     Out-of-range degrees give matrices with zero rows and/or columns.
     The (-1)-faces list is the empty face alone, which makes the i = 0
-    matrix the augmentation row of the reduced chain complex.
+    matrix the augmentation row of the reduced chain complex.  The faces
+    are built by faces_of_dim, so only the span screen applies.
     """
-    cols, rows = delta.faces_of_dim(i), delta.faces_of_dim(i - 1)
-    _check_area(len(rows), len(cols))
-    return _boundary(cols, rows, field)
+    return _boundary(delta.faces_of_dim(i), delta.faces_of_dim(i - 1), field)
 
 
-class _Cells:
-    """The cells of a complex as _cells numbers them.
-
-    faces[b] is the face of cell b, bd[b] the ids of its boundary faces
-    and cob[b] the ids of the cells that have b among theirs.  dead holds
-    the ids of the cells outside the chain complex: the empty face and
-    gamma's faces of a relative one.  sizes[j] counts the live j-cells
-    for j = -1..dim.  Once a pair of levels is over the area cap, sizes
-    is all there is: faces, bd and cob are None.
-    """
-
-    __slots__ = ("faces", "bd", "cob", "dead", "sizes")
-
-    def __init__(self, faces, bd, cob, dead, sizes):
-        self.faces = faces
-        self.bd = bd
-        self.cob = cob
-        self.dead = dead
-        self.sizes = sizes
+#: The cells of a complex as _cells numbers them: faces[b] is the face of
+#: cell b, bd[b] the ids of its boundary faces and cob[b] the ids of the
+#: cells that have b among theirs; dead holds the ids of the cells outside
+#: the chain complex, the empty face and gamma's faces of a relative one.
+_Cells = namedtuple("_Cells", "faces bd cob dead")
 
 
 def _cells(delta, gamma=None):
@@ -302,13 +292,12 @@ def _cells(delta, gamma=None):
     ids as the module docstring describes; with gamma, the cells of the
     relative chain complex, gamma's faces and the empty face dead.
 
-    Each pair of adjacent levels is checked against the area cap as soon
-    as both live sizes are known.  From the first pair over it no more
-    ids are recorded and the levels below are only counted, one face set
-    at a time, so that _check_area refuses in ascending degree at no
-    more cost than enumerating those faces.  Raises NotASubcomplex for
-    the first facet of gamma, in canonical order, that is not a face of
-    delta.
+    Raises CapacityExceeded when delta's facets span more than the face
+    cap, before any face is built, and before numbering a level whose
+    boundary ids would bring the total recorded past the cap: ids, not
+    faces, are what the pass stores and walks.  Then raises
+    NotASubcomplex for the first facet of gamma, in canonical order, that
+    is not a face of delta.
     """
     check_face_budget(delta.facets)
     cap = simplicial_core.FACE_CAP
@@ -324,30 +313,17 @@ def _cells(delta, gamma=None):
     gamma_facets = [g for g in gamma.facets if g] if gamma is not None else []
     found = set()
     dead = set()
-    sizes = {}
+    total = 0
     top = len(facets[-1]) - 1 if facets else -2
     level = by_size.get(top + 1, [])
-    for k in range(top, -2, -1):
+    for k in range(top, -1, -1):
         for g in gamma_facets:
             if len(g) == k + 1 and g in ident:
                 found.add(g)
                 dead.add(ident[g])
-        if k < 0 and gamma is not None:
-            dead.add(ident[()])
-        sizes[k] = len(level) - len(dead.intersection(level))
-        if k < top and sizes[k] * sizes[k + 1] > cap:
-            # over the cap: drop the ids and only count the levels below,
-            # each face set freed before the next is built
-            ident = faces = bd = cob = number = None
-            for j in range(k - 1, -1, -1):
-                level = _faces_of_dim(facets, j)
-                found.update(g for g in gamma_facets if len(g) == j + 1 and g in level)
-                sizes[j] = len(level) - len(_faces_of_dim(found, j))
-                del level
-            sizes[-1] = int(gamma is None)
-            break
-        if k < 0:
-            break
+        total += (k + 1) * len(level)
+        if total > cap:
+            raise CapacityExceeded(f"cells need {total} boundary ids, cap is {cap}")
         below = by_size.get(k, [])
         n = len(faces)
         for b in level:
@@ -367,10 +343,12 @@ def _cells(delta, gamma=None):
                 dead.update(ids)
         bd += [()] * (n - len(bd))
         level = below
+    if gamma is not None and facets:
+        dead.add(ident[()])
     for g in gamma_facets:
         if g not in found:
             raise NotASubcomplex(f"{list(g)} is not a face of the ambient complex")
-    return _Cells(faces, bd, cob, dead, sizes)
+    return _Cells(faces, bd, cob, dead)
 
 
 def _coreduce(cells):
@@ -407,7 +385,7 @@ def _coreduce(cells):
                 count[c] -= 1
                 if count[c] == 1:
                     queue.append(c)
-    survivors = {j: [] for j in cells.sizes}
+    survivors = {j: [] for j in range(-1, max(map(len, cells.faces)))}
     for f, live in zip(cells.faces, alive):
         if live:
             survivors[len(f) - 1].append(f)
@@ -418,10 +396,7 @@ def _betti(cells, field):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top on
     the live cells of cells (built by _cells).
 
-    Every d_j is screened against the face cap on its full shape, in
-    ascending degree, before any elimination; a relative complex, whose
-    empty face is dead, is refused as a relative boundary matrix.  Then
-    the cells are coreduced (_coreduce), and the formula is taken on the
+    The cells are coreduced (_coreduce), and the formula is taken on the
     survivors, whose boundary is d restricted to them: _boundary builds
     it as it stands, skipping the rows of removed cells.  This is exact
     over every field because each removed pair (a, b) has d b = +-a, a
@@ -430,16 +405,23 @@ def _betti(cells, field):
     ranked once; when no (j-1)-cell survives it maps into the zero space,
     so it is handed to rank with no columns.
     """
-    sizes = cells.sizes
-    top = max(sizes)
-    for j in range(0, top + 1):
-        _check_area(sizes[j - 1], sizes[j], not sizes[-1])
     chains = _coreduce(cells)
+    top = max(chains)
     ranks = {top + 1: 0}
     for j in range(0, top + 1):
         rows = chains[j - 1]
         ranks[j] = rank(_boundary(chains[j] if rows else [], rows, field))
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
+
+
+def _nerve(facets):
+    """The nerve of the complex the facets generate: one vertex k per
+    facet F_k (k = 1..m), and the vertex stars {k : v in F_k} as facets."""
+    stars = {}
+    for k, f in enumerate(facets, 1):
+        for v in f:
+            stars.setdefault(v, []).append(k)
+    return simplicial_core.from_facets(stars.values(), len(facets))
 
 
 def reduced_betti(delta, field):
@@ -448,24 +430,32 @@ def reduced_betti(delta, field):
     dim H~_j = nullity(d_j) - rank(d_{j+1}) on the reduced (augmented)
     chain complex.  The empty complex has {-1: 1}; ordinary complexes
     report degrees 0..dim (H~_{-1} vanishes once there is a vertex).
-    Two cases are answered without elimination, after the span screen
-    of the widest facet alone (a facet-size screen): a cone (every facet
-    holds a common vertex, as a one-facet complex does) has every entry
-    0, and a graph (dimension at most 1) with V vertices, E edges and c
-    components has H~_0 = c - 1 and H~_1 = E - V + c.
+    After the span screen of the widest facet alone, the vertex degrees
+    are counted once.  A vertex in every facet makes a cone, which has
+    every entry 0; a graph (dimension at most 1) with V vertices, E edges
+    and c components has H~_0 = c - 1 and H~_1 = E - V + c.  Otherwise,
+    when the nerve's span, the sum of 2^deg(v), is strictly below
+    delta's, the answer is the nerve's; spans strictly decrease, so this
+    ends.  What is left is eliminated, and _cells and rank refuse work
+    past the face cap.
     """
     if delta.is_void:
         raise ValueError("the void complex has no homology")
     d = delta.dim
     if d == -1:
         return BettiVector({-1: 1})
-    check_face_budget(delta.facets[-1:])
-    if set(delta.facets[0]).intersection(*delta.facets[1:]):
+    facets = delta.facets
+    check_face_budget(facets[-1:])
+    degree = Counter(chain.from_iterable(facets)).values()
+    if max(degree) == len(facets):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
     if d <= 1:
-        c = _components(delta.facets)
-        edges = sum(len(f) == 2 for f in delta.facets)
-        return BettiVector({0: c - 1, 1: edges - len(delta.vertices()) + c} if d else {0: c - 1})
+        c = _components(facets)
+        edges = sum(len(f) == 2 for f in facets)
+        return BettiVector({0: c - 1, 1: edges - len(degree) + c} if d else {0: c - 1})
+    if sum(map((1).__lshift__, degree)) < sum(map((1).__lshift__, map(len, facets))):
+        nerve = reduced_betti(_nerve(facets), field)
+        return BettiVector({j: nerve[j] for j in range(d + 1)})
     return _betti(_cells(delta), field)
 
 
@@ -480,15 +470,15 @@ def relative_betti(delta, gamma, field):
     cohomology H^j(delta, gamma; field).
 
     The chains are delta's cells with the empty face and gamma's faces
-    dead (_cells), so this is reduced_betti's kernel.  Raises, in this
+    dead (_cells), so this is reduced_betti's kernel; gamma's faces are
+    delta's cells, so gamma needs no screen of its own.  Raises, in this
     order: CapacityExceeded when delta's facets span more than the cap,
-    before any face is built; NotASubcomplex, naming the first facet of
-    gamma in canonical order that is not a face of delta;
-    CapacityExceeded when gamma's facets span more than the cap, or
-    when a relative boundary matrix is over the area cap.
+    before any face is built, or when delta's cells need more boundary
+    ids than the cap; NotASubcomplex, naming the first facet of gamma in
+    canonical order that is not a face of delta; CapacityExceeded when
+    the elimination touches more entries than the cap.
     """
     cells = _cells(delta, gamma)
     if delta.is_void or delta.is_empty:
         return BettiVector({})
-    check_face_budget(gamma.facets)
     return _betti(cells, field)

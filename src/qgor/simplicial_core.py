@@ -31,8 +31,9 @@ from .errors import (
 )
 
 #: Cap on the span sum 2^|F| over the facets F of any complex whose faces
-#: are built, and on boundary-matrix area in homology.  Every refusal
-#: reads it at call time, so lowering it here lowers them all.
+#: are built, and in homology on the boundary ids the cell builder records
+#: and on the entries elimination touches.  Every refusal reads it at call
+#: time, so lowering it here lowers them all.
 FACE_CAP = 2 ** 24
 
 

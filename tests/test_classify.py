@@ -117,8 +117,8 @@ def test_orientability():
 
 
 def test_long_cycle_is_orientable_without_elimination():
-    # 4,100 x 4,100 entries of d_1 is past the face cap; a cycle is a
-    # graph, so orientability reads E - V + c and no boundary is built
+    # a cycle is a graph, so orientability reads E - V + c and no
+    # boundary is built
     cycle = qgor.SimplicialComplex(4100, sorted((i, i % 4100 + 1) for i in range(1, 4101)))
     with mock.patch.object(qgor.homology, "rank", wraps=qgor.homology.rank) as spy:
         assert is_orientable(cycle) is True

@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+import random
 import time
 
 import jsonschema
 import pytest
+from _perfbench import gen
 
 from qgor import simplicial_core
 from qgor.cli import main, parse_facet_file
@@ -255,50 +257,68 @@ def test_cli_exit_two_on_capacity(tmp_path, capsys):
         assert "capacity" in err
 
 
+def _three_wide_facets(n):
+    """Facets X+Y, Y+Z, Z+X on blocks of n/2 vertices: pairwise overlapping
+    with no common vertex, so no cone, and their nerve is a triangle."""
+    x, y, z = (list(range(b, b + n // 2)) for b in (1, 1 + n // 2, 1 + n))
+    return [x + y, y + z, z + x]
+
+
+def _write(path, facets):
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+    return str(path)
+
+
 def test_cli_refuses_a_wide_span_before_building_faces(tmp_path, capsys):
-    # Three 24-vertex facets on X+Y, Y+Z, Z+X (12 vertices per block): each
-    # facet alone spans exactly the cap, all three span 3 * 2^24.  No face
-    # is built, so every refusal is immediate.
-    x, y, z = (list(range(b, b + 12)) for b in (1, 13, 25))
-    facets = [x + y, y + z, z + x]
-    wide = tmp_path / "wide-span.cplx"
-    wide.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
-    for argv in (("homology",), ("hochster",), ("classify",),
+    # Three 24-vertex facets: each alone spans exactly the cap, all three
+    # span 3 * 2^24.  Homology reads the nerve, a triangle; every other
+    # subcommand builds faces, so it refuses before building any.
+    facets = _three_wide_facets(24)
+    wide = _write(tmp_path / "wide-span.cplx", facets)
+    for argv in (("homology", "--json"), ("hochster",), ("classify",),
                  ("liaison", "--facets-a", "1"), ("collapse", "--forbid", "1")):
         start = time.perf_counter()
-        code, out, err = _run(capsys, argv[0], str(wide), *argv[1:])
+        code, out, err = _run(capsys, argv[0], wide, *argv[1:])
         assert time.perf_counter() - start < 1, argv
-        assert (code, out) == (2, ""), argv
-        assert "capacity" in err, argv
+        if argv[0] == "homology":
+            betti = json.loads(out)["betti"]
+            assert code == 0 and betti == {str(j): int(j == 1) for j in range(24)}, err
+        else:
+            assert (code, out) == (2, ""), argv
+            assert "capacity" in err, argv
     delta = from_facets(facets)
     with pytest.raises(CapacityExceeded):
         relative_betti(delta, restrict_to_facets(delta, [0]), GF2)
 
 
-def test_cli_refuses_the_first_wide_boundary_in_ascending_degree(tmp_path, capsys):
-    # Three 16-vertex facets on X+Y, Y+Z, Z+X (8 vertices per block) pass
-    # the span screen; the first boundary over the area cap in ascending
-    # degree is d_4, from 3 * C(16, 5) - 3 * C(8, 5) = 12,936 faces onto
-    # 3 * C(16, 4) - 3 * C(8, 4) = 5,250, although the levels above it are
-    # wider still.
-    x, y, z = (list(range(b, b + 8)) for b in (1, 9, 17))
-    facets = [x + y, y + z, z + x]
-    message = "boundary matrix with 5250 x 12936 entries, cap is 16777216"
-    with pytest.raises(CapacityExceeded) as exc:
-        reduced_betti(from_facets(facets), GF2)
-    assert str(exc.value) == message
-    wide = tmp_path / "wide-area.cplx"
-    wide.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
-    code, out, err = _run(capsys, "homology", str(wide))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"qgor: capacity: {message}")
+def test_cli_answers_three_wide_facets_by_their_nerve(tmp_path, capsys):
+    # up to n = 22 the span screen admits these facets, and eliminating
+    # them would build millions of faces; n = 24 is past the span screen
+    for n in range(14, 25, 2):
+        facets = _three_wide_facets(n)
+        start = time.perf_counter()
+        betti = reduced_betti(from_facets(facets), GF2)
+        payload = _run_json(capsys, "homology", _write(tmp_path / f"wide-{n}.cplx", facets),
+                            "--json")
+        assert time.perf_counter() - start < 1, n
+        assert betti.nonzero() == {1: 1}, n
+        assert payload["betti"] == {str(j): int(j == 1) for j in range(n)}, n
 
 
-def test_cli_exit_two_on_boundary_area(monkeypatch, capsys):
-    monkeypatch.setattr(simplicial_core, "FACE_CAP", 120)
-    code, out, err = _run(capsys, "homology", _fixture_path("csaszar-torus"))
-    assert (code, out) == (2, "")
-    assert err.startswith("qgor: capacity: boundary matrix with 7 x 21 entries, cap is 120")
+def test_cli_exit_two_on_work_past_the_cap(tmp_path, monkeypatch, capsys):
+    # The Fano plane spans 56 faces, and its cells record 21 + 42 + 7 = 70
+    # boundary ids; 3,000 random tetrahedra span 48,000 faces, and their
+    # elimination passes 48,000 touched entries.  Neither has a smaller
+    # nerve.  Each cap admits the span and refuses the work.
+    fano = [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2], [7, 1, 3]]
+    tetrahedra = gen.random_pure(random.Random(1), 30, 3, 3000).facets
+    for facets, cap, message in (
+            (fano, 64, "cells need 70 boundary ids, cap is 64"),
+            (tetrahedra, 48000, "elimination touched 48174 entries, cap is 48000")):
+        monkeypatch.setattr(simplicial_core, "FACE_CAP", cap)
+        code, out, err = _run(capsys, "homology", _write(tmp_path / "work.cplx", facets))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qgor: capacity: {message}")
 
 
 def test_cli_payloads_validate_against_schemas(capsys):

@@ -3,10 +3,11 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
-from _perfbench import gen
+from _perfbench import families, gen
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -401,6 +402,30 @@ def _eliminated(delta, field):
     return homology._betti(homology._cells(delta), field)
 
 
+def _stars(delta):
+    """The vertex stars {k : v in F_k}, facets numbered from 1, read off
+    the definition: the facets of the nerve, before absorption."""
+    return [[k for k, f in enumerate(delta.facets, 1) if v in f] for v in delta.vertices()]
+
+
+def _takes_nerve(delta):
+    """Whether reduced_betti trades delta for its nerve: dimension at least
+    2, no vertex in every facet, and stars that span strictly less."""
+    stars = _stars(delta)
+    return (delta.dim > 1 and max(map(len, stars)) < len(delta.facets)
+            and sum(2 ** len(s) for s in stars) < sum(2 ** len(f) for f in delta.facets))
+
+
+def _eliminated_side(delta):
+    """The complex reduced_betti hands to elimination, delta or an iterated
+    nerve; None when a cone or a graph is answered first."""
+    while _takes_nerve(delta):
+        delta = from_facets(_stars(delta), len(delta.facets))
+    if delta.dim <= 1 or len(delta.facets) in map(len, _stars(delta)):
+        return None
+    return delta
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(family=st.sampled_from(sorted(FAMILIES)), rng=st.randoms(use_true_random=False))
 def test_shortcuts_match_elimination_and_oracle(family, rng):
@@ -408,7 +433,9 @@ def test_shortcuts_match_elimination_and_oracle(family, rng):
     for field in SHORTCUT_FIELDS:
         with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
             got = reduced_betti(delta, field).to_json()
-        assert (spy.call_count > 0) == (family == "general"), (family, delta)
+        side = _eliminated_side(delta)
+        assert (spy.call_count > 0) == (side is not None), (family, delta)
+        assert side is None or family == "general", (family, delta)
         assert got == _eliminated(delta, field).to_json(), (delta, field)
         assert got == oracle_betti(delta, field).to_json(), (delta, field)
         assert list(got) == [str(j) for j in range(delta.dim + 1)]
@@ -476,20 +503,79 @@ def test_simplex13_table_and_report_need_no_elimination():
 
 
 def test_long_cycle_is_a_graph():
-    # 4,100 x 4,100 entries is past the face cap of the boundary builder;
-    # the facets are built directly, as they are already canonical
+    # the graph shortcut answers with no elimination; the facets are built
+    # directly, as they are already canonical
     cycle = SimplicialComplex(4100, sorted((i, i % 4100 + 1) for i in range(1, 4101)))
     with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
         assert reduced_betti(cycle, QQ).to_json() == {"0": 0, "1": 1}
     assert spy.call_count == 0
 
 
-def test_boundary_area_refusals_read_the_face_cap(monkeypatch):
-    torus = get_fixture("csaszar-torus").complex()
-    monkeypatch.setattr(simplicial_core, "FACE_CAP", 120)
-    with pytest.raises(CapacityExceeded) as exc:
-        reduced_betti(torus, QQ)
-    assert str(exc.value) == "boundary matrix with 7 x 21 entries, cap is 120"
-    with pytest.raises(CapacityExceeded) as exc:
-        relative_betti(torus, restrict_to_facets(torus, [0]), QQ)
-    assert str(exc.value) == "relative boundary matrix with 18 x 13 entries, cap is 120"
+def test_work_refusals_read_the_face_cap(monkeypatch):
+    # Each cap admits the facets' span and refuses the work: the Fano plane
+    # spans 56 faces and its cells record 21 + 42 + 7 = 70 boundary ids;
+    # 3,000 random tetrahedra span 48,000 faces and their elimination
+    # passes 48,000 touched entries.  Neither has a smaller nerve.
+    fano = from_facets([[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2],
+                        [7, 1, 3]])
+    tetrahedra = gen.random_pure(random.Random(1), 30, 3, 3000)
+    for delta, cap, message in (
+            (fano, 64, "cells need 70 boundary ids, cap is 64"),
+            (tetrahedra, 48000, "elimination touched 48174 entries, cap is 48000")):
+        assert _eliminated_side(delta) is delta
+        monkeypatch.setattr(simplicial_core, "FACE_CAP", cap)
+        with pytest.raises(CapacityExceeded) as exc:
+            reduced_betti(delta, QQ)
+        assert str(exc.value) == message
+        with pytest.raises(CapacityExceeded) as exc:
+            relative_betti(delta, restrict_to_facets(delta, [0]), QQ)
+        assert str(exc.value) == message
+    # the builder refuses before numbering the level that passes the cap
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 69)
+    with mock.patch.object(homology, "combinations", wraps=homology.combinations) as spy:
+        with pytest.raises(CapacityExceeded):
+            homology._cells(fano)
+    assert spy.call_count == 7 + 21
+
+
+def test_relative_chains_need_no_screen_of_gamma(monkeypatch):
+    # Gamma's faces are Delta's cells, so a Gamma whose facets span more
+    # than Delta's is answered whenever Delta is: the boundary of the
+    # 6-simplex spans 7 * 2^6 = 448 faces, its 4-subsets 35 * 2^4 = 560
+    monkeypatch.setattr(simplicial_core, "FACE_CAP", 448)
+    sphere = gen.simplex_boundary(7)
+    gamma = from_facets(combinations(range(1, 8), 4), 7)
+    for field in FIELDS:
+        assert relative_betti(sphere, gamma, field).nonzero() == {4: 15, 5: 1}, field
+
+
+def _nerve_inputs(rng):
+    """The checked families, then seeded random complexes on 7 to 12
+    vertices with two to eight facets, pure and not."""
+    out = families(rng)
+    for k in range(120):
+        n = rng.randint(7, 12)
+        m = rng.randint(2, 8)
+        if k % 2:
+            out.append(gen.random_pure(rng, n, rng.randint(2, 4), m))
+        else:
+            out.append(from_facets([rng.sample(range(1, n + 1), rng.randint(1, 6))
+                                    for _ in range(m)], n))
+    return out
+
+
+def test_nerve_matches_elimination_and_oracle():
+    # H~(Delta) = H~(N(Delta)) over every field (the nerve theorem), so
+    # every answer equals elimination on Delta itself, and the dense
+    # oracle's where it is quick (at most 128 faces)
+    taken = 0
+    for delta in _nerve_inputs(random.Random(24)):
+        small = len(delta.faces()) <= 128
+        with mock.patch.object(homology, "_nerve", wraps=homology._nerve) as spy:
+            for field in FIELDS:
+                got = reduced_betti(delta, field).to_json()
+                assert got == _eliminated(delta, field).to_json(), (delta, field)
+                assert not small or got == oracle_betti(delta, field).to_json(), (delta, field)
+        taken += spy.call_count > 0
+        assert (spy.call_count > 0) == _takes_nerve(delta), delta
+    assert taken > 50

@@ -20,6 +20,7 @@ a scan stops at its answer.
 import json
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from _perfbench import families, gen
@@ -27,6 +28,7 @@ from _perfbench import families, gen
 import qgor.classify
 import qgor.cli
 import qgor.hochster
+import qgor.homology
 import qgor.liaison
 from qgor import (
     CapacityExceeded,
@@ -176,13 +178,14 @@ def test_normal_pseudomanifold_matches_per_face_reference():
 
 
 def test_normal_pseudomanifold_answers_past_the_homology_cap():
-    # sd^2 of the boundary of the 4-simplex: its own d_1 has 3420 x 5760
-    # entries, over the default cap, but normality reads the vertex graphs of
-    # its links and of itself, never their homology
+    # sd^2 of the boundary of the 4-simplex: its homology is answered under
+    # the default cap, but normality reads the vertex graphs of its links
+    # and of itself, never their homology, so it builds no cells
     sphere = gen.sd(gen.sd(gen.simplex_boundary(5)))
-    with pytest.raises(CapacityExceeded):
-        reduced_betti(sphere, GF2)
-    report = normal_pseudomanifold_report(sphere)
+    assert reduced_betti(sphere, GF2).nonzero() == {3: 1}
+    with mock.patch.object(qgor.homology, "_cells", wraps=qgor.homology._cells) as spy:
+        report = normal_pseudomanifold_report(sphere)
+    assert spy.call_count == 0
     assert report.ok and report.witnesses == {}
     # the cone point's link is that sphere; the cone is a ball, so its
     # boundary ridges lie in one facet and no homology decides the answer
@@ -488,25 +491,29 @@ def test_links_share_betti_vectors_by_class(monkeypatch):
 
 def test_a_scan_refuses_only_what_it_reads(monkeypatch):
     # At a cap of 64: the 20-cycle's facets span 80, so its face -> link index
-    # is refused, the octahedron's span 64 admits its index, and its d_1 has
-    # 6 x 12 entries, so its own Betti vector is refused.  A predicate
-    # refuses when what it reads does.
+    # is refused; the Fano plane's span 56 admits its index, but its cells
+    # record 70 boundary ids (and its nerve spans 56 too), so its own Betti
+    # vector is refused.  A predicate refuses when what it reads does.
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
-    octahedron = gen.cross_polytope_boundary(3)
+    fano = from_facets([[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2],
+                        [7, 1, 3]])
     for field in FIELDS:
         # H~_1 of a graph is E - V + c, and it fixes a = 0 with no index read
         assert a_invariant(cycle, field) == 0
         for predicate in (depth_report, is_buchsbaum):
             with pytest.raises(CapacityExceeded):
                 predicate(cycle, field)
-        # Buchsbaum exempts the empty face; the other links are graphs
-        assert is_buchsbaum(octahedron, field) == (True, None)
+        # Buchsbaum exempts the empty face; the vertex links are three
+        # disjoint edges, graphs, and the first is a witness
+        assert is_buchsbaum(fano, field) == (False, ((1,), 0))
         for predicate in (depth_report, a_invariant, classification_report):
             with pytest.raises(CapacityExceeded):
-                predicate(octahedron, field)
-    # orienting the facets builds no boundary matrix
-    assert is_orientable(octahedron)
+                predicate(fano, field)
+    # orienting the facets builds no cells
+    with mock.patch.object(qgor.homology, "_cells", wraps=qgor.homology._cells) as spy:
+        assert is_orientable(gen.cross_polytope_boundary(3))
+    assert spy.call_count == 0
 
 
 def _bitmask_faces(delta):
