@@ -16,11 +16,15 @@ over every field.  Every predicate returns its first witness in
 canonical face order, so failures are reproducible.
 
 Each predicate over a field is a read of one analysis of the complex,
-hochster's link view: the face -> link index, the normal-pseudomanifold
-report and each link's Betti vector are computed on first read, at most
-once, and only if read.  Normality counts the components of each low
-link's facets off the index, so it reads no homology.  An analysis
-lives as long as its call.
+hochster's link view: each level of faces of one size with their links,
+the normal-pseudomanifold report and each link's Betti vector are
+computed on first read, at most once, and only if read.  Normality
+counts the components of each low link's facets and the facets through
+each ridge, so it reads no homology and no level past the ridges; the
+manifold scan of a pure complex also stops at the ridges, since every
+facet's link is {empty}, the (-1)-sphere.  So the classification never
+builds a pure complex's facet level.  An analysis lives as long as its
+call.
 """
 
 from functools import cached_property
@@ -145,20 +149,18 @@ class _Analysis(_Links):
 
     @cached_property
     def normal(self):
-        """The normal-pseudomanifold report, read off the view's index.  A
-        link is connected when its facets form one component (_components),
-        so no homology is read.  A ridge lies in as many facets as its link
-        has facets."""
+        """The normal-pseudomanifold report, read off the view's levels up to
+        the ridges.  A link is connected when its facets form one component
+        (_components), so no homology is read.  A ridge lies in as many
+        facets as its link has facets."""
         delta, d = self.delta, self.delta.dim
         witnesses = {}
         pure = delta.is_pure()
         if not pure:
             witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
         # faces of dimension at most d - 2 need connected links
-        normal_w = next((s for s, lk in self.index.items()
-                         if len(s) < d and _components(lk) != 1), None)
-        ridge_w = next(((s, len(lk)) for s, lk in self.index.items()
-                        if len(s) == d and len(lk) != 2), None)
+        normal_w = next((s for s in self.faces(d) if _components(self.link(s)) != 1), None)
+        ridge_w = next(((s, len(lk)) for s, lk in self.level(d).items() if len(lk) != 2), None)
         normal, ridge_condition = normal_w is None, ridge_w is None
         if not normal:
             witnesses["normal"] = normal_w
@@ -179,7 +181,8 @@ class _Analysis(_Links):
         def sphere(sigma):
             return self.betti(sigma).nonzero() == {len(self.link(sigma)[-1]) - 1: 1}
 
-        manifold = all(map(sphere, islice(self.faces(), 1, None)))
+        # the links of a pure complex's facets are all {empty}, the (-1)-sphere
+        manifold = all(map(sphere, islice(self.faces(self.d), 1, None)))
         return manifold, manifold and sphere(())
 
     @cached_property
@@ -262,8 +265,9 @@ def classification_report(delta, field):
     """Run every predicate once and bundle the outcome.
 
     Every flag is a read of one analysis of the complex over the field,
-    with no table built: one face -> link index, one normal-pseudomanifold
-    pass and each link's Betti vector, computed once, serve them all, and a
+    with no table built: the link levels below the facets, one
+    normal-pseudomanifold pass and each link's Betti vector, computed
+    once, serve them all, and a
     core unlike the complex gets its own analysis sharing the Betti vectors
     computed so far.  Predicates whose preconditions fail are reported
     false rather than raising: a non-pseudomanifold is not orientable, a

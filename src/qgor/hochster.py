@@ -7,24 +7,29 @@ multidegree -sigma piece of H^i_m(k[Delta]) has
 
 for every face sigma (the empty face included), and every other
 multidegree vanishes.  Link homology is computed in one place, a link
-view of the (complex, field) that fills itself on first read: the face
--> link index only once a nonempty face is read, and each link's Betti
-vector once per class of links equal up to an order-preserving
-renumbering of their vertices (isomorphic complexes, so one vector
-serves the class).  The table is the one full read of that view.
-Depth and the Reisner Cohen-Macaulay criterion, the a-invariant, the
-Buchsbaum predicate and the Serre condition (S_l) here, and the
-manifold flags in classify, are scans of it in canonical face order
-that stop as soon as their answer is fixed.  Over a field the
-cohomology dimensions of a link equal its homology dimensions, so link
-Betti vectors serve throughout.
+view of the (complex, field) that fills itself on first read: the faces
+of one size k >= 1 and their links (a level) when a scan first reaches
+size k, and each link's Betti vector once per class of links equal up
+to an order-preserving renumbering of their vertices (isomorphic
+complexes, so one vector serves the class).  The table is the one full
+read of that view, every level.  Depth and the Reisner Cohen-Macaulay
+criterion, the a-invariant, the Buchsbaum predicate and the Serre
+condition (S_l) here, and the manifold flags in classify, are scans of
+it in canonical face order that stop as soon as their answer is fixed,
+and build no level past the last size that can change it: depth stops
+before size k once it has found i <= k + 1 (H^d never vanishes, so it
+never reads the ridges or the facets), the a-invariant at its answer,
+and Buchsbaum and (S_l) after size dim Delta - 1, since the links of
+larger faces have dimension <= 0 and hold no low homology.  Over a
+field the cohomology dimensions of a link equal its homology
+dimensions, so link Betti vectors serve throughout.
 """
 
 from functools import cached_property
 from itertools import islice
 
 from .homology import reduced_betti
-from .simplicial_core import SimplicialComplex, _link_index, face, face_key
+from .simplicial_core import SimplicialComplex, _link_level, face, face_key
 
 
 class LocalCohomologyTable:
@@ -98,8 +103,12 @@ class DepthReport:
 class _Links:
     """The link homology of one (complex, field), each piece on first read.
 
-    index (face -> link facets, canonical order) is built on the first read
-    of a nonempty face, as lk(empty) is the complex itself.  betti(sigma) is
+    level(k) maps the faces of size k to their link facets in lexicographic
+    order.  Level 0 is the empty face, whose link is the complex itself; a
+    level k >= 1 is built by _link_level on its first read, and each level
+    refuses what faces() refuses.  faces(stop) walks the levels below stop
+    in canonical order, building each only when the walk reaches it, so a
+    scan builds only the sizes it can still be changed by.  betti(sigma) is
     link_betti(link(sigma)); link_betti takes any link by its facets, such as
     a link of Delta_B filtered out of one of Delta, and goes through memo
     (facets -> Betti vector), which the views of a complex and its core, or
@@ -115,18 +124,21 @@ class _Links:
             raise ValueError("the void complex has no Stanley-Reisner ring")
         self.delta, self.field, self.d = delta, field, delta.dim + 1
         self.memo = {} if memo is None else memo
+        self.levels = {0: {(): delta.facets}}
 
-    @cached_property
-    def index(self):
-        return _link_index(self.delta)
+    def level(self, k):
+        """The faces of size k -> their link facets, built on first read."""
+        if k not in self.levels:
+            self.levels[k] = _link_level(self.delta, k)
+        return self.levels[k]
 
-    def faces(self):
-        """The faces in canonical order; the index is read only past the empty face."""
-        yield ()
-        yield from islice(self.index, 1, None)
+    def faces(self, stop=None):
+        """The faces of size below stop (all faces by default), in canonical order."""
+        for k in range(self.d + 1 if stop is None else stop):
+            yield from self.level(k)
 
     def link(self, sigma):
-        return self.index[sigma] if sigma else self.delta.facets
+        return self.level(len(sigma))[sigma]
 
     def betti(self, sigma):
         return self.link_betti(self.link(sigma))
@@ -153,7 +165,7 @@ class _Links:
     def table(self):
         """The one full read of the view: every face's Betti vector, as entries."""
         entries = {}
-        for sigma in self.index:
+        for sigma in self.faces():
             for r, dim_r in self.betti(sigma).dims.items():
                 if dim_r:
                     entries[(r + len(sigma) + 1, sigma)] = dim_r
@@ -165,13 +177,18 @@ class _Links:
         # facet (i = |sigma|).  A facet F beside others never gives the least
         # entry: the largest face of F in another facet comes earlier and has
         # a disconnected link (F minus it is a component), so i <= |F| there.
-        best = None
-        for sigma in self.faces():
-            if best and best[0] <= len(sigma) + 1:
+        # H^d never vanishes, so the scan starts from d with no witness, and
+        # level k is built only while it can still lower that bound.
+        best = (self.d, None)
+        for k in range(self.d + 1):
+            if best[0] <= k + 1:
                 break
-            low = min(self.betti(sigma).nonzero(), default=None)
-            if low is not None and (not best or low + len(sigma) + 1 < best[0]):
-                best = (low + len(sigma) + 1, sigma)
+            for sigma in self.level(k):
+                low = min(self.betti(sigma).nonzero(), default=None)
+                if low is not None and low + k + 1 < best[0]:
+                    best = (low + k + 1, sigma)
+                    if best[0] <= k + 1:
+                        break
         return DepthReport(best[0], best[0] == self.d, best if best[0] < self.d else None)
 
     @cached_property
@@ -185,7 +202,8 @@ class _Links:
         0 <= i < dim lk sigma (H~_{-1} of a nonempty link is 0, so no link of
         dimension <= 0 is computed) and, when ell is given, i < ell - 1; None
         if there is none.  nonempty skips the empty face."""
-        for sigma in islice(self.faces(), nonempty, None):
+        # A face of size dim Delta or more has a link of dimension <= 0.
+        for sigma in islice(self.faces(self.d - 1), nonempty, None):
             dim = len(self.link(sigma)[-1]) - 1
             for i in range(dim if ell is None else min(ell - 1, dim)):
                 if self.betti(sigma)[i]:

@@ -21,18 +21,21 @@ discrepancy.
 
 All four checks (the sequence, link restriction, CM linkage, the
 connectedness of Delta_B) read three analyses, of Delta, Delta_A and
-Delta_B, that share one memo: each link index and Betti vector (one per
+Delta_B, that share one memo: each link level and Betti vector (one per
 class of links equal up to an order-preserving renumbering) is computed
 at most once, on first use, and a check computes only what it reads.
 Quasi-Gorenstein is the analysis's view in classify; Buchsbaum and
 Cohen-Macaulay are the scans of hochster's link view it extends.
 
 Link restriction and CM linkage compare the Hochster tables of Delta
-and Delta_B, which can differ only at the faces of Delta_A: every facet
-through a face outside Delta_A lies in B, so the face has one link in
-both.  The comparison walks Delta_A's faces, reads each link in Delta
-off Delta's index and filters the link in Delta_B out of it, so neither
-table is built and Delta_B gets no link index.
+and Delta_B below the Krull dimension d, which can differ only at the
+faces of Delta_A: every facet through a face outside Delta_A lies in B,
+so the face has one link in both.  The comparison walks Delta_A's faces
+of size at most d - 2 (a larger face of the pure Delta has a link of
+points or {empty}, which gives no entry below d that differs), reads
+each link in Delta off Delta's level of that size and filters the link
+in Delta_B out of it, so neither table is built, Delta_B gets no link
+level, and neither Delta nor Delta_A builds its facet level.
 """
 
 from functools import cached_property
@@ -173,7 +176,7 @@ class _Liaison:
     (the link of the empty face is the complex itself, so a complex's own
     vector serves both, and links of the three equal up to an
     order-preserving renumbering share one vector).  The analyses of Delta
-    and Delta_A build their link indexes when a check reads them; the
+    and Delta_A build their link levels when a check reads them; the
     analysis of Delta_B is only read at its empty face."""
 
     def __init__(self, delta, partition, field):
@@ -194,15 +197,18 @@ class _Liaison:
         the tables of Delta and Delta_B differ below the Krull dimension of
         Delta, in no particular order.
 
-        Only the faces of Delta_A are read.  A face outside Delta_A lies in
-        facets of B alone, so its links in Delta and in Delta_B are one facet
-        tuple.  At a face of Delta_A, lk_{Delta_B} sigma is lk_Delta sigma
+        Only the faces of Delta_A of size at most d - 2 are read.  A face
+        outside Delta_A lies in facets of B alone, so its links in Delta and
+        in Delta_B are one facet tuple.  A larger face sigma gives entries
+        i >= |sigma| >= d - 1, and i = d - 1 only through H~_{-1}, which
+        neither link has: Delta is pure, so a ridge's links are points or
+        empty.  At a face of Delta_A, lk_{Delta_B} sigma is lk_Delta sigma
         without the facets of lk_{Delta_A} sigma (sigma + r is a facet of
         exactly one block), a filter that keeps canonical order; it is empty
         exactly when sigma is not in Delta_B, and then its entries are 0."""
         whole, a, d = self.whole, self.a, self.whole.d
         out = []
-        for sigma in a.faces():
+        for sigma in a.faces(d - 1):
             lk = whole.link(sigma)
             in_a = set(a.link(sigma))
             lk_b = tuple(r for r in lk if r not in in_a)

@@ -12,12 +12,14 @@ degree -1, which Hochster's formula relies on for links of facets.
 Vertex ids are 1-based and need not all occur in a facet; unused ids
 stay in the ambient set (this matters for multidegrees downstream).
 faces_of_dim enumerates the faces of one size, for faces() (and so for
-collapses) and for homology.boundary_matrix; the face -> link index
-fills one size at a time, so nothing sorts all faces.  The cells that
-homology eliminates are enumerated by its own top-down builder, which
-puts only the cells left after coreduction into canonical order.
-check_face_budget is the one face screen: faces_of_dim, the link index
-and that builder run it on the facets' span before any face is built.
+collapses) and for homology.boundary_matrix; _link_level maps the faces
+of one size to their link facets, for the link view in hochster, which
+builds only the sizes a scan reads, so nothing sorts all faces.  The
+cells that homology eliminates are enumerated by its own top-down
+builder, which puts only the cells left after coreduction into
+canonical order.  check_face_budget is the one face screen:
+faces_of_dim, every link level and that builder run it on the span of
+all the facets before any face is built.
 """
 
 from itertools import combinations
@@ -237,29 +239,27 @@ def link(delta, sigma):
     return SimplicialComplex(delta.n_vertices, facets)
 
 
-def _link_index(delta):
-    """Every face mapped to the facets of its link, in canonical face order.
+def _link_level(delta, k):
+    """The faces of size k mapped to the facets of their links, in
+    lexicographic order.
 
-    Filled one face size at a time: each k-subset sigma of a facet F files
-    F - sigma under sigma, and the size's faces enter the index in
-    lexicographic order.  As in link(), those lists are already the
-    canonical link facets.  Refuses the same inputs as faces(), by the
-    same span screen before any face is filed.
+    Each k-subset sigma of a facet F with |F| >= k files F - sigma under
+    sigma; as in link(), those lists are already the canonical link
+    facets.  Refuses the same inputs as faces(), by the same span screen
+    over all of delta's facets before any face is filed, whatever k is.
     """
     check_face_budget(delta.facets)
-    index = {}
-    for k in range(len(delta.facets[-1]) + 1 if delta.facets else 0):
-        level = {}
-        for f in (f for f in delta.facets if len(f) >= k):
-            # The k-subsets of f in lexicographic order are the complements
-            # of its (|f|-k)-subsets in reverse lexicographic order.
-            rests = list(combinations(f, len(f) - k))
-            rests.reverse()
-            for s, rest in zip(combinations(f, k), rests):
-                level.setdefault(s, []).append(rest)
-        for s in sorted(level):
-            index[s] = tuple(level[s])
-    return index
+    level = {}
+    for f in delta.facets:
+        if len(f) < k:
+            continue
+        # The k-subsets of f in lexicographic order are the complements
+        # of its (|f|-k)-subsets in reverse lexicographic order.
+        rests = list(combinations(f, len(f) - k))
+        rests.reverse()
+        for s, rest in zip(combinations(f, k), rests):
+            level.setdefault(s, []).append(rest)
+    return {s: tuple(level[s]) for s in sorted(level)}
 
 
 def restrict_to_facets(delta, indices):

@@ -13,8 +13,9 @@ each link is computed once per call and once per `qgor classify`,
 public liaison checks called one by one, that links equal up to an
 order-preserving renumbering share one computed Betti vector, that a
 predicate builds only what it reads, that the liaison comparisons read
-only the faces of Delta_A and never build Delta_B's link index, and that
-a scan stops at its answer.
+only the faces of Delta_A and never build a link level of Delta_B, that
+a scan stops at its answer, and that it builds no link level past the
+last face size that can change that answer.
 """
 
 import json
@@ -254,6 +255,21 @@ def _count_betti(monkeypatch):
     return counts
 
 
+def _spy_levels(monkeypatch):
+    """A list that records (facets, k) for every link level built, in order:
+    the link view builds its levels through hochster's import of
+    simplicial_core._link_level."""
+    built = []
+    original = qgor.hochster._link_level
+
+    def spy(delta, k):
+        built.append((delta.facets, k))
+        return original(delta, k)
+
+    monkeypatch.setattr(qgor.hochster, "_link_level", spy)
+    return built
+
+
 def _facet_file(tmp_path, delta):
     path = tmp_path / "delta.cplx"
     path.write_text(f"n={delta.n_vertices}\n" + "".join(
@@ -323,14 +339,14 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
 
 def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
     # Vertex-star partitions, as the benchmark's partition sweep builds them.
-    # The comparisons read Delta's index and Delta_A's, never Delta_B's, and
-    # compute the vectors of Delta, Delta_A, Delta_B and of the links of the
-    # faces of Delta_A in the three: a face outside Delta_A is never read.
+    # The comparisons read the levels of Delta and Delta_A, never Delta_B's,
+    # and compute the vectors of Delta, Delta_A, Delta_B and of the links of
+    # the faces of Delta_A in the three: a face outside Delta_A is never read.
+    # Normality reads Delta's levels up to its ridges, and Buchsbaum, depth
+    # and the comparisons read Delta_A's levels below its ridges (Delta_A is
+    # the cone over a sphere, so its depth is fixed by the apex's link).
     counts = _count_betti(monkeypatch)
-    indexed = []
-    original = qgor.hochster._link_index
-    monkeypatch.setattr(qgor.hochster, "_link_index",
-                        lambda delta: indexed.append(delta.facets) or original(delta))
+    built = _spy_levels(monkeypatch)
     for base in (gen.torus(), gen.simplex_boundary(5)):
         delta, labels = gen.sd(base), gen.sd_labels(base)
         path = _facet_file(tmp_path, delta)
@@ -341,6 +357,9 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
             delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
             delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
             b_faces = set(delta_b.faces())
+            d = delta.dim + 1
+            levels = ([(delta.facets, k) for k in range(1, d)]
+                      + [(delta_a.facets, k) for k in range(1, d - 1)])
             allowed = {delta.facets, delta_a.facets, delta_b.facets}
             for sigma in delta_a.faces():
                 allowed |= {link(delta, sigma).facets, link(delta_a, sigma).facets}
@@ -354,11 +373,11 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
                                                "--field", field.spec_string()])]
                 for run in runs:
                     counts.clear()
-                    indexed.clear()
+                    built.clear()
                     run()
                     capsys.readouterr()
-                    assert delta_b.facets not in indexed, (base, v, field, run)
-                    assert sorted(indexed) == sorted([delta.facets, delta_a.facets])
+                    assert delta_b.facets not in {f for f, _ in built}, (base, v, field, run)
+                    assert sorted(built) == sorted(levels), (base, v, field, run)
                     assert counts and {lk for lk, _ in counts} <= allowed, (base, v, field)
                     assert max(counts.values()) == 1, (base, v, field, counts)
 
@@ -399,14 +418,11 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
 
 def test_scans_stop_at_their_answer(monkeypatch):
     counts = _count_betti(monkeypatch)
-    indexed = []
-    original = qgor.hochster._link_index
-    monkeypatch.setattr(qgor.hochster, "_link_index",
-                        lambda delta: indexed.append(delta) or original(delta))
-    # H~_2(sd-torus) != 0 fixes a = 0 at the empty face, before any index
+    built = _spy_levels(monkeypatch)
+    # H~_2(sd-torus) != 0 fixes a = 0 at the empty face, before any level
     sd_torus = gen.sd(gen.torus())
     assert a_invariant(sd_torus, GF2) == 0
-    assert counts == {(sd_torus.facets, 2): 1} and indexed == []
+    assert counts == {(sd_torus.facets, 2): 1} and built == []
     # Buchsbaum exempts the empty face, so Delta's own vector is never computed,
     # and H~_{-1} of a nonempty link is 0, so neither is a link of dimension <= 0
     for delta in [sd_torus] + [d for d in COMPLEXES if not d.is_empty and core(d) == d]:
@@ -441,6 +457,49 @@ def test_scans_stop_at_their_answer(monkeypatch):
     counts.clear()
     assert is_homology_manifold(wedge, GF2) == (False, False)
     assert sum(counts.values()) <= 2, counts
+
+
+def test_each_scan_builds_only_the_sizes_that_can_change_it(monkeypatch):
+    built = _spy_levels(monkeypatch)
+    sd_torus = gen.sd(gen.torus())
+    surfaces = [sd_torus, gen.rp2(), get_fixture("csaszar-torus").complex()]
+    for field in FIELDS:
+        # H~_1(sd-torus) != 0 gives i = 2 at the empty face, and a vertex gives
+        # i >= 2, so depth builds no level and the empty face is the witness
+        built.clear()
+        report = depth_report(sd_torus, field)
+        assert (report.depth, report.witness) == (2, (2, ())) and built == []
+        # a surface's edges and triangles have links of dimension <= 0, which
+        # hold no low homology, so Buchsbaum reads the vertex level alone
+        for surface in surfaces:
+            built.clear()
+            is_buchsbaum(surface, field)
+            assert built == [(surface.facets, 1)], (surface, field)
+    # the classification never builds the facet level of a pure complex, nor
+    # of its core: the facets' links are all {empty}, and H^d never vanishes
+    pure = [d for d in families(random.Random(26)) if d.is_pure() and not d.is_empty]
+    for delta in pure:
+        built.clear()
+        classification_report(delta, GF2)
+        assert all(k < len(facets[-1]) for facets, k in built), (delta, built)
+        assert (delta.facets, delta.dim) in built or delta.dim == 0, delta
+    # the liaison checks on vertex-star partitions of sd(torus) and of
+    # sd(boundary of the 4-simplex) build no level of Delta_B, and no facet
+    # level of Delta or of Delta_A
+    for base in (gen.torus(), gen.simplex_boundary(5)):
+        delta, labels = gen.sd(base), gen.sd_labels(base)
+        star = labels[base.vertices()[0],]
+        partition = FacetPartition.complementary(
+            delta, [i for i, f in enumerate(delta.facets) if star in f])
+        delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
+        for check in (lefschetz_report, link_restriction_check, cm_linkage_check, tconn_check):
+            built.clear()
+            try:
+                check(delta, partition, GF2)
+            except HypothesesNotMet:
+                pass
+            assert built and all(facets != delta_b.facets for facets, _ in built), check
+            assert all(k <= delta.dim for _, k in built), (check, built)
 
 
 def _renumbered(facets):
@@ -490,18 +549,25 @@ def test_links_share_betti_vectors_by_class(monkeypatch):
 
 
 def test_a_scan_refuses_only_what_it_reads(monkeypatch):
-    # At a cap of 64: the 20-cycle's facets span 80, so its face -> link index
-    # is refused; the Fano plane's span 56 admits its index, but its cells
-    # record 70 boundary ids (and its nerve spans 56 too), so its own Betti
-    # vector is refused.  A predicate refuses when what it reads does.
+    # At a cap of 64: the 20-cycle's facets span 80, so each of its link
+    # levels of nonempty faces is refused; the Fano plane's span 56 admits
+    # its levels, but its cells record 70 boundary ids (and its nerve spans
+    # 56 too), so its own Betti vector is refused.  A predicate refuses when
+    # what it reads does.
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
     fano = from_facets([[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2],
                         [7, 1, 3]])
     for field in FIELDS:
-        # H~_1 of a graph is E - V + c, and it fixes a = 0 with no index read
+        # H~_1 of a graph is E - V + c, and it fixes a = 0 and depth 2 = d with
+        # no level read; Buchsbaum reads no face of a graph but the empty one,
+        # which it exempts
         assert a_invariant(cycle, field) == 0
-        for predicate in (depth_report, is_buchsbaum):
+        report = depth_report(cycle, field)
+        assert (report.depth, report.is_cohen_macaulay, report.witness) == (2, True, None)
+        assert is_buchsbaum(cycle, field) == (True, None)
+        # the table and the ridge condition read the vertex level
+        for predicate in (local_cohomology_table, classification_report):
             with pytest.raises(CapacityExceeded):
                 predicate(cycle, field)
         # Buchsbaum exempts the empty face; the vertex links are three
@@ -523,6 +589,12 @@ def _bitmask_faces(delta):
     return sorted(seen, key=face_key)
 
 
+def _link_levels(delta):
+    """The link levels of delta for k = 0 up to its largest facet size."""
+    return [qgor.simplicial_core._link_level(delta, k)
+            for k in range(len(delta.facets[-1]) + 1 if delta.facets else 0)]
+
+
 def test_index_links_equal_absorbed_links():
     void, empty = from_facets([]), from_facets([[]])
     for delta in [void, empty] + COMPLEXES + families(random.Random(14)):
@@ -535,13 +607,17 @@ def test_index_links_equal_absorbed_links():
             assert delta.faces_of_dim(k) == want[start:stop], (delta, k)
             start = stop
         assert start == len(want)
-        index = qgor.simplicial_core._link_index(delta)
-        assert list(index) == want
-        for sigma, facets in index.items():
-            assert facets == from_facets(facets, delta.n_vertices).facets == link(delta, sigma).facets
-            assert facets == tuple(sorted(
-                (tuple(v for v in f if v not in sigma) for f in delta.facets if set(sigma) <= set(f)),
-                key=lambda f: (len(f), f)))
+        # the levels joined in order are faces(), and each level's tuples are link()
+        levels = _link_levels(delta)
+        assert [sigma for level in levels for sigma in level] == want
+        for k, level in enumerate(levels):
+            for sigma, facets in level.items():
+                assert len(sigma) == k
+                assert facets == from_facets(facets, delta.n_vertices).facets == link(delta, sigma).facets
+                assert facets == tuple(sorted(
+                    (tuple(v for v in f if v not in sigma) for f in delta.facets if set(sigma) <= set(f)),
+                    key=lambda f: (len(f), f)))
+        assert qgor.simplicial_core._link_level(delta, len(levels)) == {}
 
 
 def test_index_refuses_what_faces_refuses(monkeypatch):
@@ -555,21 +631,23 @@ def test_index_refuses_what_faces_refuses(monkeypatch):
         monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", cap)
         with pytest.raises(CapacityExceeded):
             delta.faces()
-        with pytest.raises(CapacityExceeded):
-            qgor.simplicial_core._link_index(delta)
+        for k in range(len(delta.facets[-1]) + 1):
+            with pytest.raises(CapacityExceeded):
+                qgor.simplicial_core._link_level(delta, k)
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 32)
-    assert len(qgor.simplicial_core._link_index(two)) == 31
+    assert sum(map(len, _link_levels(two))) == 31
     # a complex whose facets span s (the sum of 2^|F|) and which has n faces
-    # is refused at a cap of s - 1 and answered at s
+    # is refused at a cap of s - 1, at every level, and answered at s
     for delta, s, n in ((two, 32, 31), (csaszar, 112, 43), (octahedron, 64, 27), (nonpure, 14, 11)):
         monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", s - 1)
         with pytest.raises(CapacityExceeded):
             delta.faces()
-        with pytest.raises(CapacityExceeded):
-            qgor.simplicial_core._link_index(delta)
+        for k in range(len(delta.facets[-1]) + 1):
+            with pytest.raises(CapacityExceeded):
+                qgor.simplicial_core._link_level(delta, k)
         monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", s)
         assert len(delta.faces()) == n
-        assert list(qgor.simplicial_core._link_index(delta)) == delta.faces()
+        assert [sigma for level in _link_levels(delta) for sigma in level] == delta.faces()
 
 
 def _standalone_payload(delta, partition, field):
