@@ -488,7 +488,7 @@ def test_each_scan_builds_only_the_sizes_that_can_change_it(monkeypatch):
     # level of Delta or of Delta_A
     for base in (gen.torus(), gen.simplex_boundary(5)):
         delta, labels = gen.sd(base), gen.sd_labels(base)
-        star = labels[base.vertices()[0],]
+        star = labels[(base.vertices()[0],)]
         partition = FacetPartition.complementary(
             delta, [i for i, f in enumerate(delta.facets) if star in f])
         delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
