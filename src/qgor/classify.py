@@ -12,7 +12,10 @@ dimension d over a field k:
 Strong connectivity, the ridge condition and orientability read one
 signed ridge map per call; orientability orients the facets of a
 pseudomanifold across its ridges, which is exactly H~_d(Delta; Q) != 0,
-over every field.  Every predicate returns its first witness in
+over every field.  The ridge map and the orientation walk are
+homology's, the ones reduced_betti answers a surface with; strong
+connectivity counts the components of the map's buckets, of any size,
+by union-find.  Every predicate returns its first witness in
 canonical face order, so failures are reproducible.
 
 Each predicate over a field is a read of one analysis of the complex,
@@ -33,6 +36,7 @@ from itertools import islice
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components
 from .hochster import _Links
+from .homology import _orient, _ridge_map
 from .simplicial_core import check_face_budget, core, face_key
 
 
@@ -91,17 +95,12 @@ def is_pseudomanifold(delta):
 
 
 def _ridges(delta):
-    """The signed ridge map of a pure complex with a vertex, None for any
-    other complex: each ridge f - f[j] maps to the (k, (-1)^j) of the facets
-    f = delta.facets[k] through it.  Its buckets give strong connectivity,
-    the ridge condition and the orientation cover."""
+    """homology._ridge_map of a pure complex with a vertex, None for any other
+    complex.  Its buckets give strong connectivity, the ridge condition and
+    the orientation walk."""
     if delta.is_void or delta.is_empty or not delta.is_pure():
         return None
-    ridges = {}
-    for k, f in enumerate(delta.facets):
-        for j in range(len(f)):
-            ridges.setdefault(f[:j] + f[j + 1:], []).append((k, (-1) ** j))
-    return ridges
+    return _ridge_map(delta.facets)
 
 
 def _strongly_connected(ridges):
@@ -131,12 +130,11 @@ def is_orientable(delta):
 
 def _orientable(delta, ridges):
     """Whether the facets of a pseudomanifold can be signed to cancel on every
-    ridge, which is H~_d(Delta; Q) != 0: the orientation double cover, whose
-    edges (k, e) -- (m, -e s t) across each ridge of _ridges are passed to
-    _components as two-vertex facets, has two components."""
+    ridge, which is H~_d(Delta; Q) != 0: homology._orient's walk over the
+    ridge map, the one reduced_betti reads on a surface, finds no ridge on
+    which its signs disagree."""
     check_face_budget(delta.facets[-1:])  # the facet size reduced_betti refuses
-    return _components(((k, e), (m, -e * s * t))
-                       for (k, s), (m, t) in ridges.values() for e in (1, -1)) == 2
+    return _orient(delta.facets, ridges)[1]
 
 
 class _Analysis(_Links):

@@ -40,12 +40,19 @@ last-in, first-out stack runs deep into the complex and strands most
 of it (sd^3 of the boundary of the 4-simplex keeps 225,739 of its
 301,681 cells under a stack and 1 under the queue).
 
-Two kinds of complex need no matrix, and reduced_betti answers them
+Three kinds of complex need no matrix, and reduced_betti answers them
 before any is built, exactly over every field: a cone (all facets share
 a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
-E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c.  In a
-manifold of dimension at most 3 every link below a vertex link is a
-graph, and in a cone every link of a face missing the apex is a cone.
+E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c.  A
+surface, a pure 2-complex whose triangles are joined across edges that
+each lie in at most two, has H~_0 = 0, H~_2 = 1 when no edge is free and
+the triangles orient or p = 2, else 0 (a 2-cycle is fixed up to a unit
+across each shared edge, and is 0 at a free one), and H~_1 from the
+Euler characteristic (Munkres, Elements of Algebraic Topology, 1984,
+sections 22 and 43); one walk over the signed ridge map reads it all.
+In a manifold of dimension at most 3 every link of a nonempty face is a
+graph or a surface, and in a cone every link of a face missing the apex
+is a cone.
 Any other complex may be traded for its nerve N(Delta), whose facets are
 the vertex stars {k : v in F_k} on the facet ids: the facets cover Delta
 by simplices whose nonempty intersections are simplices, so by the nerve
@@ -61,7 +68,7 @@ here serve for both H~_i and H~^i.
 """
 
 from collections import Counter, deque, namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, product, repeat
 from math import gcd
 
 from . import simplicial_core
@@ -414,6 +421,42 @@ def _betti(cells, field):
     return BettiVector({j: len(chains[j]) - ranks[j] - ranks[j + 1] for j in range(0, top + 1)})
 
 
+def _ridge_map(facets):
+    """The signed ridge map of a pure complex's facets: each ridge f - f[j]
+    maps to the (k, (-1)^j) of the facets f = facets[k] through it, in id
+    order.  combinations drops the last vertex first."""
+    n = len(facets[0]) - 1
+    ridges = {}
+    put = ridges.setdefault
+    for r, ks in zip(chain.from_iterable(map(combinations, facets, repeat(n))),
+                     product(range(len(facets)), [(-1) ** j for j in range(n, -1, -1)])):
+        put(r, []).append(ks)
+    return ridges
+
+
+def _orient(facets, ridges):
+    """Walk from facet 0 across the ridges of _ridge_map(facets) in exactly
+    two facets, signing each facet reached to cancel its neighbour on the
+    ridge: the number reached, and whether every crossing agrees."""
+    n = len(facets[0]) - 1
+    sign = [0] * len(facets)
+    sign[0] = 1
+    reached = [0]
+    agree = True
+    for k in reached:
+        for r in combinations(facets[k], n):
+            bucket = ridges[r]
+            if len(bucket) == 2:
+                (a, s), (b, t) = bucket
+                m, want = a + b - k, -sign[k] * s * t
+                if not sign[m]:
+                    sign[m] = want
+                    reached.append(m)
+                elif sign[m] != want:
+                    agree = False
+    return len(reached), agree
+
+
 def _nerve(facets):
     """The nerve of the complex the facets generate: one vertex k per
     facet F_k (k = 1..m), and the vertex stars {k : v in F_k} as facets."""
@@ -433,7 +476,11 @@ def reduced_betti(delta, field):
     After the span screen of the widest facet alone, the vertex degrees
     are counted once.  A vertex in every facet makes a cone, which has
     every entry 0; a graph (dimension at most 1) with V vertices, E edges
-    and c components has H~_0 = c - 1 and H~_1 = E - V + c.  Otherwise,
+    and c components has H~_0 = c - 1 and H~_1 = E - V + c.  A pure
+    2-complex whose edges each lie in at most two triangles is a surface
+    when _orient reaches every triangle, and then H~_2 is 1 if no edge is
+    free and the signs agree or p = 2, else 0, and H~_1 = H~_2 - (-1 + V -
+    E + F).  Otherwise,
     when the nerve's span, the sum of 2^deg(v), is strictly below
     delta's, the answer is the nerve's; spans strictly decrease, so this
     ends.  What is left is eliminated, and _cells and rank refuse work
@@ -453,6 +500,15 @@ def reduced_betti(delta, field):
         c = _components(facets)
         edges = sum(len(f) == 2 for f in facets)
         return BettiVector({0: c - 1, 1: edges - len(degree) + c} if d else {0: c - 1})
+    if d == 2 and len(facets[0]) == 3:
+        ridges = _ridge_map(facets)
+        sizes = set(map(len, ridges.values()))
+        if max(sizes) <= 2:
+            reached, orientable = _orient(facets, ridges)
+            if reached == len(facets):
+                top = int(sizes == {2} and (orientable or field.p == 2))
+                euler = len(degree) - len(ridges) + len(facets) - 1
+                return BettiVector({0: 0, 1: top - euler, 2: top})
     if sum(map((1).__lshift__, degree)) < sum(map((1).__lshift__, map(len, facets))):
         nerve = reduced_betti(_nerve(facets), field)
         return BettiVector({j: nerve[j] for j in range(d + 1)})

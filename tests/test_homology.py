@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -408,20 +409,40 @@ def _stars(delta):
     return [[k for k, f in enumerate(delta.facets, 1) if v in f] for v in delta.vertices()]
 
 
+def _surface(delta):
+    """Whether delta is a pure 2-complex whose edges each lie in at most two
+    triangles and whose triangles are joined by walks across shared edges,
+    read off the definition: reduced_betti answers it with no matrix."""
+    facets = delta.facets
+    if delta.dim != 2 or any(len(f) != 3 for f in facets):
+        return False
+    if max(Counter(e for f in facets for e in combinations(f, 2)).values()) > 2:
+        return False
+    seen, todo = {facets[0]}, [facets[0]]
+    while todo:
+        f = todo.pop()
+        for g in facets:
+            if g not in seen and len(set(f) & set(g)) == 2:
+                seen.add(g)
+                todo.append(g)
+    return len(seen) == len(facets)
+
+
 def _takes_nerve(delta):
     """Whether reduced_betti trades delta for its nerve: dimension at least
-    2, no vertex in every facet, and stars that span strictly less."""
+    2, no vertex in every facet, not a surface, and stars that span
+    strictly less."""
     stars = _stars(delta)
-    return (delta.dim > 1 and max(map(len, stars)) < len(delta.facets)
+    return (delta.dim > 1 and max(map(len, stars)) < len(delta.facets) and not _surface(delta)
             and sum(2 ** len(s) for s in stars) < sum(2 ** len(f) for f in delta.facets))
 
 
 def _eliminated_side(delta):
     """The complex reduced_betti hands to elimination, delta or an iterated
-    nerve; None when a cone or a graph is answered first."""
+    nerve; None when a cone, a graph or a surface is answered first."""
     while _takes_nerve(delta):
         delta = from_facets(_stars(delta), len(delta.facets))
-    if delta.dim <= 1 or len(delta.facets) in map(len, _stars(delta)):
+    if delta.dim <= 1 or len(delta.facets) in map(len, _stars(delta)) or _surface(delta):
         return None
     return delta
 
@@ -465,16 +486,18 @@ def test_relative_betti_is_the_reduced_betti_of_the_coned_pair(family, rng):
 def test_betti_ranks_each_degree_once_on_the_survivors():
     # coreduction first, then rank sees d_j once per degree j = 0..d on the
     # surviving cells, with no columns when no (j-1)-cell survives: a map
-    # into the zero space has rank 0
-    for delta, betti, kept in ((gen.sd(gen.torus()), {1: 2, 2: 1}, {1: 27, 2: 26}),
-                               (gen.cross_polytope_boundary(6), {5: 1}, {5: 1})):
+    # into the zero space has rank 0.  reduced_betti answers the surface
+    # sd-torus with no matrix, so its cells are eliminated directly.
+    for delta, betti, kept, betti_of in (
+            (gen.sd(gen.torus()), {1: 2, 2: 1}, {1: 27, 2: 26}, _eliminated),
+            (gen.cross_polytope_boundary(6), {5: 1}, {5: 1}, reduced_betti)):
         d = delta.dim
         survivors = homology._coreduce(homology._cells(delta))
         s = {j: len(fs) for j, fs in survivors.items()}
         assert {j: n for j, n in s.items() if n} == kept
         for field in (QQ, GF2):
             with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
-                assert reduced_betti(delta, field).nonzero() == betti, field
+                assert betti_of(delta, field).nonzero() == betti, field
             shapes = [(c.args[0].rows, c.args[0].cols) for c in spy.call_args_list]
             want = [(s[j - 1], s[j] if s[j - 1] else 0) for j in range(0, d + 1)]
             assert sorted(shapes) == sorted(want), field
@@ -499,6 +522,20 @@ def test_simplex13_table_and_report_need_no_elimination():
         report = classification_report(simplex, GF2)
     assert table.to_json()["entries"] == [{"i": 13, "sigma": list(range(1, 14)), "dim": 1}]
     assert report.gorenstein and report.cohen_macaulay
+    assert spy.call_count == 0
+
+
+def test_surface_tables_and_reports_need_no_elimination():
+    # every link of a surface is a surface, a graph or {empty}, and a
+    # surface is answered off its ridge map, so none builds a matrix
+    for delta in (gen.sd(gen.torus()), gen.sd(gen.rp2())):
+        for field in FIELDS:
+            with mock.patch.object(homology, "rank", wraps=homology.rank) as spy:
+                local_cohomology_table(delta, field)
+                classification_report(delta, field)
+            assert spy.call_count == 0, (delta, field)
+    with mock.patch.object(homology, "_cells", wraps=homology._cells) as spy:
+        assert reduced_betti(gen.sd(gen.sd(gen.torus())), QQ).nonzero() == {1: 2, 2: 1}
     assert spy.call_count == 0
 
 
@@ -579,3 +616,115 @@ def test_nerve_matches_elimination_and_oracle():
         taken += spy.call_count > 0
         assert (spy.call_count > 0) == _takes_nerve(delta), delta
     assert taken > 50
+
+
+# reduced_betti answers a strongly connected pure 2-complex whose edges
+# each lie in at most two triangles off its signed ridge map, with no
+# matrix.  The property below draws such surfaces, closed and bordered,
+# and the complexes near them that must fall through: disconnected and
+# pinched surfaces, wedges, and edges in three triangles.
+
+
+def _grid_surface(n, twist):
+    """The n x n grid of squares, each cut along a diagonal, with opposite
+    sides glued: a torus, or with twist a Klein bottle (the top side glued
+    to the bottom one reversed)."""
+    def v(i, j):
+        i %= n
+        if j == n:
+            i, j = (-i % n if twist else i), 0
+        return i * n + j + 1
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            facets += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1))]
+    return from_facets(facets, n * n)
+
+
+_KLEIN = _grid_surface(4, True)
+_CLOSED = [gen.simplex_boundary(4), gen.cross_polytope_boundary(3), gen.torus(), gen.rp2(),
+           _grid_surface(4, False), _KLEIN]
+_CLOSED += [gen.sd(delta) for delta in _CLOSED[:1] + _CLOSED[2:4] + _CLOSED[5:]]
+
+
+def _two_spheres(shared):
+    """Two tetrahedron boundaries, sharing one vertex or none."""
+    other = [[v + 4 - shared for v in f] for f in combinations(range(1, 5), 3)]
+    return from_facets(list(combinations(range(1, 5), 3)) + other, 8 - shared)
+
+
+_SINGULAR = [
+    get_fixture("paper-moebius").complex(),
+    _two_spheres(1),
+    _two_spheres(0),
+    from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]], 5),
+    # three triangles on the edge 12, joined around it across edges in two
+    from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4], [2, 4, 5]], 5),
+]
+
+
+def _closed(rng):
+    return rng.choice(_CLOSED)
+
+
+def _bordered(rng):
+    """A closed surface with one to five facets deleted: bordered, and on
+    the small ones sometimes no longer strongly connected."""
+    delta = rng.choice(_CLOSED)
+    m = len(delta.facets)
+    return from_facets(rng.sample(delta.facets, m - rng.randint(1, min(5, m - 1))),
+                       delta.n_vertices)
+
+
+def _pinched(rng):
+    """Two vertices with no common neighbour glued in a subdivided surface,
+    closed or with one facet deleted."""
+    delta = rng.choice(_CLOSED[len(_CLOSED) - 4:])
+    if rng.random() < 0.5:
+        delta = from_facets(delta.facets[1:], delta.n_vertices)
+    star = {}
+    for f in delta.facets:
+        for v in f:
+            star.setdefault(v, set()).update(f)
+    a, b = rng.choice([(a, b) for a, b in combinations(sorted(star), 2)
+                       if b not in star[a] and not star[a] & star[b]])
+    return gen.identify_vertices(delta, a, b)
+
+
+def _random_2(rng):
+    n = rng.randint(4, 8)
+    return gen.random_pure(rng, n, 2, rng.randint(1, min(14, n * (n - 1) * (n - 2) // 6)))
+
+
+SURFACES = {"closed": _closed, "bordered": _bordered, "pinched": _pinched,
+            "singular": lambda rng: rng.choice(_SINGULAR), "random": _random_2}
+
+
+def test_surface_inputs_are_what_they_claim():
+    assert _eliminated(_KLEIN, QQ).nonzero() == {1: 1}
+    assert _eliminated(_KLEIN, GF2).nonzero() == {1: 2, 2: 1}
+    assert _eliminated(_grid_surface(4, False), QQ).nonzero() == {1: 2, 2: 1}
+    for delta in _CLOSED:
+        assert _surface(delta) and not _surface(_two_spheres(1)), delta
+    # the property below sees both answers of _surface on random complexes
+    rng = random.Random(27)
+    drawn = {(family, _surface(SURFACES[family](rng))) for family in ("bordered", "random")
+             for _ in range(40)}
+    assert len(drawn) == 4, drawn
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(SURFACES)), rng=st.randoms(use_true_random=False))
+def test_surfaces_need_no_matrix_and_match_elimination_and_oracle(family, rng):
+    delta = SURFACES[family](rng)
+    cone = len(delta.facets) in map(len, _stars(delta))
+    small = len(delta.faces()) <= 128
+    for field in SHORTCUT_FIELDS:
+        with mock.patch.object(homology, "_ridge_map", wraps=homology._ridge_map) as ridges, \
+                mock.patch.object(homology, "_nerve", wraps=homology._nerve) as nerve, \
+                mock.patch.object(homology, "_cells", wraps=homology._cells) as cells:
+            got = reduced_betti(delta, field).to_json()
+        taken = ridges.call_count == 1 and nerve.call_count == cells.call_count == 0
+        assert taken == (not cone and _surface(delta)), (family, delta)
+        assert got == _eliminated(delta, field).to_json(), (delta, field)
+        assert not small or got == oracle_betti(delta, field).to_json(), (delta, field)
