@@ -130,7 +130,8 @@ def test_orientation_cover_matches_rational_top_homology():
     cases = [d for d in families(random.Random(14)) if is_pseudomanifold(d)]
     assert len(cases) >= 30 and 0 < sum(map(is_orientable, cases)) < len(cases)
     for delta in cases:
-        want = reduced_betti(delta, QQ)[delta.dim] != 0
+        # elimination, since reduced_betti answers a surface off the same walk
+        want = qgor.homology._betti(qgor.homology._cells(delta), QQ)[delta.dim] != 0
         assert is_orientable(delta) == want, delta
         for field in FIELDS:
             assert classification_report(delta, field).orientable == want, (delta, field)

@@ -644,7 +644,7 @@ def _grid_surface(n, twist):
 _KLEIN = _grid_surface(4, True)
 _CLOSED = [gen.simplex_boundary(4), gen.cross_polytope_boundary(3), gen.torus(), gen.rp2(),
            _grid_surface(4, False), _KLEIN]
-_CLOSED += [gen.sd(delta) for delta in _CLOSED[:1] + _CLOSED[2:4] + _CLOSED[5:]]
+_CLOSED += [gen.sd(delta) for delta in (_CLOSED[0], _CLOSED[2], _CLOSED[3], _KLEIN)]
 
 
 def _two_spheres(shared):
@@ -663,10 +663,6 @@ _SINGULAR = [
 ]
 
 
-def _closed(rng):
-    return rng.choice(_CLOSED)
-
-
 def _bordered(rng):
     """A closed surface with one to five facets deleted: bordered, and on
     the small ones sometimes no longer strongly connected."""
@@ -679,7 +675,7 @@ def _bordered(rng):
 def _pinched(rng):
     """Two vertices with no common neighbour glued in a subdivided surface,
     closed or with one facet deleted."""
-    delta = rng.choice(_CLOSED[len(_CLOSED) - 4:])
+    delta = rng.choice(_CLOSED[-4:])
     if rng.random() < 0.5:
         delta = from_facets(delta.facets[1:], delta.n_vertices)
     star = {}
@@ -696,7 +692,7 @@ def _random_2(rng):
     return gen.random_pure(rng, n, 2, rng.randint(1, min(14, n * (n - 1) * (n - 2) // 6)))
 
 
-SURFACES = {"closed": _closed, "bordered": _bordered, "pinched": _pinched,
+SURFACES = {"closed": lambda rng: rng.choice(_CLOSED), "bordered": _bordered, "pinched": _pinched,
             "singular": lambda rng: rng.choice(_SINGULAR), "random": _random_2}
 
 
@@ -704,8 +700,7 @@ def test_surface_inputs_are_what_they_claim():
     assert _eliminated(_KLEIN, QQ).nonzero() == {1: 1}
     assert _eliminated(_KLEIN, GF2).nonzero() == {1: 2, 2: 1}
     assert _eliminated(_grid_surface(4, False), QQ).nonzero() == {1: 2, 2: 1}
-    for delta in _CLOSED:
-        assert _surface(delta) and not _surface(_two_spheres(1)), delta
+    assert all(map(_surface, _CLOSED)) and not _surface(_two_spheres(1))
     # the property below sees both answers of _surface on random complexes
     rng = random.Random(27)
     drawn = {(family, _surface(SURFACES[family](rng))) for family in ("bordered", "random")
