@@ -157,7 +157,7 @@ class _Analysis(_Links):
         if not pure:
             witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
         # faces of dimension at most d - 2 need connected links
-        normal_w = next((s for s in self.faces(d) if _components(self.link(s)) != 1), None)
+        normal_w = next((s for s, lk in self.faces(d) if _components(lk) != 1), None)
         ridge_w = next(((s, len(lk)) for s, lk in self.level(d).items() if len(lk) != 2), None)
         normal, ridge_condition = normal_w is None, ridge_w is None
         if not normal:
@@ -176,12 +176,12 @@ class _Analysis(_Links):
     def manifold(self):
         """(manifold, sphere) as is_homology_manifold defines them; the first
         non-sphere link ends the scan.  The empty complex is the (-1)-sphere."""
-        def sphere(sigma):
-            return self.betti(sigma).nonzero() == {len(self.link(sigma)[-1]) - 1: 1}
+        def sphere(lk):
+            return self.link_betti(lk).nonzero() == {len(lk[-1]) - 1: 1}
 
         # the links of a pure complex's facets are all {empty}, the (-1)-sphere
-        manifold = all(map(sphere, islice(self.faces(self.d), 1, None)))
-        return manifold, manifold and sphere(())
+        manifold = all(sphere(lk) for _, lk in islice(self.faces(self.d), 1, None))
+        return manifold, manifold and sphere(self.link(()))
 
     @cached_property
     def gorenstein(self):

@@ -9,27 +9,45 @@ for every face sigma (the empty face included), and every other
 multidegree vanishes.  Link homology is computed in one place, a link
 view of the (complex, field) that fills itself on first read: the faces
 of one size k >= 1 and their links (a level) when a scan first reaches
-size k, and each link's Betti vector once per class of links equal up
-to an order-preserving renumbering of their vertices (isomorphic
-complexes, so one vector serves the class).  The table is the one full
-read of that view, every level.  Depth and the Reisner Cohen-Macaulay
-criterion, the a-invariant, the Buchsbaum predicate and the Serre
-condition (S_l) here, and the manifold flags in classify, are scans of
-it in canonical face order that stop as soon as their answer is fixed,
-and build no level past the last size that can change it: depth stops
-before size k once it has found i <= k + 1 (H^d never vanishes, so it
-never reads the ridges or the facets), the a-invariant at its answer,
-and Buchsbaum and (S_l) after size dim Delta - 1, since the links of
-larger faces have dimension <= 0 and hold no low homology.  Over a
-field the cohomology dimensions of a link equal its homology
-dimensions, so link Betti vectors serve throughout.
+size k, and each link's Betti vector once.  A link of dimension at most
+1 ({empty}, points or a graph; in a pure complex the links of the
+facets, the ridges and the faces of codimension 2) is read straight off
+its facets by counting components.  A link of dimension 2 or more is
+computed once per class of links equal up to an order-preserving
+renumbering of their vertices (isomorphic complexes, so one vector
+serves the class).  The scans walk each face with its link, as the
+levels hold them.  The table is the one full read of that view, every
+level.  Depth and the Reisner Cohen-Macaulay criterion, the a-invariant,
+the Buchsbaum predicate and the Serre condition (S_l) here, and the
+manifold flags in classify, are scans of it in canonical face order that
+stop as soon as their answer is fixed, and build no level past the last
+size that can change it: depth stops before size k once it has found
+i <= k + 1 (H^d never vanishes, so it never reads the ridges or the
+facets), the a-invariant at its answer, and Buchsbaum and (S_l) after
+size dim Delta - 1, since the links of larger faces have dimension <= 0
+and hold no low homology.  Over a field the cohomology dimensions of a
+link equal its homology dimensions, so link Betti vectors serve
+throughout.
 """
 
 from functools import cached_property
 from itertools import islice
 
-from .homology import reduced_betti
+from .homology import _graph_betti, reduced_betti
 from .simplicial_core import SimplicialComplex, _link_level, face, face_key
+
+
+def _class_key(lk):
+    """The class key of a link: its facets with the vertices renumbered 1..m
+    in ascending order, written as a string, so it never equals a facet tuple."""
+    # Renumbering the vertices 1..m in ascending order keeps the facets
+    # sorted and in canonical order, so isomorphic links meet at one key.
+    # One string ("1,2;1,3") rather than a tuple of tuples: a burst of
+    # short-lived small tuples stays in CPython's tuple free lists and
+    # raised the peak RSS.
+    vertices = sorted({v for f in lk for v in f})
+    rank = dict(zip(vertices, map(str, range(1, len(vertices) + 1))))
+    return ";".join(",".join(map(rank.__getitem__, f)) for f in lk)
 
 
 class LocalCohomologyTable:
@@ -106,17 +124,19 @@ class _Links:
     level(k) maps the faces of size k to their link facets in lexicographic
     order.  Level 0 is the empty face, whose link is the complex itself; a
     level k >= 1 is built by _link_level on its first read, and each level
-    refuses what faces() refuses.  faces(stop) walks the levels below stop
-    in canonical order, building each only when the walk reaches it, so a
-    scan builds only the sizes it can still be changed by.  betti(sigma) is
-    link_betti(link(sigma)); link_betti takes any link by its facets, such as
-    a link of Delta_B filtered out of one of Delta, and goes through memo
-    (facets -> Betti vector), which the views of a complex and its core, or
-    of Delta, Delta_A and Delta_B, share.  A link is looked
-    up by its own facets, then by its class key, the facets with the
-    vertices renumbered 1..m in ascending order (written as a string, so it
-    never equals a facet tuple); only a class seen for the first time is
-    computed, on the link itself, and the vector is stored under both keys.
+    refuses what faces() refuses.  faces(stop) walks the (face, link facets)
+    pairs of the levels below stop in canonical order, building each level
+    only when the walk reaches it, so a scan builds only the sizes it can
+    still be changed by.  betti(sigma) is link_betti(link(sigma));
+    link_betti takes any link by its facets, such as a link of Delta_B
+    filtered out of one of Delta, and goes through memo (facets -> Betti
+    vector), which the views of a complex and its core, or of Delta,
+    Delta_A and Delta_B, share.  A link is looked up by its own facets.  On
+    a miss, a link of dimension at most 1 is answered by _graph_betti; a
+    larger one is looked up by its class key (_class_key), and only a class
+    seen for the first time is computed, by reduced_betti on the link
+    itself, and stored under the key.  Either vector is stored under the
+    link's facets.  The memo lives as long as the public call that made it.
     """
 
     def __init__(self, delta, field, memo=None):
@@ -133,9 +153,10 @@ class _Links:
         return self.levels[k]
 
     def faces(self, stop=None):
-        """The faces of size below stop (all faces by default), in canonical order."""
+        """(face, link facets) for the faces of size below stop (all faces by
+        default), in canonical order."""
         for k in range(self.d + 1 if stop is None else stop):
-            yield from self.level(k)
+            yield from self.level(k).items()
 
     def link(self, sigma):
         return self.level(len(sigma))[sigma]
@@ -147,26 +168,24 @@ class _Links:
         """The Betti vector of the complex with facets lk, a link of the view."""
         vector = self.memo.get(lk)
         if vector is None:
-            # Renumbering the vertices 1..m in ascending order keeps the facets
-            # sorted and in canonical order, so isomorphic links meet at one key.
-            # One string ("1,2;1,3") rather than a tuple of tuples: a burst of
-            # short-lived small tuples stays in CPython's tuple free lists and
-            # raised the peak RSS.
-            vertices = sorted({v for f in lk for v in f})
-            rank = dict(zip(vertices, map(str, range(1, len(vertices) + 1))))
-            key = ";".join(",".join(map(rank.__getitem__, f)) for f in lk)
-            vector = self.memo.get(key)
-            if vector is None:
-                vector = reduced_betti(SimplicialComplex(self.delta.n_vertices, lk), self.field)
-            self.memo[lk] = self.memo[key] = vector
+            if len(lk[-1]) <= 2:
+                vector = _graph_betti(lk)
+            else:
+                key = _class_key(lk)
+                vector = self.memo.get(key)
+                if vector is None:
+                    vector = reduced_betti(SimplicialComplex(self.delta.n_vertices, lk),
+                                           self.field)
+                    self.memo[key] = vector
+            self.memo[lk] = vector
         return vector
 
     @cached_property
     def table(self):
         """The one full read of the view: every face's Betti vector, as entries."""
         entries = {}
-        for sigma in self.faces():
-            for r, dim_r in self.betti(sigma).dims.items():
+        for sigma, lk in self.faces():
+            for r, dim_r in self.link_betti(lk).dims.items():
                 if dim_r:
                     entries[(r + len(sigma) + 1, sigma)] = dim_r
         return LocalCohomologyTable(self.d, entries)
@@ -183,8 +202,8 @@ class _Links:
         for k in range(self.d + 1):
             if best[0] <= k + 1:
                 break
-            for sigma in self.level(k):
-                low = min(self.betti(sigma).nonzero(), default=None)
+            for sigma, lk in self.level(k).items():
+                low = min(self.link_betti(lk).nonzero(), default=None)
                 if low is not None and low + k + 1 < best[0]:
                     best = (low + k + 1, sigma)
                     if best[0] <= k + 1:
@@ -195,7 +214,8 @@ class _Links:
     def a_invariant(self):
         # Faces come by size, and a maximal-dimension facet has the link
         # {empty}, whose H~_{-1} sits at i = d, so the scan ends by that size.
-        return -next(len(s) for s in self.faces() if self.betti(s)[self.d - len(s) - 1])
+        return -next(len(s) for s, lk in self.faces()
+                     if self.link_betti(lk)[self.d - len(s) - 1])
 
     def low_homology(self, ell=None, nonempty=False):
         """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,
@@ -203,10 +223,10 @@ class _Links:
         dimension <= 0 is computed) and, when ell is given, i < ell - 1; None
         if there is none.  nonempty skips the empty face."""
         # A face of size dim Delta or more has a link of dimension <= 0.
-        for sigma in islice(self.faces(self.d - 1), nonempty, None):
-            dim = len(self.link(sigma)[-1]) - 1
+        for sigma, lk in islice(self.faces(self.d - 1), nonempty, None):
+            dim = len(lk[-1]) - 1
             for i in range(dim if ell is None else min(ell - 1, dim)):
-                if self.betti(sigma)[i]:
+                if self.link_betti(lk)[i]:
                     return sigma, i
 
     @cached_property

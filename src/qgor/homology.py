@@ -43,7 +43,8 @@ of it (sd^3 of the boundary of the 4-simplex keeps 225,739 of its
 Three kinds of complex need no matrix, and reduced_betti answers them
 before any is built, exactly over every field: a cone (all facets share
 a vertex) is acyclic, and a graph (dimension at most 1) with V vertices,
-E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c.  A
+E edges and c components has H~_0 = c - 1 and H~_1 = E - V + c
+(_graph_betti, which hochster's link view calls on small links too).  A
 surface, a pure 2-complex whose triangles are joined across edges that
 each lie in at most two, has H~_0 = 0, H~_2 = 1 when no edge is free and
 the triangles orient or p = 2, else 0 (a 2-cycle is fixed up to a unit
@@ -467,39 +468,50 @@ def _nerve(facets):
     return simplicial_core.from_facets(stars.values(), len(facets))
 
 
+def _graph_betti(facets):
+    """The Betti vector of the complex of dimension at most 1 with these
+    facets: {empty} has H~_{-1} = 1, and otherwise, with V vertices, E
+    edges and c components, H~_0 = c - 1 and, when there are edges,
+    H~_1 = E - V + c.  Exact over every field."""
+    if not facets[-1]:
+        return BettiVector({-1: 1})
+    c = _components(facets)
+    if len(facets[-1]) == 1:
+        return BettiVector({0: c - 1})
+    vertices = len(set(chain.from_iterable(facets)))
+    edges = sum(len(f) == 2 for f in facets)
+    return BettiVector({0: c - 1, 1: edges - vertices + c})
+
+
 def reduced_betti(delta, field):
     """Reduced Betti numbers dim H~_j(delta; field) for all degrees.
 
     dim H~_j = nullity(d_j) - rank(d_{j+1}) on the reduced (augmented)
     chain complex.  The empty complex has {-1: 1}; ordinary complexes
     report degrees 0..dim (H~_{-1} vanishes once there is a vertex).
-    After the span screen of the widest facet alone, the vertex degrees
-    are counted once.  A vertex in every facet makes a cone, which has
-    every entry 0; a graph (dimension at most 1) with V vertices, E edges
-    and c components has H~_0 = c - 1 and H~_1 = E - V + c.  A pure
+    After the span screen of the widest facet alone, a complex of
+    dimension at most 1 is answered by _graph_betti, the empty complex
+    included (a graph that is a cone gets the cone's zeros there, on the
+    same degrees).  Otherwise the vertex degrees are counted once.  A
+    vertex in every facet makes a cone, which has every entry 0.  A pure
     2-complex whose edges each lie in at most two triangles is a surface
     when _orient reaches every triangle, and then H~_2 is 1 if no edge is
     free and the signs agree or p = 2, else 0, and H~_1 = H~_2 - (-1 + V -
-    E + F).  Otherwise,
-    when the nerve's span, the sum of 2^deg(v), is strictly below
-    delta's, the answer is the nerve's; spans strictly decrease, so this
-    ends.  What is left is eliminated, and _cells and rank refuse work
-    past the face cap.
+    E + F).  Otherwise, when the nerve's span, the sum of 2^deg(v), is
+    strictly below delta's, the answer is the nerve's; spans strictly
+    decrease, so this ends.  What is left is eliminated, and _cells and
+    rank refuse work past the face cap.
     """
     if delta.is_void:
         raise ValueError("the void complex has no homology")
     d = delta.dim
-    if d == -1:
-        return BettiVector({-1: 1})
     facets = delta.facets
     check_face_budget(facets[-1:])
+    if d <= 1:
+        return _graph_betti(facets)
     degree = Counter(chain.from_iterable(facets)).values()
     if max(degree) == len(facets):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
-    if d <= 1:
-        c = _components(facets)
-        edges = sum(len(f) == 2 for f in facets)
-        return BettiVector({0: c - 1, 1: edges - len(degree) + c} if d else {0: c - 1})
     if d == 2 and len(facets[0]) == 3:
         ridges = _ridge_map(facets)
         sizes = set(map(len, ridges.values()))

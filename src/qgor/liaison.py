@@ -21,9 +21,10 @@ discrepancy.
 
 All four checks (the sequence, link restriction, CM linkage, the
 connectedness of Delta_B) read three analyses, of Delta, Delta_A and
-Delta_B, that share one memo: each link level and Betti vector (one per
-class of links equal up to an order-preserving renumbering) is computed
-at most once, on first use, and a check computes only what it reads.
+Delta_B, that share one memo: each link level and Betti vector is
+computed at most once, on first use (a link of dimension at most 1 off
+its facets, and a larger one once per class of links equal up to an
+order-preserving renumbering), and a check computes only what it reads.
 Quasi-Gorenstein is the analysis's view in classify; Buchsbaum and
 Cohen-Macaulay are the scans of hochster's link view it extends.
 
@@ -174,8 +175,8 @@ class _Liaison:
     partition applies and builds Delta_A and Delta_B; each is one analysis,
     and the three share one memo keyed by facets and by renumbered facets
     (the link of the empty face is the complex itself, so a complex's own
-    vector serves both, and links of the three equal up to an
-    order-preserving renumbering share one vector).  The analyses of Delta
+    vector serves both, and links of dimension 2 or more of the three equal
+    up to an order-preserving renumbering share one vector).  The analyses of Delta
     and Delta_A build their link levels when a check reads them; the
     analysis of Delta_B is only read at its empty face."""
 
@@ -208,9 +209,9 @@ class _Liaison:
         exactly when sigma is not in Delta_B, and then its entries are 0."""
         whole, a, d = self.whole, self.a, self.whole.d
         out = []
-        for sigma in a.faces(d - 1):
+        for sigma, lk_a in a.faces(d - 1):
             lk = whole.link(sigma)
-            in_a = set(a.link(sigma))
+            in_a = set(lk_a)
             lk_b = tuple(r for r in lk if r not in in_a)
             ambient = whole.link_betti(lk).dims
             restricted = whole.link_betti(lk_b).dims if lk_b else {}

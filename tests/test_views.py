@@ -10,8 +10,11 @@ the checked families of tests/_perfbench.py and on seeded non-pure
 complexes with facets below the ridges.  The counting tests pin that
 each link is computed once per call and once per `qgor classify`,
 `qgor hochster` and `qgor liaison` run, whose payload equals the four
-public liaison checks called one by one, that links equal up to an
-order-preserving renumbering share one computed Betti vector, that a
+public liaison checks called one by one, that a link of dimension at
+most 1 is read off its facets by _graph_betti and that larger links
+equal up to an order-preserving renumbering share one computed Betti
+vector (both checked against elimination and the oracle on seeded
+families), that nothing is kept from one call to the next, that a
 predicate builds only what it reads, that the liaison comparisons read
 only the faces of Delta_A and never build a link level of Delta_B, that
 a scan stops at its answer, and that it builds no link level past the
@@ -241,18 +244,31 @@ def test_liaison_comparisons_match_per_face_reference(field):
 
 
 def _count_betti(monkeypatch):
-    counts = {}
-    original = qgor.hochster.reduced_betti
+    """(counts, routes): counts maps the facets of every complex whose Betti
+    vector the link view computes to the number of times it did, and
+    routes[name] does the same for each of its two routes, reduced_betti
+    and _graph_betti (a complex of dimension at most 1, off its facets)."""
+    counts, routes = {}, {"reduced_betti": {}, "_graph_betti": {}}
 
-    def counting(delta, field):
-        key = (delta.facets, field.p)
-        counts[key] = counts.get(key, 0) + 1
-        return original(delta, field)
+    def count(name, facets):
+        counts[facets] = counts.get(facets, 0) + 1
+        routes[name][facets] = routes[name].get(facets, 0) + 1
+
+    reduced, graph = qgor.hochster.reduced_betti, qgor.hochster._graph_betti
+
+    def counting_reduced(delta, field):
+        count("reduced_betti", delta.facets)
+        return reduced(delta, field)
+
+    def counting_graph(facets):
+        count("_graph_betti", facets)
+        return graph(facets)
 
     # every Betti vector a predicate reads comes through hochster's link view
-    assert not any(hasattr(m, "reduced_betti") for m in (qgor.classify, qgor.liaison))
-    monkeypatch.setattr(qgor.hochster, "reduced_betti", counting)
-    return counts
+    assert not any(hasattr(m, name) for m in (qgor.classify, qgor.liaison) for name in routes)
+    monkeypatch.setattr(qgor.hochster, "reduced_betti", counting_reduced)
+    monkeypatch.setattr(qgor.hochster, "_graph_betti", counting_graph)
+    return counts, routes
 
 
 def _spy_levels(monkeypatch):
@@ -278,7 +294,7 @@ def _facet_file(tmp_path, delta):
 
 
 def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
-    counts = _count_betti(monkeypatch)
+    counts, _ = _count_betti(monkeypatch)
     cases = [fx.complex() for fx in corpus() if not fx.complex().is_empty]
     for delta in cases + _random_complexes(5, 10):
         for field in FIELDS:
@@ -299,12 +315,12 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                 assert max(counts.values()) == 1, (delta, field, counts)
                 counts.clear()
                 lefschetz_report(delta, partition, field)
-                assert counts[(delta.facets, field.p)] == 1, (delta, field, counts)
+                assert counts[delta.facets] == 1, (delta, field, counts)
                 # a standalone check reads only Delta, Delta_B and Delta_A's links
                 delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
                 delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
-                allowed = {(c, field.p) for c in (delta.facets, delta_b.facets)}
-                allowed |= {(link(delta_a, s).facets, field.p) for s in delta_a.faces()}
+                allowed = {delta.facets, delta_b.facets}
+                allowed |= {link(delta_a, s).facets for s in delta_a.faces()}
                 for check in (lefschetz_report, tconn_check):
                     counts.clear()
                     try:
@@ -345,7 +361,7 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
     # Normality reads Delta's levels up to its ridges, and Buchsbaum, depth
     # and the comparisons read Delta_A's levels below its ridges (Delta_A is
     # the cone over a sphere, so its depth is fixed by the apex's link).
-    counts = _count_betti(monkeypatch)
+    counts, _ = _count_betti(monkeypatch)
     built = _spy_levels(monkeypatch)
     for base in (gen.torus(), gen.simplex_boundary(5)):
         delta, labels = gen.sd(base), gen.sd_labels(base)
@@ -378,12 +394,12 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
                     capsys.readouterr()
                     assert delta_b.facets not in {f for f, _ in built}, (base, v, field, run)
                     assert sorted(built) == sorted(levels), (base, v, field, run)
-                    assert counts and {lk for lk, _ in counts} <= allowed, (base, v, field)
+                    assert counts and set(counts) <= allowed, (base, v, field)
                     assert max(counts.values()) == 1, (base, v, field, counts)
 
 
 def test_analysis_builds_only_what_it_reads(monkeypatch):
-    counts = _count_betti(monkeypatch)
+    counts, _ = _count_betti(monkeypatch)
     tables = []
     view = qgor.hochster._Links.__dict__["table"]
     original = view.func
@@ -404,7 +420,7 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
             assert not tables, (delta, field)
             # Delta's own Betti vector, and only for a normal pseudomanifold
             npm = normal_pseudomanifold_report(delta).ok
-            assert set(counts) == ({(delta.facets, field.p)} if npm else set()), (delta, field)
+            assert set(counts) == ({delta.facets} if npm else set()), (delta, field)
             assert qg <= npm
     # a cone over a core that is Buchsbaum but no normal pseudomanifold
     two = get_fixture("two-triangles").complex()
@@ -417,30 +433,32 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
 
 
 def test_scans_stop_at_their_answer(monkeypatch):
-    counts = _count_betti(monkeypatch)
+    counts, routes = _count_betti(monkeypatch)
     built = _spy_levels(monkeypatch)
     # H~_2(sd-torus) != 0 fixes a = 0 at the empty face, before any level
     sd_torus = gen.sd(gen.torus())
     assert a_invariant(sd_torus, GF2) == 0
-    assert counts == {(sd_torus.facets, 2): 1} and built == []
+    assert counts == {sd_torus.facets: 1} and built == []
     # Buchsbaum exempts the empty face, so Delta's own vector is never computed,
     # and H~_{-1} of a nonempty link is 0, so neither is a link of dimension <= 0
     for delta in [sd_torus] + [d for d in COMPLEXES if not d.is_empty and core(d) == d]:
         for field in FIELDS:
             counts.clear()
             is_buchsbaum(delta, field)
-            assert (delta.facets, field.p) not in counts, (delta, field)
-            assert all(len(lk[-1]) > 1 for lk, _ in counts), (delta, field, counts)
+            assert delta.facets not in counts, (delta, field)
+            assert all(len(lk[-1]) > 1 for lk in counts), (delta, field, counts)
             counts.clear()
             serre_condition(delta, field, 3)
-            assert all(len(lk[-1]) > 1 for lk, _ in counts), (delta, field, counts)
-    # on sd-torus that is one vector per class of vertex links (cycles of
-    # one length), none per edge
+            assert all(len(lk[-1]) > 1 for lk in counts), (delta, field, counts)
+    # on sd-torus the vertex links are cycles, each read once off its facets,
+    # with no class key and no reduced_betti; none per edge
     counts.clear()
+    for route in routes.values():
+        route.clear()
     assert is_buchsbaum(sd_torus, GF2) == (True, None)
-    cycles = _classes(link(sd_torus, (v,)).facets for v in sd_torus.vertices())
-    assert set(counts) == {(lk, 2) for lk in cycles} and len(cycles) == 8
-    assert sum(counts.values()) == 8
+    cycles = {link(sd_torus, (v,)).facets for v in sd_torus.vertices()}
+    assert counts == routes["_graph_betti"] == dict.fromkeys(cycles, 1)
+    assert len(cycles) == sd_torus.n_vertices and not routes["reduced_betti"]
     # on the cone, the apex's link (H~_1 of the torus) is the first witness
     cone = gen.cone(sd_torus)
     apex = (cone.n_vertices,)
@@ -448,7 +466,7 @@ def test_scans_stop_at_their_answer(monkeypatch):
     assert is_buchsbaum(cone, GF2) == (False, (apex, 1))
     faces = cone.faces()
     read = _classes(link(cone, s).facets for s in faces[1:faces.index(apex) + 1])
-    assert set(counts) == {(lk, 2) for lk in read} and len(read) == 9
+    assert set(counts) == set(read) and len(read) == 9
     assert max(counts.values()) == 1
     # two boundaries of the 4-simplex wedged at vertex 1: lk{1}, the second
     # face in canonical order, is two 2-spheres and ends the manifold scan
@@ -518,34 +536,141 @@ def _classes(links):
 
 
 def test_links_share_betti_vectors_by_class(monkeypatch):
-    counts = _count_betti(monkeypatch)
+    counts, routes = _count_betti(monkeypatch)
     # a hexagon and two disjoint triangle boundaries: both links have six
-    # vertices and six edges, and they are not isomorphic
+    # vertices and six edges, and they are not isomorphic.  Then links of
+    # dimension 2, which go through the class key: the octahedron boundary,
+    # and a 2-complex with its 6 vertices, 12 edges and 8 triangles but
+    # H~_1 = 1, H~_2 = 2
     hexagon = [(v, v % 6 + 1, 7) for v in range(1, 7)]
     triangles = [(a, b, 14) for t in ((8, 9, 10), (11, 12, 13)) for a, b in combinations(t, 2)]
-    delta = from_facets(hexagon + triangles)
-    assert link(delta, (7,)).facets != link(delta, (14,)).facets
-    assert _renumbered(link(delta, (7,)).facets) != _renumbered(link(delta, (14,)).facets)
-    for field in FIELDS:
-        table = local_cohomology_table(delta, field)
-        want = {}
-        for sigma in delta.faces():
-            for r, dim_r in oracle_betti(link(delta, sigma), field).nonzero().items():
-                want[(r + len(sigma) + 1, sigma)] = dim_r
-        assert table._entries == want, field
-        # H~_1 = 1 against H~_0 = 1, H~_1 = 2, at i = r + |sigma| + 1
-        assert [table.entry(i, (7,)) for i in (2, 3)] == [0, 1], field
-        assert [table.entry(i, (14,)) for i in (2, 3)] == [1, 2], field
-    # sd(boundary of the 4-simplex): 8 classes of links, by link dimension
-    # 1 (the facets' {empty}) + 1 (two points) + 2 + 3 + 1 (the complex)
+    octahedron = [(a, b, c, 7) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    other = [(a + 7, b + 7, c + 7, 14) for a, b, c in (
+        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 5, 6), (3, 5, 6))]
+    cases = ((from_facets(hexagon + triangles), "_graph_betti", [0, 1], [1, 2]),
+             (from_facets(octahedron + other), "reduced_betti", [0, 0, 1], [0, 1, 2]))
+    for delta, route, h7, h14 in cases:
+        lk7, lk14 = link(delta, (7,)).facets, link(delta, (14,)).facets
+        assert lk7 != lk14 and _renumbered(lk7) != _renumbered(lk14)
+        for field in FIELDS:
+            for route_counts in routes.values():
+                route_counts.clear()
+            table = local_cohomology_table(delta, field)
+            assert {lk7, lk14} <= set(routes[route]), (delta, field)
+            want = {}
+            for sigma in delta.faces():
+                for r, dim_r in oracle_betti(link(delta, sigma), field).nonzero().items():
+                    want[(r + len(sigma) + 1, sigma)] = dim_r
+            assert table._entries == want, field
+            # H~_1 = 1 against H~_0 = 1, H~_1 = 2 for the graphs, and H~_2 = 1
+            # against H~_1 = 1, H~_2 = 2 for the 2-complexes, at i = r + 2
+            assert [table.entry(i, (7,)) for i in range(2, 2 + len(h7))] == h7, field
+            assert [table.entry(i, (14,)) for i in range(2, 2 + len(h14))] == h14, field
+    # sd(boundary of the 4-simplex): its 242 distinct links are 211 of
+    # dimension <= 1 ({empty}, 80 point pairs and 130 cycles), each read
+    # once off its facets, and 31 of dimension >= 2 (the vertex links and
+    # the complex) in 4 classes, one reduced_betti call each
     sphere = gen.sd(gen.simplex_boundary(5))
     links = [link(sphere, s).facets for s in sphere.faces()]
-    assert len(set(links)) == 242
+    small = {lk for lk in links if len(lk[-1]) <= 2}
+    large = _classes(lk for lk in links if len(lk[-1]) > 2)
+    assert len(set(links)) == 242 and len(small) == 211
+    assert [sum(len(lk[-1]) == k for lk in small) for k in (0, 1, 2)] == [1, 80, 130]
     counts.clear()
+    for route in routes.values():
+        route.clear()
     local_cohomology_table(sphere, GF2)
-    assert sum(counts.values()) == len(counts) == len(_classes(links)) == 8
-    dims = sorted(len(lk[-1]) - 1 for lk, _ in counts)
-    assert dims == [-1, 0, 1, 1, 2, 2, 2, 3], counts
+    assert routes["_graph_betti"] == dict.fromkeys(small, 1)
+    assert routes["reduced_betti"] == dict.fromkeys(large, 1)
+    dims = sorted(len(lk[-1]) - 1 for lk in routes["reduced_betti"])
+    assert dims == [2, 2, 2, 3], routes
+
+
+def _mixed_complexes(seed, count):
+    """Seeded complexes of triangles, edges and points on at most 8 vertices,
+    some pure and some not: a vertex in a triangle and in an edge elsewhere
+    has a link that mixes an isolated vertex with an edge."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        sizes = [3] * rng.randint(1, 5) if rng.random() < 0.3 else [
+            rng.choice((1, 2, 2, 3, 3)) for _ in range(rng.randint(2, 9))]
+        out.append(from_facets([rng.sample(range(1, n + 1), k) for k in sizes], n))
+    return out
+
+
+def _spy_routes(monkeypatch):
+    """(graph, keys): the facets each _graph_betti call and each class key
+    of the link view was given, in order."""
+    graph, keys = [], []
+    original_graph, original_key = qgor.hochster._graph_betti, qgor.hochster._class_key
+
+    def spy_graph(facets):
+        graph.append(facets)
+        return original_graph(facets)
+
+    def spy_key(lk):
+        keys.append(lk)
+        return original_key(lk)
+
+    monkeypatch.setattr(qgor.hochster, "_graph_betti", spy_graph)
+    monkeypatch.setattr(qgor.hochster, "_class_key", spy_key)
+    return graph, keys
+
+
+def test_link_routes_match_elimination_and_oracle(monkeypatch):
+    # Every face's Betti vector in a fresh link view equals elimination on its
+    # link and, up to 128 faces, the dense oracle; a link of dimension <= 1
+    # is read by _graph_betti and never keyed, a larger one is keyed and
+    # never read by _graph_betti, each distinct link once.
+    graph, keys = _spy_routes(monkeypatch)
+    complexes = (families(random.Random(28)) + _random_complexes(28, 40)
+                 + _nonpure_complexes(28, 40) + _mixed_complexes(28, 80))
+    reference = {}
+    mixed = 0
+    for delta in complexes:
+        if delta.is_empty:
+            continue
+        for field in FIELDS:
+            graph.clear()
+            keys.clear()
+            view = qgor.hochster._Links(delta, field)
+            small, large = set(), set()
+            for sigma, lk in view.faces():
+                got = view.betti(sigma)
+                complex_lk = link(delta, sigma)
+                assert lk == complex_lk.facets, (delta, sigma)
+                (small if len(lk[-1]) <= 2 else large).add(lk)
+                mixed += len(lk[0]) == 1 and len(lk[-1]) == 2
+                key = (lk, field.p)
+                if key not in reference:
+                    want = (qgor.homology._betti(qgor.homology._cells(complex_lk), field)
+                            if lk[-1] else qgor.homology.BettiVector({-1: 1}))
+                    if len(complex_lk.faces()) <= 128:
+                        assert oracle_betti(complex_lk, field) == want, (delta, sigma, field)
+                    reference[key] = want
+                assert got == reference[key], (delta, sigma, field)
+            assert sorted(graph) == sorted(small), (delta, field)
+            assert sorted(keys) == sorted(large), (delta, field)
+    assert mixed
+
+
+def test_an_analysis_lives_as_long_as_its_call(monkeypatch):
+    # Two identical calls on one complex each compute its own Betti vector
+    # once: nothing a call computes is kept for the next one.
+    counts, _ = _count_betti(monkeypatch)
+    for delta in (get_fixture("csaszar-torus").complex(), gen.sd(gen.simplex_boundary(4)),
+                  get_fixture("four-cycle").complex()):
+        partition = FacetPartition.complementary(delta, [0])
+        for field in FIELDS:
+            for call, args in ((local_cohomology_table, (delta, field)),
+                               (classification_report, (delta, field)),
+                               (lefschetz_report, (delta, partition, field))):
+                for _ in range(2):
+                    counts.clear()
+                    call(*args)
+                    assert counts.get(delta.facets) == 1, (call, delta, field, counts)
 
 
 def test_a_scan_refuses_only_what_it_reads(monkeypatch):
