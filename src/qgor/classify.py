@@ -9,29 +9,25 @@ dimension d over a field k:
     normal pseudomanifold  =  pure + connected low links + every ridge
                               in exactly two facets
 
-Strong connectivity, the ridge condition and orientability read one
-signed ridge map per call; orientability orients the facets of a
-pseudomanifold across its ridges, which is exactly H~_d(Delta; Q) != 0,
-over every field.  The ridge map and the orientation walk are
-homology's, the ones reduced_betti answers a surface with; strong
-connectivity counts the components of the map's buckets, of any size,
-by union-find.  Every predicate returns its first witness in
-canonical face order, so failures are reproducible.
-
-Each predicate over a field is a read of one analysis of the complex,
-hochster's link view: each level of faces of one size with their links,
-the normal-pseudomanifold report and each link's Betti vector are
-computed on first read, at most once, and only if read.  Normality
-counts the components of each low link's facets and the facets through
-each ridge, so it reads no homology and no level past the ridges; the
-manifold scan of a pure complex also stops at the ridges, since every
-facet's link is {empty}, the (-1)-sphere.  So the classification never
-builds a pure complex's facet level.  An analysis lives as long as its
-call.
+Each predicate is a read of one analysis of the complex: hochster's link
+view, with classify's views on top, each computed on first read, at most
+once, and only if read.  The ridge facts come off one signed ridge map,
+homology's, of the facets of top size: the ridge condition (a facet one
+size below the top is a ridge in one facet), strong connectivity (the
+components of the buckets, by union-find), orientability (the walk
+reduced_betti reads on a surface, which decides H~_d(Delta; Q) != 0 over
+every field) and the manifold scan's ridges, whose links are two points
+exactly when their buckets hold two facets.  Normality counts the
+components of the links of the faces below the ridges, so it reads no
+homology, and the manifold scan reads the same faces' link homology; a
+facet's link is {empty}, the (-1)-sphere.  So the classification builds
+no link level of the ridges or the facets.  Every predicate returns its
+first witness in canonical face order, so failures are reproducible.  An
+analysis lives as long as its call.
 """
 
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components
@@ -59,11 +55,6 @@ class NormalPseudomanifoldReport:
         )
 
 
-def _classifiable(delta):
-    if delta.is_void or delta.is_empty:
-        raise ValueError("classification needs a complex with at least one vertex")
-
-
 def normal_pseudomanifold_report(delta):
     """Purity, normality and the ridge condition, with first witnesses.
 
@@ -81,8 +72,7 @@ def is_strongly_connected(delta):
     off the ridge map with no pair of Gamma_1 listed."""
     if not delta.is_pure():
         raise NotPure("strong connectivity is defined for pure complexes")
-    ridges = _ridges(delta)
-    return ridges is None or _strongly_connected(ridges)
+    return delta.is_void or delta.is_empty or _Analysis(delta, None).strongly_connected
 
 
 def is_pseudomanifold(delta):
@@ -91,29 +81,7 @@ def is_pseudomanifold(delta):
     The facets of a pure complex through each ridge are read off its
     ridge map, with no link built.
     """
-    return _pseudomanifold(_ridges(delta))
-
-
-def _ridges(delta):
-    """homology._ridge_map of a pure complex with a vertex, None for any other
-    complex.  Its buckets give strong connectivity, the ridge condition and
-    the orientation walk."""
-    if delta.is_void or delta.is_empty or not delta.is_pure():
-        return None
-    return _ridge_map(delta.facets)
-
-
-def _strongly_connected(ridges):
-    """Whether the facets of a ridge map form one component of Gamma_1: the
-    complex whose facets are the buckets' facet ids is connected."""
-    return _components([k for k, _ in bucket] for bucket in ridges.values()) == 1
-
-
-def _pseudomanifold(ridges):
-    """Whether a ridge map (None unless the complex is pure with a vertex)
-    has every ridge in exactly two facets, which are strongly connected."""
-    return (ridges is not None and all(len(bucket) == 2 for bucket in ridges.values())
-            and _strongly_connected(ridges))
+    return not (delta.is_void or delta.is_empty) and _Analysis(delta, None).pseudomanifold
 
 
 def is_orientable(delta):
@@ -122,19 +90,10 @@ def is_orientable(delta):
     Raises NotAPseudomanifold when the input is not a pseudomanifold
     (the notion presumes one).
     """
-    ridges = _ridges(delta)
-    if not _pseudomanifold(ridges):
+    analysis = None if delta.is_void or delta.is_empty else _Analysis(delta, None)
+    if analysis is None or not analysis.pseudomanifold:
         raise NotAPseudomanifold("orientability is defined for pseudomanifolds")
-    return _orientable(delta, ridges)
-
-
-def _orientable(delta, ridges):
-    """Whether the facets of a pseudomanifold can be signed to cancel on every
-    ridge, which is H~_d(Delta; Q) != 0: homology._orient's walk over the
-    ridge map, the one reduced_betti reads on a surface, finds no ridge on
-    which its signs disagree."""
-    check_face_budget(delta.facets[-1:])  # the facet size reduced_betti refuses
-    return _orient(delta.facets, ridges)[1]
+    return analysis.orientable
 
 
 class _Analysis(_Links):
@@ -142,15 +101,54 @@ class _Analysis(_Links):
     each computed on first read; an analysis of the core shares its memo."""
 
     def __init__(self, delta, field, memo=None):
-        _classifiable(delta)
+        if delta.is_void or delta.is_empty:
+            raise ValueError("classification needs a complex with at least one vertex")
         super().__init__(delta, field, memo)
 
     @cached_property
+    def ridges(self):
+        """homology._ridge_map of the facets of top size, which are every facet
+        of a pure complex.  Its buckets give the ridge condition, strong
+        connectivity, the orientation walk and the manifold scan's ridges."""
+        return _ridge_map([f for f in self.delta.facets if len(f) == self.d])
+
+    @cached_property
+    def ridge_witness(self):
+        """(face, number of facets through it) for the first face of size
+        dim Delta, in canonical order, not in exactly two facets; None if
+        there is none.  Such a face lies in a top facet, and is read off its
+        bucket, or is a facet itself, and lies in that one alone."""
+        return min(chain(((r, len(b)) for r, b in self.ridges.items() if len(b) != 2),
+                         ((f, 1) for f in self.delta.facets if len(f) == self.d - 1)),
+                   default=None)
+
+    @cached_property
+    def strongly_connected(self):
+        """Pure, and the facets form one component of Gamma_1: the complex
+        whose facets are the buckets' facet ids, of any size, is connected."""
+        buckets = self.ridges.values()
+        return self.delta.is_pure() and _components([k for k, _ in b] for b in buckets) == 1
+
+    @property
+    def pseudomanifold(self):
+        """Strongly connected, and every ridge in exactly two facets."""
+        return self.strongly_connected and self.ridge_witness is None
+
+    @cached_property
+    def orientable(self):
+        """Whether the complex is a pseudomanifold whose facets can be signed
+        to cancel on every ridge, which is H~_d(Delta; Q) != 0:
+        homology._orient's walk over the ridge map, the one reduced_betti
+        reads on a surface, finds no ridge on which its signs disagree."""
+        check_face_budget(self.delta.facets[-1:])  # the facet size reduced_betti refuses
+        return self.pseudomanifold and _orient(self.delta.facets, self.ridges)[1]
+
+    @cached_property
     def normal(self):
-        """The normal-pseudomanifold report, read off the view's levels up to
-        the ridges.  A link is connected when its facets form one component
-        (_components), so no homology is read.  A ridge lies in as many
-        facets as its link has facets."""
+        """The normal-pseudomanifold report.  Normality is read off the view's
+        levels below the ridges: a link is connected when its facets form
+        one component (_components), so no homology is read.  The ridge
+        condition is ridge_witness."""
         delta, d = self.delta, self.delta.dim
         witnesses = {}
         pure = delta.is_pure()
@@ -158,12 +156,11 @@ class _Analysis(_Links):
             witnesses["pure"] = min((f for f in delta.facets if len(f) - 1 < d), key=face_key)
         # faces of dimension at most d - 2 need connected links
         normal_w = next((s for s, lk in self.faces(d) if _components(lk) != 1), None)
-        ridge_w = next(((s, len(lk)) for s, lk in self.level(d).items() if len(lk) != 2), None)
-        normal, ridge_condition = normal_w is None, ridge_w is None
+        normal, ridge_condition = normal_w is None, self.ridge_witness is None
         if not normal:
             witnesses["normal"] = normal_w
         if not ridge_condition:
-            witnesses["ridge_condition"] = ridge_w
+            witnesses["ridge_condition"] = self.ridge_witness
         ok = pure and normal and ridge_condition
         return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
 
@@ -174,13 +171,18 @@ class _Analysis(_Links):
 
     @cached_property
     def manifold(self):
-        """(manifold, sphere) as is_homology_manifold defines them; the first
-        non-sphere link ends the scan.  The empty complex is the (-1)-sphere."""
+        """(manifold, sphere) of a pure complex, as is_homology_manifold
+        defines them; the first non-sphere link ends the scan.  The empty
+        complex is the (-1)-sphere."""
         def sphere(lk):
             return self.link_betti(lk).nonzero() == {len(lk[-1]) - 1: 1}
 
-        # the links of a pure complex's facets are all {empty}, the (-1)-sphere
-        manifold = all(sphere(lk) for _, lk in islice(self.faces(self.d), 1, None))
+        # The faces below the ridges are read off the levels.  A ridge's link
+        # is two points exactly when its bucket holds two facets, except in
+        # dimension 0, where the ridge is the empty face, which is not
+        # scanned.  The facets' links are all {empty}, the (-1)-sphere.
+        manifold = (all(sphere(lk) for _, lk in islice(self.faces(self.d - 1), 1, None))
+                    and (self.d == 1 or self.ridge_witness is None))
         return manifold, manifold and sphere(self.link(()))
 
     @cached_property
@@ -263,22 +265,17 @@ def classification_report(delta, field):
     """Run every predicate once and bundle the outcome.
 
     Every flag is a read of one analysis of the complex over the field,
-    with no table built: the link levels below the facets, one
-    normal-pseudomanifold pass and each link's Betti vector, computed
-    once, serve them all, and a
-    core unlike the complex gets its own analysis sharing the Betti vectors
-    computed so far.  Predicates whose preconditions fail are reported
-    false rather than raising: a non-pseudomanifold is not orientable, a
-    non-pure complex is not a homology manifold.
+    with no table built: the link levels below the ridges, the ridge map,
+    one normal-pseudomanifold pass and each link's Betti vector, computed
+    once, serve them all, and a core unlike the complex gets its own
+    analysis sharing the Betti vectors computed so far.  Predicates whose
+    preconditions fail are reported false rather than raising: a
+    non-pseudomanifold is not orientable, a non-pure complex is not a
+    homology manifold.
     """
     analysis = _Analysis(delta, field)
     np_report = analysis.normal
     witnesses = dict(np_report.witnesses)
-
-    ridges = _ridges(delta)  # None exactly when delta is impure
-    strongly_connected = ridges is not None and _strongly_connected(ridges)
-    pseudo = np_report.ridge_condition and strongly_connected
-    orientable = pseudo and _orientable(delta, ridges)
 
     buchsbaum, bb_witness = analysis.buchsbaum
     if bb_witness is not None:
@@ -295,11 +292,11 @@ def classification_report(delta, field):
         n_vertices=delta.n_vertices,
         dim=delta.dim,
         pure=np_report.pure,
-        strongly_connected=strongly_connected,
+        strongly_connected=analysis.strongly_connected,
         normal=np_report.normal,
         pseudomanifold_ridge_condition=np_report.ridge_condition,
         normal_pseudomanifold=np_report.ok,
-        orientable=orientable,
+        orientable=analysis.orientable,
         buchsbaum=buchsbaum,
         homology_manifold=manifold,
         homology_sphere=sphere,

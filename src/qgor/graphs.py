@@ -301,7 +301,7 @@ def removal_experiment(delta, b_indices):
     b = set(b_indices)
     m = len(delta.facets)
     for i in sorted(b):
-        if not 0 <= i < m:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < m:
             raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
     _check_facet_graph(delta)
     pairs = [(s[0], s[1]) for s in _subset_buckets(delta.facets, max(delta.dim - 1, 0),

@@ -18,14 +18,16 @@ renumbering of their vertices (isomorphic complexes, so one vector
 serves the class).  The scans walk each face with its link, as the
 levels hold them.  The table is the one full read of that view, every
 level.  Depth and the Reisner Cohen-Macaulay criterion, the a-invariant,
-the Buchsbaum predicate and the Serre condition (S_l) here, and the
-manifold flags in classify, are scans of it in canonical face order that
-stop as soon as their answer is fixed, and build no level past the last
-size that can change it: depth stops before size k once it has found
-i <= k + 1 (H^d never vanishes, so it never reads the ridges or the
-facets), the a-invariant at its answer, and Buchsbaum and (S_l) after
-size dim Delta - 1, since the links of larger faces have dimension <= 0
-and hold no low homology.  Over a field the cohomology dimensions of a
+the Buchsbaum predicate and the Serre condition (S_l) here, and
+classify's normality and manifold scans, are scans of it in canonical
+face order that stop as soon as their answer is fixed, and build no
+level past the last size that can change it: depth stops before size k
+once it has found i <= k + 1 (H^d never vanishes, so it never reads the
+ridges or the facets), the a-invariant at its answer, and Buchsbaum and
+(S_l) after size dim Delta - 1, since the links of larger faces have
+dimension <= 0 and hold no low homology.  Classify reads the ridges off
+its ridge map, so of these only the table and the a-invariant read the
+ridge and facet levels.  Over a field the cohomology dimensions of a
 link equal its homology dimensions, so link Betti vectors serve
 throughout.
 """

@@ -36,7 +36,8 @@ of size at most d - 2 (a larger face of the pure Delta has a link of
 points or {empty}, which gives no entry below d that differs), reads
 each link in Delta off Delta's level of that size and filters the link
 in Delta_B out of it, so neither table is built, Delta_B gets no link
-level, and neither Delta nor Delta_A builds its facet level.
+level, and neither Delta nor Delta_A builds its ridge or facet level
+(the quasi-Gorenstein premise reads classify's ridge map).
 """
 
 from functools import cached_property
@@ -66,7 +67,7 @@ class FacetPartition:
         a = frozenset(a_indices)
         m = len(delta.facets)
         for i in a:
-            if not 0 <= i < m:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < m:
                 raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
         return cls(a, frozenset(range(m)) - a)
 
@@ -175,10 +176,10 @@ class _Liaison:
     partition applies and builds Delta_A and Delta_B; each is one analysis,
     and the three share one memo keyed by facets and by renumbered facets
     (the link of the empty face is the complex itself, so a complex's own
-    vector serves both, and links of dimension 2 or more of the three equal
-    up to an order-preserving renumbering share one vector).  The analyses of Delta
-    and Delta_A build their link levels when a check reads them; the
-    analysis of Delta_B is only read at its empty face."""
+    vector serves both, and links of dimension 2 or more of the three
+    equal up to an order-preserving renumbering share one vector).  The
+    analyses of Delta and Delta_A build their link levels below the ridges
+    when a check reads them; Delta_B's is read only at its empty face."""
 
     def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:

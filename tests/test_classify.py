@@ -154,6 +154,10 @@ def test_homology_manifold():
     assert is_homology_manifold(get_fixture("boundary-3-simplex").complex(), QQ) == (True, True)
     assert is_homology_manifold(get_fixture("csaszar-torus").complex(), QQ) == (True, False)
     assert is_homology_manifold(get_fixture("wedge-triangles").complex(), QQ) == (False, False)
+    # in dimension 0 the ridge is the empty face, which no link scan reads:
+    # three points are a closed 0-manifold, but not a 0-sphere
+    assert is_homology_manifold(from_facets([[1], [2], [3]], 3), QQ) == (True, False)
+    assert is_homology_manifold(get_fixture("two-points").complex(), QQ) == (True, True)
 
 
 def test_full_simplices_as_manifolds():

@@ -1,6 +1,7 @@
 """Gamma_t facet graphs, 2-connectivity, removal experiments."""
 
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qgor import (
     GF2,
+    FacetPartition,
     GammaGraph,
     GammaTwoNotIsolated,
     IndexOutOfRange,
@@ -23,6 +25,7 @@ from qgor import (
     classification_report,
     classify,
     connectivity_report,
+    core,
     from_facets,
     gamma_graph,
     graphs,
@@ -31,6 +34,7 @@ from qgor import (
     is_quasi_gorenstein,
     is_strongly_connected,
     removal_experiment,
+    restrict_to_facets,
 )
 from qgor.cli import main
 from qgor.fixtures import corpus, get_fixture
@@ -326,6 +330,25 @@ def test_removal_index_range():
     delta = get_fixture("four-cycle").complex()
     with pytest.raises(IndexOutOfRange):
         removal_experiment(delta, [7])
+
+
+def test_facet_indices_must_be_ints_in_range():
+    # a float or a bool is no facet position: 1.5 was read as no facet and
+    # True as facet 1, and a partition with 1.5 failed later as not covering
+    delta = get_fixture("csaszar-torus").complex()
+    m = len(delta.facets)
+    for bad in (1.5, True, -1, m):
+        for call in (lambda: removal_experiment(delta, [bad]),
+                     lambda: FacetPartition.complementary(delta, [bad]),
+                     lambda: restrict_to_facets(delta, [bad])):
+            with pytest.raises(IndexOutOfRange):
+                call()
+    for bad in (-1, m):
+        want = f"facet index {bad} out of range 0..{m - 1}"
+        with pytest.raises(IndexOutOfRange, match=re.escape(want) + "$"):
+            removal_experiment(delta, [0, bad])
+        with pytest.raises(IndexOutOfRange, match=re.escape(want) + "$"):
+            FacetPartition.complementary(delta, [bad])
 
 
 def test_removal_exhaustive_on_corpus():
@@ -644,6 +667,10 @@ def test_removal_of_many_facets_is_linear(tmp_path, capsys):
 
 
 def test_classify_predicates_build_one_ridge_map():
+    # One ridge map per analysed complex, of its facets of top size: the
+    # field-free predicates analyse a pure complex with a vertex, and the
+    # report analyses the complex and, when it differs and is nonempty, its
+    # core.  No facet is filed under its ridges again through graphs.
     checked = 0
     for delta in families(random.Random(6)):
         calls = {"is_strongly_connected": lambda: is_strongly_connected(delta),
@@ -651,17 +678,23 @@ def test_classify_predicates_build_one_ridge_map():
                  "is_orientable": lambda: is_orientable(delta),
                  "classification_report": lambda: classification_report(delta, GF2)}
         for name, call in calls.items():
-            with mock.patch.object(classify, "_ridges", wraps=classify._ridges) as ridges, \
+            with mock.patch.object(classify, "_ridge_map",
+                                   wraps=classify._ridge_map) as ridges, \
                     mock.patch.object(graphs, "_subset_buckets",
                                       wraps=graphs._subset_buckets) as buckets:
                 try:
                     call()
+                    answered = True
                 except Exception:  # a refusal is an answer here
-                    pass
+                    answered = False
             assert buckets.call_count == 0, (name, delta)
-            if delta.is_void or delta.is_empty or not delta.is_pure():
-                assert ridges.call_count <= 1, (name, delta)
-            else:
-                assert ridges.call_count == 1, (name, delta)
-                checked += 1
+            analysed = []
+            if name == "classification_report" and not (delta.is_void or delta.is_empty):
+                analysed = [delta] + [c for c in [core(delta)] if c != delta and not c.is_empty]
+            elif delta.is_pure() and not (delta.is_void or delta.is_empty):
+                analysed = [delta]
+            want = [([f for f in x.facets if len(f) == len(x.facets[-1])],) for x in analysed]
+            got = [c.args for c in ridges.call_args_list]
+            assert got == want if answered else got == want[:len(got)], (name, delta, got)
+            checked += bool(analysed) and answered
     assert checked > 100, checked

@@ -158,9 +158,20 @@ def _nonpure_complexes(seed, count):
     return out
 
 
+#: Impure complexes with a facet one size below the top, and their ridge
+#: witnesses: such a facet is a ridge in one facet.
+IMPURE_RIDGES = [
+    (from_facets(list(combinations(range(1, 5), 3)) + [(5, 6)], 6), ((5, 6), 1)),
+    (from_facets([(2, 3, 4), (1, 2)], 4), ((1, 2), 1)),
+]
+
+
 def test_normal_pseudomanifold_matches_per_face_reference():
+    for delta, witness in IMPURE_RIDGES:
+        assert normal_pseudomanifold_report(delta).witnesses["ridge_condition"] == witness
     low_link_dims = set()
-    for delta in COMPLEXES + families(random.Random(18)) + _nonpure_complexes(18, 60):
+    fixed = [delta for delta, _ in IMPURE_RIDGES]
+    for delta in COMPLEXES + fixed + families(random.Random(18)) + _nonpure_complexes(18, 60):
         if delta.is_empty:
             continue
         d = delta.dim
@@ -358,9 +369,10 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
     # The comparisons read the levels of Delta and Delta_A, never Delta_B's,
     # and compute the vectors of Delta, Delta_A, Delta_B and of the links of
     # the faces of Delta_A in the three: a face outside Delta_A is never read.
-    # Normality reads Delta's levels up to its ridges, and Buchsbaum, depth
-    # and the comparisons read Delta_A's levels below its ridges (Delta_A is
-    # the cone over a sphere, so its depth is fixed by the apex's link).
+    # Normality reads Delta's levels below its ridges (the ridge condition is
+    # read off the ridge map), and Buchsbaum, depth and the comparisons read
+    # Delta_A's levels below its ridges (Delta_A is the cone over a sphere, so
+    # its depth is fixed by the apex's link).
     counts, _ = _count_betti(monkeypatch)
     built = _spy_levels(monkeypatch)
     for base in (gen.torus(), gen.simplex_boundary(5)):
@@ -374,7 +386,7 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
             delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
             b_faces = set(delta_b.faces())
             d = delta.dim + 1
-            levels = ([(delta.facets, k) for k in range(1, d)]
+            levels = ([(delta.facets, k) for k in range(1, d - 1)]
                       + [(delta_a.facets, k) for k in range(1, d - 1)])
             allowed = {delta.facets, delta_a.facets, delta_b.facets}
             for sigma in delta_a.faces():
@@ -493,14 +505,19 @@ def test_each_scan_builds_only_the_sizes_that_can_change_it(monkeypatch):
             built.clear()
             is_buchsbaum(surface, field)
             assert built == [(surface.facets, 1)], (surface, field)
-    # the classification never builds the facet level of a pure complex, nor
-    # of its core: the facets' links are all {empty}, and H^d never vanishes
+    # the classification builds no ridge or facet level of a pure complex,
+    # nor of its core: the ridges are read off the ridge map, the facets'
+    # links are all {empty}, and H^d never vanishes; the normality scan of a
+    # normal complex still reaches the last size below the ridges
     pure = [d for d in families(random.Random(26)) if d.is_pure() and not d.is_empty]
     for delta in pure:
-        built.clear()
-        classification_report(delta, GF2)
-        assert all(k < len(facets[-1]) for facets, k in built), (delta, built)
-        assert (delta.facets, delta.dim) in built or delta.dim == 0, delta
+        for predicate in (classification_report, is_homology_manifold, is_quasi_gorenstein,
+                          is_gorenstein):
+            built.clear()
+            answer = predicate(delta, GF2)
+            assert all(k < len(facets[-1]) - 1 for facets, k in built), (predicate, delta, built)
+            if predicate is classification_report and answer.normal and delta.dim >= 2:
+                assert (delta.facets, delta.dim - 1) in built, delta
     # the liaison checks on vertex-star partitions of sd(torus) and of
     # sd(boundary of the 4-simplex) build no level of Delta_B, and no facet
     # level of Delta or of Delta_A
@@ -517,7 +534,7 @@ def test_each_scan_builds_only_the_sizes_that_can_change_it(monkeypatch):
             except HypothesesNotMet:
                 pass
             assert built and all(facets != delta_b.facets for facets, _ in built), check
-            assert all(k <= delta.dim for _, k in built), (check, built)
+            assert all(k < delta.dim for _, k in built), (check, built)
 
 
 def _renumbered(facets):
@@ -679,10 +696,12 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
     # its levels, but its cells record 70 boundary ids (and its nerve spans
     # 56 too), so its own Betti vector is refused.  A predicate refuses when
     # what it reads does.
-    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
     fano = from_facets([[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2],
                         [7, 1, 3]])
+    partition = FacetPartition.complementary(cycle, [0])
+    want = {field: classification_report(cycle, field).to_json() for field in FIELDS}
+    monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     for field in FIELDS:
         # H~_1 of a graph is E - V + c, and it fixes a = 0 and depth 2 = d with
         # no level read; Buchsbaum reads no face of a graph but the empty one,
@@ -691,10 +710,15 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
         report = depth_report(cycle, field)
         assert (report.depth, report.is_cohen_macaulay, report.witness) == (2, True, None)
         assert is_buchsbaum(cycle, field) == (True, None)
-        # the table and the ridge condition read the vertex level
-        for predicate in (local_cohomology_table, classification_report):
-            with pytest.raises(CapacityExceeded):
-                predicate(cycle, field)
+        # the table reads the vertex level; the classification reads the
+        # vertices' edges off the ridge map, so it answers as under the
+        # default cap, and so do the manifold scan and liaison's
+        # quasi-Gorenstein premise
+        with pytest.raises(CapacityExceeded):
+            local_cohomology_table(cycle, field)
+        assert classification_report(cycle, field).to_json() == want[field]
+        assert is_homology_manifold(cycle, field) == (True, True)
+        assert tconn_check(cycle, partition, field) is True
         # Buchsbaum exempts the empty face; the vertex links are three
         # disjoint edges, graphs, and the first is a witness
         assert is_buchsbaum(fano, field) == (False, ((1,), 0))
