@@ -519,8 +519,8 @@ def test_each_scan_builds_only_the_sizes_that_can_change_it(monkeypatch):
             if predicate is classification_report and answer.normal and delta.dim >= 2:
                 assert (delta.facets, delta.dim - 1) in built, delta
     # the liaison checks on vertex-star partitions of sd(torus) and of
-    # sd(boundary of the 4-simplex) build no level of Delta_B, and no facet
-    # level of Delta or of Delta_A
+    # sd(boundary of the 4-simplex) build no level of Delta_B, and no ridge
+    # or facet level of Delta or of Delta_A
     for base in (gen.torus(), gen.simplex_boundary(5)):
         delta, labels = gen.sd(base), gen.sd_labels(base)
         star = labels[(base.vertices()[0],)]
@@ -699,6 +699,8 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
     cycle = from_facets([[v, v % 20 + 1] for v in range(1, 21)])
     fano = from_facets([[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [5, 6, 1], [6, 7, 2],
                         [7, 1, 3]])
+    spheres = from_facets([[v + 4 * i for v in f] for i in range(3)
+                           for f in combinations(range(1, 5), 3)])
     partition = FacetPartition.complementary(cycle, [0])
     want = {field: classification_report(cycle, field).to_json() for field in FIELDS}
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
@@ -719,6 +721,15 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
         assert classification_report(cycle, field).to_json() == want[field]
         assert is_homology_manifold(cycle, field) == (True, True)
         assert tconn_check(cycle, partition, field) is True
+        # three disjoint tetrahedron boundaries span 96: normality stops at
+        # the disconnected empty face and the ridge condition holds, so the
+        # normal report and quasi-Gorenstein answer; Buchsbaum and the
+        # manifold scan read the vertex level
+        assert normal_pseudomanifold_report(spheres).witnesses == {"normal": ()}
+        assert not is_quasi_gorenstein(spheres, field) and not is_gorenstein(spheres, field)
+        for predicate in (classification_report, is_homology_manifold):
+            with pytest.raises(CapacityExceeded):
+                predicate(spheres, field)
         # Buchsbaum exempts the empty face; the vertex links are three
         # disjoint edges, graphs, and the first is a witness
         assert is_buchsbaum(fano, field) == (False, ((1,), 0))
