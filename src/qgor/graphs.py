@@ -27,7 +27,8 @@ from collections.abc import Set
 from itertools import chain, combinations
 from math import comb
 
-from .errors import GammaTwoNotIsolated, IndexOutOfRange, NotPure, TOutOfRange
+from .errors import GammaTwoNotIsolated, NotPure, TOutOfRange
+from .simplicial_core import check_facet_indices
 
 
 class GammaGraph:
@@ -298,11 +299,8 @@ def removal_experiment(delta, b_indices):
     1, 0)-subsets, the least (bucket[0], bucket[1]) being the first Gamma_2
     edge, and the other facets are counted through their ridges.
     """
-    b = set(b_indices)
+    b = set(check_facet_indices(delta, b_indices))
     m = len(delta.facets)
-    for i in sorted(b):
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < m:
-            raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
     _check_facet_graph(delta)
     pairs = [(s[0], s[1]) for s in _subset_buckets(delta.facets, max(delta.dim - 1, 0),
                                                    set(range(m)) - b) if len(s) > 1]

@@ -15,9 +15,10 @@ and pivots is fixed, so every matrix and rank is reproducible.
 The cells of a chain complex are numbered in one top-down pass over
 Delta: the facets first, then, level by level from the top degree,
 each boundary face when it is first reached, with every cell's boundary
-and coboundary ids recorded in the same pass.  The relative complex is
-the same structure with the empty face and the faces of Gamma (the
-down-set of Gamma's facets) marked dead, so reduced and relative
+and coboundary ids recorded in the same pass.  The pass never sees
+Gamma: the relative complex is the same cells with the empty face and
+Gamma's facets as dead roots, whose down-set (the faces of Gamma)
+coreduction marks dead before it starts, so reduced and relative
 homology run one kernel.  No face is enumerated per degree and no face
 list is sorted: only the cells that survive coreduction are put into
 canonical order, for the boundary matrices.
@@ -290,22 +291,19 @@ def boundary_matrix(delta, i, field):
 
 #: The cells of a complex as _cells numbers them: faces[b] is the face of
 #: cell b, bd[b] the ids of its boundary faces and cob[b] the ids of the
-#: cells that have b among theirs; dead holds the ids of the cells outside
-#: the chain complex, the empty face and gamma's faces of a relative one.
-_Cells = namedtuple("_Cells", "faces bd cob dead")
+#: cells that have b among theirs.
+_Cells = namedtuple("_Cells", "faces bd cob")
 
 
-def _cells(delta, gamma=None):
-    """Delta's cells, numbered top-down with their boundary and coboundary
-    ids as the module docstring describes; with gamma, the cells of the
-    relative chain complex, gamma's faces and the empty face dead.
+def _cells(delta):
+    """Delta's augmented cells, the empty face included, numbered top-down
+    with their boundary and coboundary ids as the module docstring
+    describes.
 
     Raises CapacityExceeded when delta's facets span more than the face
     cap, before any face is built, and before numbering a level whose
     boundary ids would bring the total recorded past the cap: ids, not
-    faces, are what the pass stores and walks.  Then raises
-    NotASubcomplex for the first facet of gamma, in canonical order, that
-    is not a face of delta.
+    faces, are what the pass stores and walks.
     """
     check_face_budget(delta.facets)
     cap = simplicial_core.FACE_CAP
@@ -318,17 +316,10 @@ def _cells(delta, gamma=None):
     by_size = {}
     for b, f in enumerate(facets):
         by_size.setdefault(len(f), []).append(b)
-    gamma_facets = [g for g in gamma.facets if g] if gamma is not None else []
-    found = set()
-    dead = set()
     total = 0
     top = len(facets[-1]) - 1 if facets else -2
     level = by_size.get(top + 1, [])
     for k in range(top, -1, -1):
-        for g in gamma_facets:
-            if len(g) == k + 1 and g in ident:
-                found.add(g)
-                dead.add(ident[g])
         total += (k + 1) * len(level)
         if total > cap:
             raise CapacityExceeded(f"cells need {total} boundary ids, cap is {cap}")
@@ -347,38 +338,35 @@ def _cells(delta, gamma=None):
                     cob[a].append(b)
                 ids.append(a)
             bd[b] = ids
-            if b in dead:
-                dead.update(ids)
         bd += [()] * (n - len(bd))
         level = below
-    if gamma is not None and facets:
-        dead.add(ident[()])
-    for g in gamma_facets:
-        if g not in found:
-            raise NotASubcomplex(f"{list(g)} is not a face of the ambient complex")
-    return _Cells(faces, bd, cob, dead)
+    return _Cells(faces, bd, cob)
 
 
-def _coreduce(cells):
+def _coreduce(cells, dead=()):
     """The live faces left after coreducing cells (from _cells), per
     degree -1..dim in canonical order.
 
     The pass runs on cell ids with the boundary and coboundary lists of
-    cells.  Each cell starts with the count of its live boundary faces.
-    A FIFO queue, seeded in id order with the cells of count 1, yields
-    the pairs: a popped cell b still alive with exactly one live face a
-    is removed with a, and every live coface of a or b loses one face,
-    joining the queue when its count reaches 1.  See the module
+    cells.  The ids in dead and their down-set, walked along bd, are
+    killed first; each cell starts with the count of its live boundary
+    faces.  A FIFO queue, seeded in id order with the cells of count 1,
+    yields the pairs: a popped cell b still alive with exactly one live
+    face a is removed with a, and every live coface of a or b loses one
+    face, joining the queue when its count reaches 1.  See the module
     docstring for why the survivors have the same homology as the chain
     complex over every field.  Only the survivors are sorted.
     """
     bd, cob = cells.bd, cells.cob
     alive = [True] * len(bd)
     count = [len(fs) for fs in bd]
-    for a in cells.dead:
-        alive[a] = False
-        for c in cob[a]:
-            count[c] -= 1
+    dead = list(dead)
+    for a in dead:
+        if alive[a]:
+            alive[a] = False
+            for c in cob[a]:
+                count[c] -= 1
+            dead.extend(bd[a])
     queue = deque(b for b, n in enumerate(count) if n == 1)
     while queue:
         b = queue.popleft()
@@ -400,9 +388,9 @@ def _coreduce(cells):
     return {j: sorted(fs) for j, fs in sorted(survivors.items())}
 
 
-def _betti(cells, field):
+def _betti(cells, field, dead=()):
     """dim H_j = #chains_j - rank d_j - rank d_{j+1} for j = 0..top on
-    the live cells of cells (built by _cells).
+    the cells of cells (built by _cells) outside the down-set of dead.
 
     The cells are coreduced (_coreduce), and the formula is taken on the
     survivors, whose boundary is d restricted to them: _boundary builds
@@ -413,7 +401,7 @@ def _betti(cells, field):
     ranked once; when no (j-1)-cell survives it maps into the zero space,
     so it is handed to rank with no columns.
     """
-    chains = _coreduce(cells)
+    chains = _coreduce(cells, dead)
     top = max(chains)
     ranks = {top + 1: 0}
     for j in range(0, top + 1):
@@ -537,16 +525,21 @@ def relative_betti(delta, gamma, field):
     complexes.  Over a field the same dimensions compute relative
     cohomology H^j(delta, gamma; field).
 
-    The chains are delta's cells with the empty face and gamma's faces
-    dead (_cells), so this is reduced_betti's kernel; gamma's faces are
-    delta's cells, so gamma needs no screen of its own.  Raises, in this
-    order: CapacityExceeded when delta's facets span more than the cap,
-    before any face is built, or when delta's cells need more boundary
+    The chains are delta's cells (_cells) off the down-set of the empty
+    face and gamma's facets, so this is reduced_betti's kernel; gamma's
+    faces are delta's cells, so gamma needs no screen of its own.  Raises,
+    in this order: CapacityExceeded when delta's facets span more than the
+    cap, before any face is built, or when delta's cells need more boundary
     ids than the cap; NotASubcomplex, naming the first facet of gamma in
     canonical order that is not a face of delta; CapacityExceeded when
     the elimination touches more entries than the cap.
     """
-    cells = _cells(delta, gamma)
+    cells = _cells(delta)
+    roots = {(), *gamma.facets}
+    found = {f: b for b, f in enumerate(cells.faces) if f in roots}
+    for g in gamma.facets:
+        if g and g not in found:
+            raise NotASubcomplex(f"{list(g)} is not a face of the ambient complex")
     if delta.is_void or delta.is_empty:
         return BettiVector({})
-    return _betti(cells, field)
+    return _betti(cells, field, found.values())

@@ -43,9 +43,9 @@ level, and neither Delta nor Delta_A builds its ridge or facet level
 from functools import cached_property
 
 from .classify import _Analysis
-from .errors import HypothesesNotMet, IndexOutOfRange, InvalidPartition, NotPure
+from .errors import HypothesesNotMet, InvalidPartition, NotPure
 from .homology import relative_betti
-from .simplicial_core import face_key, restrict_to_facets
+from .simplicial_core import check_facet_indices, face_key, restrict_to_facets
 
 
 class FacetPartition:
@@ -64,12 +64,8 @@ class FacetPartition:
     @classmethod
     def complementary(cls, delta, a_indices):
         """Partition with the given A block and B = all other facets."""
-        a = frozenset(a_indices)
-        m = len(delta.facets)
-        for i in a:
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < m:
-                raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
-        return cls(a, frozenset(range(m)) - a)
+        a = frozenset(check_facet_indices(delta, a_indices))
+        return cls(a, frozenset(range(len(delta.facets))) - a)
 
     def validate_for(self, delta):
         m = len(delta.facets)

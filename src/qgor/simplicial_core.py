@@ -61,6 +61,19 @@ def check_face_budget(facets):
         raise CapacityExceeded(f"facets span {span} faces, cap is {FACE_CAP}")
 
 
+def check_facet_indices(delta, indices):
+    """The distinct facet positions in indices, sorted, once each entry in
+    turn is checked to be an int (not a bool) in 0..m - 1 for delta's m
+    facets: the first that is not raises IndexOutOfRange."""
+    m = len(delta.facets)
+    seen = set()
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < m:
+            raise IndexOutOfRange(f"facet index {i} out of range 0..{m - 1}")
+        seen.add(i)
+    return sorted(seen)
+
+
 class SimplicialComplex:
     """A simplicial complex on the vertex set {1, ..., n_vertices}.
 
@@ -268,14 +281,9 @@ def restrict_to_facets(delta, indices):
     Positions refer to the canonical facet order.  Raises EmptySelection
     for an empty selection and IndexOutOfRange for a bad position.
     """
-    idx = sorted(set(indices))
+    idx = check_facet_indices(delta, indices)
     if not idx:
         raise EmptySelection("at least one facet index is required")
-    for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= len(delta.facets):
-            raise IndexOutOfRange(
-                f"facet index {i} out of range for {len(delta.facets)} facets"
-            )
     # facets of a canonical complex, kept in order, are again canonical
     return SimplicialComplex(delta.n_vertices, [delta.facets[i] for i in idx])
 

@@ -50,7 +50,7 @@ def test_every_fixture_is_pure_and_small():
     # the acceptance sweeps rely on this, so pin it down
     for fx in corpus():
         delta = fx.complex()
-        assert delta.is_pure, fx.name
+        assert delta.is_pure(), fx.name
         assert len(delta.facets) <= 14, fx.name
 
 

@@ -334,21 +334,23 @@ def test_removal_index_range():
 
 def test_facet_indices_must_be_ints_in_range():
     # a float or a bool is no facet position: 1.5 was read as no facet and
-    # True as facet 1, and a partition with 1.5 failed later as not covering
+    # True as facet 1, and a partition with 1.5 failed later as not covering;
+    # a value that does not compare with ints is refused before any sort
     delta = get_fixture("csaszar-torus").complex()
     m = len(delta.facets)
-    for bad in (1.5, True, -1, m):
-        for call in (lambda: removal_experiment(delta, [bad]),
-                     lambda: FacetPartition.complementary(delta, [bad]),
-                     lambda: restrict_to_facets(delta, [bad])):
+    for bad in ([1.5], [True], [-1], [m], [1, "a"], [1, None]):
+        for call in (lambda: removal_experiment(delta, bad),
+                     lambda: FacetPartition.complementary(delta, bad),
+                     lambda: restrict_to_facets(delta, bad)):
             with pytest.raises(IndexOutOfRange):
                 call()
     for bad in (-1, m):
         want = f"facet index {bad} out of range 0..{m - 1}"
-        with pytest.raises(IndexOutOfRange, match=re.escape(want) + "$"):
-            removal_experiment(delta, [0, bad])
-        with pytest.raises(IndexOutOfRange, match=re.escape(want) + "$"):
-            FacetPartition.complementary(delta, [bad])
+        for call in (lambda: removal_experiment(delta, [0, bad]),
+                     lambda: FacetPartition.complementary(delta, [bad]),
+                     lambda: restrict_to_facets(delta, [0, bad])):
+            with pytest.raises(IndexOutOfRange, match=re.escape(want) + "$"):
+                call()
 
 
 def test_removal_exhaustive_on_corpus():

@@ -275,9 +275,10 @@ def test_relative_betti_against_empty_is_unreduced():
     empty2 = from_facets([[]], two.n_vertices)
     assert relative_betti(two, empty2, GF3).nonzero() == {0: 2}
 
-    # an empty or void Delta has no relative chains at all
+    # an empty or void Delta has no relative chains at all; a void Delta has
+    # no empty cell either, and an empty Gamma asks for none
     void = from_facets([], two.n_vertices)
-    for delta, gamma in ((empty2, empty2), (empty2, void), (void, void)):
+    for delta, gamma in ((empty2, empty2), (empty2, void), (void, void), (void, empty2)):
         assert relative_betti(delta, gamma, QQ).to_json() == {}
 
 

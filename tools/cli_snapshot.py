@@ -11,7 +11,9 @@ refactor can be checked with a plain diff:
     cmp before.txt after.txt
 
 The runs happen in-process through qgor.cli.main, importing qgor from
-<root>/src (default: the checkout this script lives in).
+<root>/src (default: the checkout this script lives in).  argparse wraps
+usage text to the terminal width, so the runs see COLUMNS=80 whatever
+the terminal, as a pipe does.
 """
 
 import argparse
@@ -47,6 +49,7 @@ FIELDS = ("q", "2", "3")
 
 
 def snapshot(root):
+    os.environ["COLUMNS"] = "80"
     sys.path.insert(0, os.path.join(root, "src"))
     from qgor.cli import main
 
