@@ -28,6 +28,7 @@ analysis lives as long as its call.
 
 from functools import cached_property
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components
@@ -36,23 +37,10 @@ from .homology import _orient, _ridge_map
 from .simplicial_core import check_face_budget, core, face_key
 
 
-class NormalPseudomanifoldReport:
-    """Sub-flags of the normal pseudomanifold test plus witnesses."""
-
-    __slots__ = ("ok", "pure", "normal", "ridge_condition", "witnesses")
-
-    def __init__(self, ok, pure, normal, ridge_condition, witnesses):
-        self.ok = ok
-        self.pure = pure
-        self.normal = normal
-        self.ridge_condition = ridge_condition
-        self.witnesses = witnesses
-
-    def __repr__(self):
-        return (
-            f"NormalPseudomanifoldReport(ok={self.ok}, pure={self.pure}, "
-            f"normal={self.normal}, ridge_condition={self.ridge_condition})"
-        )
+class NormalPseudomanifoldReport(SimpleNamespace):
+    """Sub-flags of the normal pseudomanifold test plus witnesses: ok, pure,
+    normal, ridge_condition and witnesses, a dict from each failed flag to
+    its first witness."""
 
 
 def normal_pseudomanifold_report(delta):
@@ -161,8 +149,9 @@ class _Analysis(_Links):
             witnesses["normal"] = normal_w
         if not ridge_condition:
             witnesses["ridge_condition"] = self.ridge_witness
-        ok = pure and normal and ridge_condition
-        return NormalPseudomanifoldReport(ok, pure, normal, ridge_condition, witnesses)
+        return NormalPseudomanifoldReport(ok=pure and normal and ridge_condition, pure=pure,
+                                          normal=normal, ridge_condition=ridge_condition,
+                                          witnesses=witnesses)
 
     @cached_property
     def quasi_gorenstein(self):
@@ -229,14 +218,9 @@ _FLAGS = ("pure", "strongly_connected", "normal", "pseudomanifold_ridge_conditio
           "homology_sphere", "cohen_macaulay", "quasi_gorenstein", "gorenstein")
 
 
-class ClassificationReport:
-    """Flat bundle of every predicate for one complex and field."""
-
-    __slots__ = ("field", "n_vertices", "dim", *_FLAGS, "witnesses")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+class ClassificationReport(SimpleNamespace):
+    """Flat bundle of every predicate for one complex and field: field,
+    n_vertices, dim, one attribute per flag in _FLAGS, and witnesses."""
 
     def to_json(self):
         out = {
@@ -252,13 +236,6 @@ class ClassificationReport:
             for k, w in self.witnesses.items()
         }
         return out
-
-    def __repr__(self):
-        flags = ", ".join(
-            f"{n}={getattr(self, n)}"
-            for n in ("normal_pseudomanifold", "quasi_gorenstein", "gorenstein")
-        )
-        return f"ClassificationReport({self.field}, {flags})"
 
 
 def classification_report(delta, field):

@@ -24,13 +24,17 @@ every forbidden vertex.  A stuck run returns a Failure value: on
 inputs outside the procedure's hypotheses it is the expected outcome.
 """
 
+from heapq import heappop, heappush
+from types import SimpleNamespace
+
 from .errors import InvalidStep
 from .homology import reduced_betti
 from .simplicial_core import SimplicialComplex, face, face_key
 
 
 class CollapseTrace:
-    """An ordered, replayable record of elementary collapses."""
+    """An ordered, replayable record of elementary collapses; two traces
+    are equal when their start, end and steps are."""
 
     __slots__ = ("start", "end", "steps")
 
@@ -48,19 +52,17 @@ class CollapseTrace:
             ],
         }
 
+    def __eq__(self, other):
+        return isinstance(other, CollapseTrace) and (
+            (self.start, self.end, self.steps) == (other.start, other.end, other.steps))
+
     def __repr__(self):
         return f"CollapseTrace({len(self.steps)} steps)"
 
 
-class Failure:
-    """A stuck collapse attempt: where it stopped and how it got there."""
-
-    __slots__ = ("stuck_complex", "partial_trace", "reason")
-
-    def __init__(self, stuck_complex, partial_trace, reason):
-        self.stuck_complex = stuck_complex
-        self.partial_trace = partial_trace
-        self.reason = reason
+class Failure(SimpleNamespace):
+    """A stuck collapse attempt: where it stopped and how it got there, as
+    stuck_complex, partial_trace (a CollapseTrace ending there) and reason."""
 
     def to_json(self):
         out = self.partial_trace.to_json()
@@ -68,9 +70,6 @@ class Failure:
         out["stuck"] = [list(f) for f in self.stuck_complex.facets]
         out["reason"] = self.reason
         return out
-
-    def __repr__(self):
-        return f"Failure({self.reason!r}, after {len(self.partial_trace.steps)} steps)"
 
 
 def _covers(face_set):
@@ -85,16 +84,6 @@ def _covers(face_set):
     return covers
 
 
-def _free_pairs(face_set):
-    """Sorted (beta, gamma) pairs with beta nonempty and gamma its one cover.
-
-    The empty face is never free: removing it together with a lone
-    vertex would change reduced homology in degree -1.
-    """
-    pairs = [(b, up[0]) for b, up in _covers(face_set).items() if b and len(up) == 1]
-    return sorted(pairs, key=lambda p: face_key(p[0]))
-
-
 def _to_complex(covers, n_vertices):
     """The complex whose facets are the faces with no cover."""
     facets = sorted((f for f, up in covers.items() if not up), key=face_key)
@@ -102,8 +91,14 @@ def _to_complex(covers, n_vertices):
 
 
 def free_faces(delta):
-    """All free pairs of the complex, in canonical order."""
-    return _free_pairs(set(delta.faces()))
+    """All free pairs of the complex, in canonical order: the (beta, gamma)
+    with beta nonempty and gamma its one cover.
+
+    The empty face is never free: removing it together with a lone
+    vertex would change reduced homology in degree -1.
+    """
+    pairs = [(b, up[0]) for b, up in _covers(delta.faces()).items() if b and len(up) == 1]
+    return sorted(pairs, key=lambda p: face_key(p[0]))
 
 
 def collapse_onto(delta_a, forbidden_vertices):
@@ -114,6 +109,8 @@ def collapse_onto(delta_a, forbidden_vertices):
     are fixed: smallest forbidden vertex first; its target neighbour v'
     prefers non-forbidden ids, then smallest; inner collapses take the
     canonically first free face of the star other than {v} and {v,v'}.
+    The star's free faces sit in one heap that each step pushes the faces
+    it frees onto, so a step costs a logarithm of the star, not a scan.
     """
     forbidden = set(forbidden_vertices)
     covers = _covers(delta_a.faces())
@@ -121,7 +118,8 @@ def collapse_onto(delta_a, forbidden_vertices):
 
     def fail(reason):
         stuck = _to_complex(covers, delta_a.n_vertices)
-        return Failure(stuck, CollapseTrace(delta_a, stuck, steps), reason)
+        return Failure(stuck_complex=stuck, partial_trace=CollapseTrace(delta_a, stuck, steps),
+                       reason=reason)
 
     # Finishing v removes only its star: later forbidden vertices stay.
     for v in sorted(forbidden.intersection(delta_a.vertices())):
@@ -136,21 +134,27 @@ def collapse_onto(delta_a, forbidden_vertices):
         # {v,v'} is never the free face, and {v} has one cover only once
         # the star is down to {v} and {v,v'}: that pair comes last.
         star.discard(edge)
-        free = {f for f in star if len(covers[f]) == 1}
+        # A heap of the star's free faces by face_key, which holds the face (a
+        # sorted list is a heap).  Covers only shrink, so a face is pushed
+        # once, when it is left with one cover, and a popped face that has
+        # left the star or lost its last cover stays unusable: it is dropped.
+        free = sorted(face_key(f) for f in star if len(covers[f]) == 1)
         while star:
+            while free and (free[0][1] not in star or len(covers[free[0][1]]) != 1):
+                heappop(free)
             if not free:
                 return fail(f"link of vertex {v} is stuck with no usable free face")
-            beta = min(free, key=face_key)
+            beta = heappop(free)[1]
             gamma = covers[beta][0]
             steps.append((beta, gamma))
             star.difference_update((beta, gamma))
             # gamma has no cover and beta only gamma, so only the faces
             # just below them lose a cover
-            below = [(f[:i] + f[i + 1:], f) for f in (gamma, beta) for i in range(len(f))]
-            for g, f in below:
+            for g, f in [(f[:i] + f[i + 1:], f) for f in (gamma, beta) for i in range(len(f))]:
                 covers[g].remove(f)
+                if len(covers[g]) == 1 and g in star:
+                    heappush(free, face_key(g))
             del covers[beta], covers[gamma]
-            free = {f for f in free.union(g for g, _ in below) if f in star and len(covers[f]) == 1}
 
     return CollapseTrace(delta_a, _to_complex(covers, delta_a.n_vertices), steps)
 

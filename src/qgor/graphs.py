@@ -26,6 +26,7 @@ its edge count and any other graph off one depth-first search.
 from collections.abc import Set
 from itertools import chain, combinations
 from math import comb
+from types import SimpleNamespace
 
 from .errors import GammaTwoNotIsolated, NotPure, TOutOfRange
 from .simplicial_core import check_facet_indices
@@ -123,12 +124,13 @@ def gamma_graph(delta, t):
     edges are held as the facet count; otherwise facets are paired
     through the k-subsets they share, unless filing every facet under its
     C(dimDelta + 1, k) subsets would cost more than intersecting every
-    pair of facets, which is then done instead.
+    pair of facets, which is then done instead.  A t that is not an int
+    in 0..dimDelta+1, a bool included, raises TOutOfRange.
     """
     _check_facet_graph(delta)
     d = delta.dim
-    if not 0 <= t <= d + 1:
-        raise TOutOfRange(f"t must lie in 0..{d + 1}, got {t}")
+    if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t <= d + 1:
+        raise TOutOfRange(f"t must lie in 0..{d + 1}, got {t!r}")
     facets = delta.facets
     m = len(facets)
     k = d + 1 - t
@@ -174,21 +176,15 @@ def _shared_subset_edges(facets, k):
     return set(chain.from_iterable(combinations(b, 2) for b in _subset_buckets(facets, k)))
 
 
-class ConnectivityReport:
-    """Components, articulation points and the 2-connectivity verdict.
+class ConnectivityReport(SimpleNamespace):
+    """Components, articulation points and the 2-connectivity verdict:
+    components, two_connected, articulation_points (sorted 0-based facet
+    indices) and trivial; it unpacks as the first three.
 
     Graphs on at most two vertices have no meaningful 2-connectivity
     notion; they are reported as two_connected when connected, with
     trivial set so callers can tell the degenerate case apart.
     """
-
-    __slots__ = ("components", "two_connected", "articulation_points", "trivial")
-
-    def __init__(self, components, two_connected, articulation_points, trivial):
-        self.components = components
-        self.two_connected = two_connected
-        self.articulation_points = articulation_points
-        self.trivial = trivial
 
     def __iter__(self):
         return iter((self.components, self.two_connected, self.articulation_points))
@@ -200,13 +196,6 @@ class ConnectivityReport:
             "articulation_points": [i + 1 for i in self.articulation_points],
             "trivial": self.trivial,
         }
-
-    def __repr__(self):
-        return (
-            f"ConnectivityReport(components={self.components}, "
-            f"two_connected={self.two_connected}, "
-            f"articulation_points={self.articulation_points})"
-        )
 
 
 def _components(facets):
@@ -284,8 +273,9 @@ def connectivity_report(graph):
     else:
         components, points = _articulation_points(graph.adjacency())
     trivial = n <= 2
-    two_connected = components == 1 and (trivial or not points)
-    return ConnectivityReport(components, two_connected, points, trivial)
+    return ConnectivityReport(components=components,
+                              two_connected=components == 1 and (trivial or not points),
+                              articulation_points=points, trivial=trivial)
 
 
 def removal_experiment(delta, b_indices):

@@ -34,6 +34,7 @@ throughout.
 
 from functools import cached_property
 from itertools import islice
+from types import SimpleNamespace
 
 from .homology import _graph_betti, reduced_betti
 from .simplicial_core import SimplicialComplex, _link_level, face, face_key
@@ -103,21 +104,10 @@ class LocalCohomologyTable:
         return f"LocalCohomologyTable(d={self.d}, {len(self._entries)} nonzero entries)"
 
 
-class DepthReport:
-    """Depth of k[Delta] read off the links, with a CM verdict."""
-
-    __slots__ = ("depth", "is_cohen_macaulay", "witness")
-
-    def __init__(self, depth, is_cohen_macaulay, witness):
-        self.depth = depth
-        self.is_cohen_macaulay = is_cohen_macaulay
-        self.witness = witness
-
-    def __repr__(self):
-        return (
-            f"DepthReport(depth={self.depth}, cm={self.is_cohen_macaulay}, "
-            f"witness={self.witness})"
-        )
+class DepthReport(SimpleNamespace):
+    """Depth of k[Delta] read off the links, with a CM verdict: depth,
+    is_cohen_macaulay and witness, the first table entry (i, sigma) below
+    d or None."""
 
 
 class _Links:
@@ -210,7 +200,8 @@ class _Links:
                     best = (low + k + 1, sigma)
                     if best[0] <= k + 1:
                         break
-        return DepthReport(best[0], best[0] == self.d, best if best[0] < self.d else None)
+        return DepthReport(depth=best[0], is_cohen_macaulay=best[0] == self.d,
+                           witness=best if best[0] < self.d else None)
 
     @cached_property
     def a_invariant(self):
@@ -279,8 +270,9 @@ def serre_condition(delta, field, ell):
     included) and every i < min(ell - 1, dim lk sigma).  For ell = 2
     this coincides with normality of the complex (all low links
     connected); larger ell is an extension of that criterion, and
-    (S_1) is vacuously true.
+    (S_1) is vacuously true.  An ell that is not an int of at least 1, a
+    bool included, raises ValueError.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be at least 1, got {ell}")
+    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
+        raise ValueError(f"ell must be an int of at least 1, got {ell!r}")
     return _Links(delta, field).low_homology(ell) is None

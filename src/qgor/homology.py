@@ -106,12 +106,19 @@ def _is_prime(p):
 
 
 class FieldSpec:
-    """The coefficient field: the rationals, or GF(p) for a prime p."""
+    """The coefficient field: the rationals, or GF(p) for a prime p.
+
+    p is None or an int (not a bool) that is a prime below _PRIME_LIMIT;
+    anything else raises ValueError.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p=None):
         if p is not None:
+            # a float or bool p would run elimination on non-int residues
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"a prime must be an int, got {p!r}")
             if p >= _PRIME_LIMIT:
                 raise ValueError(f"primes must be below {_PRIME_LIMIT}, got {p}")
             if not _is_prime(p):

@@ -41,6 +41,7 @@ level, and neither Delta nor Delta_A builds its ridge or facet level
 """
 
 from functools import cached_property
+from types import SimpleNamespace
 
 from .classify import _Analysis
 from .errors import HypothesesNotMet, InvalidPartition, NotPure
@@ -49,7 +50,8 @@ from .simplicial_core import check_facet_indices, face_key, restrict_to_facets
 
 
 class FacetPartition:
-    """A two-block partition {A, B} of the facet index set (0-based)."""
+    """A two-block partition {A, B} of the facet index set (0-based); two
+    partitions are equal when their blocks are."""
 
     __slots__ = ("a", "b")
 
@@ -72,22 +74,18 @@ class FacetPartition:
         if self.a | self.b != frozenset(range(m)):
             raise InvalidPartition(f"blocks must cover all {m} facet indices exactly")
 
+    def __eq__(self, other):
+        return isinstance(other, FacetPartition) and (self.a, self.b) == (other.a, other.b)
+
     def __repr__(self):
         return f"FacetPartition(a={sorted(self.a)}, b={sorted(self.b)})"
 
 
-class LefschetzReport:
-    """Term dimensions and exactness diagnostics of the duality sequence."""
-
-    __slots__ = (
-        "d", "field", "partition", "terms", "alternating_sum",
-        "alternating_sum_printed", "neighbor_bound_ok", "duality_pairs",
-        "hypotheses",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+class LefschetzReport(SimpleNamespace):
+    """Term dimensions and exactness diagnostics of the duality sequence: d,
+    field, partition, terms ((label, dim) pairs), alternating_sum,
+    alternating_sum_printed, neighbor_bound_ok, duality_pairs ((i, relative,
+    a_side) triples) and hypotheses (premise -> flag)."""
 
     @property
     def duality_ok(self):
@@ -109,20 +107,11 @@ class LefschetzReport:
             "hypotheses": dict(self.hypotheses),
         }
 
-    def __repr__(self):
-        return (f"LefschetzReport(d={self.d}, alternating_sum={self.alternating_sum}, "
-                f"duality_ok={self.duality_ok}, hypotheses={self.hypotheses})")
 
-
-class LinkRestrictionReport:
-    """Outcome of the link comparison, truthy when every check passed."""
-
-    __slots__ = ("ok", "witnesses", "hypotheses_met")
-
-    def __init__(self, ok, witnesses, hypotheses_met):
-        self.ok = ok
-        self.witnesses = witnesses
-        self.hypotheses_met = hypotheses_met
+class LinkRestrictionReport(SimpleNamespace):
+    """Outcome of the link comparison, truthy when every check passed: ok,
+    witnesses ((sigma, i, in_b, dim_restricted, dim_ambient) tuples) and
+    hypotheses_met."""
 
     def __bool__(self):
         return self.ok
@@ -136,21 +125,11 @@ class LinkRestrictionReport:
                           for s, i, in_b, db, da in self.witnesses],
         }
 
-    def __repr__(self):
-        return (f"LinkRestrictionReport(ok={self.ok}, witnesses={len(self.witnesses)}, "
-                f"hypotheses_met={self.hypotheses_met})")
 
-
-class CmLinkageReport:
-    """Graded comparison of the tables of Delta and Delta_B below degree d."""
-
-    __slots__ = ("ok", "hypotheses_met", "hypotheses", "witness")
-
-    def __init__(self, ok, hypotheses_met, hypotheses, witness):
-        self.ok = ok
-        self.hypotheses_met = hypotheses_met
-        self.hypotheses = hypotheses
-        self.witness = witness
+class CmLinkageReport(SimpleNamespace):
+    """Graded comparison of the tables of Delta and Delta_B below degree d:
+    ok, hypotheses_met, hypotheses (premise -> flag) and witness, the first
+    difference (i, sigma, dim for Delta, dim for Delta_B) or None."""
 
     def __bool__(self):
         return self.ok
@@ -162,9 +141,6 @@ class CmLinkageReport:
             i, sigma, lhs, rhs = self.witness
             out["witness"] = {"i": i, "sigma": list(sigma), "delta": lhs, "delta_b": rhs}
         return out
-
-    def __repr__(self):
-        return f"CmLinkageReport(ok={self.ok}, hypotheses_met={self.hypotheses_met})"
 
 
 class _Liaison:
@@ -256,7 +232,8 @@ class _Liaison:
             key=lambda w: (face_key(w[0]), w[1]),
         )
         hypotheses_met = self.whole.quasi_gorenstein and self.a.buchsbaum[0]
-        return LinkRestrictionReport(not witnesses, witnesses, hypotheses_met)
+        return LinkRestrictionReport(ok=not witnesses, witnesses=witnesses,
+                                     hypotheses_met=hypotheses_met)
 
     def cm_linkage_check(self):
         first = min(self.differences, key=lambda w: (w[0], face_key(w[1])), default=None)

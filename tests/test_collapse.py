@@ -267,6 +267,19 @@ def test_collapse_cone_over_sd3_fan_off_its_apex():
     assert verify_trace(trace, GF2)
 
 
+def test_collapse_cone_over_sd4_fan_off_its_apex():
+    # 3,921 steps in one star of 2,592 facets.  The digest was recorded when
+    # each step scanned the star's free set for its least face, so it pins
+    # that the heap takes the same steps.
+    cone = gen.cone(gen.sd(gen.sd(gen.sd(gen.sd(gen.cone(gen.sd(gen.simplex(2))))))))
+    apex = {cone.n_vertices}
+    trace = collapse_onto(cone, apex)
+    assert isinstance(trace, CollapseTrace)
+    assert len(trace.steps) == 3921
+    assert trace.end == faces_avoiding(cone, apex)
+    assert _steps_digest(trace) == "2c52d4cc232dd4fc5cd221381915cbd9464889633a482f8f42c73d3de0ab3df3"
+
+
 def test_collapse_ball_in_sd2_sphere_away_from_its_complement():
     # The radius-3 ball about vertex 1 in the 1-skeleton of sd^2 of the
     # boundary of the 4-simplex (the facets with every vertex within

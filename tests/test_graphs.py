@@ -69,6 +69,9 @@ def test_gamma_rejects_bad_inputs():
         gamma_graph(delta, -1)
     with pytest.raises(TOutOfRange):
         gamma_graph(delta, delta.dim + 2)
+    for t in (True, False, 1.0, "1", None):
+        with pytest.raises(TOutOfRange, match="t must lie in 0..2"):
+            gamma_graph(delta, t)
     with pytest.raises(NotPure):
         gamma_graph(from_facets([[1, 2, 3], [4, 5]], 5), 1)
     with pytest.raises(ValueError):

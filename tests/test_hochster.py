@@ -177,6 +177,9 @@ def test_serre_rejects_bad_ell():
     delta = get_fixture("four-cycle").complex()
     with pytest.raises(ValueError):
         serre_condition(delta, QQ, 0)
+    for ell in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="ell must be an int"):
+            serre_condition(delta, QQ, ell)
 
 
 def test_depth_bounded_by_krull_dimension():

@@ -50,6 +50,14 @@ def test_field_spec_parse():
     assert str(QQ) == "Q"
 
 
+def test_field_spec_refuses_a_prime_that_is_not_an_int():
+    # a float would run elimination on float residues and serialize as "2.0"
+    for p in (2.0, 3.0, True, "2"):
+        for make in (FieldSpec, FieldSpec.prime):
+            with pytest.raises(ValueError, match="a prime must be an int"):
+                make(p)
+
+
 BIG_PRIME = "1152921504606846883"  # 2**60 - 93
 
 

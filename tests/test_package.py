@@ -60,12 +60,17 @@ def test_module_entry_point_matches_main(sub, capsys, monkeypatch):
     assert code == 0
 
 
+#: Modules no subcommand may load: importing dataclasses (with inspect)
+#: costs a CLI process about 9 ms.
+HEAVY = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
 def test_each_subcommand_loads_only_what_it_runs(sub):
     script = ("import json, sys, qgor.cli\n"
               f"code = qgor.cli.main({_argv(sub)!r})\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qgor'))),"
-              " file=sys.stderr)\n"
+              "print(json.dumps(sorted(m for m in sys.modules"
+              f" if m.startswith('qgor') or m in {sorted(HEAVY)!r})), file=sys.stderr)\n"
               "sys.exit(code)\n")
     proc = _child("-c", script)
     assert proc.returncode == 0, proc.stderr
