@@ -1,8 +1,8 @@
 """The two answer gates of a refactor, run as child processes of the checkout.
 
-tools/predicate_digest.py digests every predicate's answers on 1,000
-seeded complexes, and tools/cli_snapshot.py records every CLI run over
-the fixture corpus.  A change that alters an answer on purpose updates
+tools/predicate_digest.py digests every predicate's answers, and the
+collapses with their replays, on 1,000 seeded complexes, and
+tools/cli_snapshot.py records every CLI run over the fixture corpus.  A change that alters an answer on purpose updates
 the pinned values here and says so in CHANGES.md.
 """
 
@@ -25,6 +25,8 @@ DIGEST = [
     "347236bd360d256521d4b1445398fa1d82fa0f297e9de3a8616c69daa7ae8f97",
     "2484 removal experiments: sha256 "
     "207c7de3b04d2f3f44b72877ebb73f9185abb8070a3743946f63ef12c8ba41a2",
+    "1000 complexes x 2 forbidden sets of collapses: sha256 "
+    "eee2d2a6324a8f4cdbda745ef98fe6baf78893e0f1950ee22f915d5ee3eb41c9",
 ]
 SNAPSHOT = "8a0f5b1393a1a217299e63b1561091a05dadf3ab6f40ba6f149a44c9a83e9f4f"
 

@@ -21,9 +21,14 @@ fifth line digests removal_experiment, exceptions counting as answers, on
 every pure complex among them, for three facet sets each: the greedy
 vertex-disjoint set that the partition-sweep benchmark draws (facets in
 seeded random order, each kept when it shares no vertex with those kept,
-at most eight) and two seeded random facet sets.  Two checkouts whose
-predicates agree print the same lines, so a refactor can be checked with
-a plain diff:
+at most eight) and two seeded random facet sets.  A sixth line digests
+the collapses of every complex away from two seeded sets of its
+vertices: free_faces, each outcome of collapse_onto as JSON, the replay
+of its trace (a stuck run's partial trace) by verify_trace over the same
+three fields, and the replay over Q of two forged copies of the trace,
+one with a seeded step dropped and one with it repeated; exceptions
+again count as answers.  Two checkouts whose predicates agree print the
+same lines, so a refactor can be checked with a plain diff:
 
     python3 tools/predicate_digest.py
     python3 tools/predicate_digest.py --root ../other-checkout
@@ -141,6 +146,30 @@ def removal_sets(rng, delta):
     return [greedy] + [rng.sample(range(m), rng.randint(1, m)) for _ in range(2)]
 
 
+def collapse_answers(qgor, rng, delta):
+    """free_faces, then per seeded forbidden set the collapse outcome, its
+    trace replayed over three fields and two forged replays."""
+    out = [_answer(lambda: qgor.free_faces(delta))]
+    verts = delta.vertices()
+    for forbidden in [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(2)]:
+        result = _answer(lambda: qgor.collapse_onto(delta, forbidden))
+        if isinstance(result, list):
+            out.append([sorted(forbidden), result])
+            continue
+        trace = getattr(result, "partial_trace", result)
+        steps = list(trace.steps)
+        forged = []
+        if steps:
+            k = rng.randrange(len(steps))
+            forged = [_answer(lambda: qgor.verify_trace(
+                qgor.CollapseTrace(trace.start, trace.end, s), qgor.QQ))
+                for s in (steps[:k] + steps[k + 1:], steps[:k + 1] + steps[k:])]
+        out.append([sorted(forbidden), result.to_json(),
+                    [_answer(lambda: qgor.verify_trace(trace, field))
+                     for field in (qgor.QQ, qgor.GF2, qgor.GF3)], forged])
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=HERE, help="checkout whose src/qgor is digested")
@@ -187,6 +216,12 @@ def main(argv=None):
             digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
             removals += 1
     print(f"{removals} removal experiments: sha256 {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    rng = random.Random(SEED)
+    for delta in cases:
+        record = [delta.n_vertices, delta.facets, collapse_answers(qgor, rng, delta)]
+        digest.update(json.dumps(record, sort_keys=True, default=list).encode() + b"\n")
+    print(f"{len(cases)} complexes x 2 forbidden sets of collapses: sha256 {digest.hexdigest()}")
     return 0
 
 
