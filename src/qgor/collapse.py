@@ -6,10 +6,11 @@ that face is then automatically a facet gamma with dim gamma =
 dim beta + 1, and removing the pair preserves the homotopy type.
 
 Both free pairs and facets are read off one cover map, which sends
-each face to the faces one vertex larger that contain it.  In a
+each face to the set of faces one vertex larger that contain it.  In a
 complex, a nonempty face is free exactly when it has one cover: a
 face two vertices above beta would give beta two covers.  A face is
-a facet exactly when it has no cover.
+a facet exactly when it has no cover.  verify_trace replays a trace on
+the same map, with one set lookup per step.
 
 collapse_onto eliminates the forbidden vertices one at a time,
 smallest first, on one cover map that each removal updates.  The star
@@ -72,22 +73,23 @@ class Failure(SimpleNamespace):
         return out
 
 
-def _covers(face_set):
-    """Each face mapped to the faces one vertex larger that contain it.
+def _covers(faces):
+    """Each face mapped to the set of faces one vertex larger that contain it.
 
-    One pass over the faces; face_set must be closed under subsets.
+    One pass over the faces, which must be closed under subsets.  The keys
+    keep the order of faces, and removals keep it, so a map built from
+    delta.faces() lists its faces in canonical order for good.
     """
-    covers = {f: [] for f in face_set}
-    for g in face_set:
+    covers = {f: set() for f in faces}
+    for g in faces:
         for i in range(len(g)):
-            covers[g[:i] + g[i + 1:]].append(g)
+            covers[g[:i] + g[i + 1:]].add(g)
     return covers
 
 
 def _to_complex(covers, n_vertices):
     """The complex whose facets are the faces with no cover."""
-    facets = sorted((f for f, up in covers.items() if not up), key=face_key)
-    return SimplicialComplex(n_vertices, facets)
+    return SimplicialComplex(n_vertices, [f for f, up in covers.items() if not up])
 
 
 def free_faces(delta):
@@ -97,8 +99,7 @@ def free_faces(delta):
     The empty face is never free: removing it together with a lone
     vertex would change reduced homology in degree -1.
     """
-    pairs = [(b, up[0]) for b, up in _covers(delta.faces()).items() if b and len(up) == 1]
-    return sorted(pairs, key=lambda p: face_key(p[0]))
+    return [(b, *up) for b, up in _covers(delta.faces()).items() if b and len(up) == 1]
 
 
 def collapse_onto(delta_a, forbidden_vertices):
@@ -145,7 +146,7 @@ def collapse_onto(delta_a, forbidden_vertices):
             if not free:
                 return fail(f"link of vertex {v} is stuck with no usable free face")
             beta = heappop(free)[1]
-            gamma = covers[beta][0]
+            [gamma] = covers[beta]
             steps.append((beta, gamma))
             star.difference_update((beta, gamma))
             # gamma has no cover and beta only gamma, so only the faces
@@ -167,25 +168,19 @@ def verify_trace(trace, field):
     final state that differs from the recorded end.  The boolean
     verdict is reserved for the homology comparison.
     """
-    current = set(trace.start.faces())
-    # the replay's own vertex -> faces index: every superface of beta
-    # holds beta's first vertex
-    holding = {}
-    for f in current:
-        for v in f:
-            holding.setdefault(v, set()).add(f)
+    covers = _covers(trace.start.faces())
     for k, (beta, gamma) in enumerate(trace.steps):
-        if beta not in current or gamma not in current:
+        if beta not in covers or gamma not in covers:
             raise InvalidStep(k, f"pair ({beta}, {gamma}) is not in the complex")
-        bs = set(beta)
-        if not beta or [g for g in holding[beta[0]]
-                        if len(g) > len(beta) and bs.issubset(g)] != [gamma]:
+        if not beta or covers[beta] != {gamma}:
             raise InvalidStep(k, f"face {beta} is not free with coface {gamma}")
-        for f in (beta, gamma):
-            current.discard(f)
-            for v in f:
-                holding[v].discard(f)
-    if _to_complex(_covers(current), trace.start.n_vertices) != trace.end:
+        # gamma has no cover and beta only gamma, so only the faces just
+        # below them lose a cover
+        for f in (gamma, beta):
+            for i in range(len(f)):
+                covers[f[:i] + f[i + 1:]].remove(f)
+        del covers[beta], covers[gamma]
+    if _to_complex(covers, trace.start.n_vertices) != trace.end:
         raise InvalidStep(len(trace.steps), "replayed end differs from recorded end")
     b_start = reduced_betti(trace.start, field)
     b_end = reduced_betti(trace.end, field)

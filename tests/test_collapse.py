@@ -174,6 +174,37 @@ def test_verify_trace_rejects_forged_steps():
     assert exc.value.index == 0
 
 
+def test_verify_trace_rejects_a_repeated_pair():
+    # the pair is gone after its first step, so its repeat names a missing pair
+    trace = collapse_onto(from_facets([[1, 2, 3], [2, 3, 4]], 4), {1, 4})
+    steps = list(trace.steps)
+    forged = CollapseTrace(trace.start, trace.end, steps[:2] + [steps[1]] + steps[2:])
+    with pytest.raises(InvalidStep) as exc:
+        verify_trace(forged, QQ)
+    assert exc.value.index == 2
+    assert str(exc.value) == "step 2: pair ((1,), (1, 2)) is not in the complex"
+
+
+def test_verify_trace_rejects_a_face_with_two_covers():
+    # (2, 3) lies in both triangles; the end is what removing the pair
+    # would leave, so only the free test can refuse the step
+    delta = from_facets([[1, 2, 3], [2, 3, 4]], 4)
+    forged = CollapseTrace(delta, from_facets([[1, 2], [1, 3], [2, 3, 4]], 4),
+                           [((2, 3), (1, 2, 3))])
+    with pytest.raises(InvalidStep) as exc:
+        verify_trace(forged, QQ)
+    assert str(exc.value) == "step 0: face (2, 3) is not free with coface (1, 2, 3)"
+
+
+def test_verify_trace_rejects_the_empty_face():
+    # () is a face with the one cover (1,), yet it is never free
+    point = from_facets([[1]], 1)
+    forged = CollapseTrace(point, from_facets([], 1), [((), (1,))])
+    with pytest.raises(InvalidStep) as exc:
+        verify_trace(forged, QQ)
+    assert str(exc.value) == "step 0: face () is not free with coface (1,)"
+
+
 def test_verify_trace_rejects_wrong_end():
     delta_a = from_facets([[1, 2, 3], [2, 3, 4]], 4)
     trace = collapse_onto(delta_a, {1, 4})
