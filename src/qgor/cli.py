@@ -114,7 +114,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"qgor: error: {message}")
+        self.exit(1, f"qgor: error: {message}\n")
 
 
 def _build_parser():
@@ -343,10 +343,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return exc.code or 0
+        return exc.code
     try:
         with open(args.path, encoding="utf-8") as handle:
             text = handle.read()

@@ -50,12 +50,16 @@ from .simplicial_core import check_facet_indices, face_key, restrict_to_facets
 
 
 class FacetPartition:
-    """A two-block partition {A, B} of the facet index set (0-based); two
-    partitions are equal when their blocks are."""
+    """A two-block partition {A, B} of the facet index set (0-based ints,
+    not bools); two partitions are equal when their blocks are."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
+        a, b = tuple(a), tuple(b)
+        for i in a + b:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise InvalidPartition(f"facet index {i!r} is not an int")
         self.a = frozenset(a)
         self.b = frozenset(b)
         if not self.a or not self.b:

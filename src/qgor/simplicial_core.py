@@ -188,16 +188,20 @@ def from_facets(raw_facets, n_vertices=None):
     Raises
     ------
     VertexOutOfRange
-        If an id is nonpositive or exceeds an explicit n_vertices.
+        If an id is not an int (or is a bool), is nonpositive or exceeds
+        an explicit n_vertices.
     """
     cleaned = []
     for entry in raw_facets:
-        f = face(entry)
-        for v in f:
+        # types first, while the entry is as given: face() would let True
+        # merge into 1 and cannot sort a mixed entry
+        entry = list(entry)
+        for v in entry:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise VertexOutOfRange(f"vertex id {v!r} in facet {sorted(entry)} is not an integer")
-            if v <= 0:
-                raise VertexOutOfRange(f"vertex id {v} in facet {sorted(entry)} is not positive")
+                raise VertexOutOfRange(f"vertex id {v!r} in facet {entry} is not an integer")
+        f = face(entry)
+        if f and f[0] <= 0:
+            raise VertexOutOfRange(f"vertex id {f[0]} in facet {sorted(entry)} is not positive")
         cleaned.append(f)
 
     top = max((f[-1] for f in cleaned if f), default=0)

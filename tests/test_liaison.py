@@ -47,6 +47,20 @@ def test_partition_validation():
         FacetPartition({0}, {1}).validate_for(delta)
 
 
+def test_partition_refuses_an_index_that_is_not_an_int():
+    # 1.0 and True equal the int 1, so a frozenset alone would take them
+    delta = get_fixture("csaszar-torus").complex()
+    for bad in (1.0, True):
+        with pytest.raises(InvalidPartition, match=f"facet index {bad!r} is not an int"):
+            lefschetz_report(delta, FacetPartition({bad}, set(range(14)) - {1}), QQ)
+    with pytest.raises(InvalidPartition, match="facet index 1.0 is not an int"):
+        FacetPartition({1.0}, {0})
+    with pytest.raises(InvalidPartition, match="facet index True is not an int"):
+        FacetPartition([1, True], [0])
+    with pytest.raises(InvalidPartition, match="facet index 'a' is not an int"):
+        FacetPartition([0], ["a"])
+
+
 def test_lefschetz_sphere_balanced_partition():
     delta = get_fixture("boundary-3-simplex").complex()
     report = lefschetz_report(delta, _partition(delta, [0, 1]), QQ)

@@ -68,6 +68,20 @@ def test_from_facets_rejects_bad_ids():
         from_facets([[1, 2, 3]], 2)
 
 
+def test_from_facets_checks_id_types_before_canonicalizing():
+    # True == 1 would vanish into 1, and a str or None cannot be sorted
+    # with ints: each is named, with the entry as given
+    for entry in ([1, True, 3], [True, 2], [1, "a"], [1, None], [2, 1.0]):
+        with pytest.raises(VertexOutOfRange) as exc:
+            from_facets([entry])
+        bad = next(v for v in entry if type(v) is not int)
+        assert str(exc.value) == f"vertex id {bad!r} in facet {entry} is not an integer"
+    # an entry given as an iterator is read once
+    assert from_facets([iter([3, 1])]).facets == ((1, 3),)
+    with pytest.raises(VertexOutOfRange, match=r"vertex id 0 in facet \[0, 0, 2\] is not positive"):
+        from_facets([(v for v in (2, 0, 0))])
+
+
 def test_void_and_empty_are_distinct():
     void = from_facets([])
     empty = from_facets([[]])
