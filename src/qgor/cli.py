@@ -1,15 +1,20 @@
 """Command-line front end.
 
 Facet files are plain text: one facet per line as whitespace-separated
-positive integer vertex ids, `#` starts a comment line, and the first
-data line may be a header `n=<int>` fixing the ambient vertex count.
+positive integer vertex ids, and `#` starts a comment line.  A header
+`n=<int>` fixes the ambient vertex count.  It comes before any facet,
+it appears at most once (a later `n=` line is read as a facet line),
+and a vertex above n is refused with the line number of its facet.
 
 Exit codes: 0 for any produced report (hypothesis failures are fields
-inside the report, not process failures), 1 for I/O, parse and usage
-errors, 2 when a capacity limit is hit.
+inside the report, not process failures), 1 for I/O, decoding, parse
+and usage errors, 2 when a capacity limit is hit.
 
 Each subcommand handler imports the modules it runs, so a process that
-runs one subcommand compiles and loads only those.
+runs one subcommand compiles and loads only those.  A handler prints
+nothing: it returns its JSON payload and its text lines, and main
+prints the payload under --json and the lines otherwise.  `graph --dot`
+returns no payload, so it prints DOT in either mode.
 """
 
 import argparse
@@ -37,22 +42,19 @@ def parse_facet_file(text):
     """
     facets = []
     n_vertices = None
-    seen_data = False
     line_number = 0
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not seen_data and line.startswith("n="):
+        if not facets and n_vertices is None and line.startswith("n="):
             try:
                 n_vertices = int(line[2:])
             except ValueError:
                 raise ParseError(line_number, f"bad header {line!r}")
             if n_vertices <= 0:
                 raise ParseError(line_number, f"vertex count must be positive, got {n_vertices}")
-            seen_data = True
             continue
-        seen_data = True
         entries = []
         for tok in line.split():
             try:
@@ -61,14 +63,12 @@ def parse_facet_file(text):
                 raise ParseError(line_number, f"not an integer: {tok!r}")
             if v <= 0:
                 raise ParseError(line_number, f"vertex ids are positive, got {v}")
+            if n_vertices is not None and v > n_vertices:
+                raise ParseError(line_number, f"header n={n_vertices} but vertex {v} appears")
             entries.append(v)
         facets.append(entries)
     if not facets:
         raise ParseError(max(line_number, 1), "file contains no facets")
-    if n_vertices is not None:
-        top = max(max(f) for f in facets)
-        if top > n_vertices:
-            raise ParseError(1, f"header n={n_vertices} but vertex {top} appears")
     return from_facets(facets, n_vertices)
 
 
@@ -131,16 +131,20 @@ def _build_parser():
                        help="classification predicates and witnesses")
     p.add_argument("--list-facets", action="store_true",
                    help="print the canonical facet order and exit")
+    p.set_defaults(run=_cmd_classify)
 
-    sub.add_parser("homology", parents=[common], help="reduced Betti numbers")
+    p = sub.add_parser("homology", parents=[common], help="reduced Betti numbers")
+    p.set_defaults(run=_cmd_homology)
 
-    sub.add_parser("hochster", parents=[common],
-                   help="graded local cohomology table, depth, a-invariant")
+    p = sub.add_parser("hochster", parents=[common],
+                       help="graded local cohomology table, depth, a-invariant")
+    p.set_defaults(run=_cmd_hochster)
 
     p = sub.add_parser("liaison", parents=[common],
                        help="Lefschetz sequence and linkage checks for a facet partition")
     p.add_argument("--facets-a", type=_parse_facet_indices, required=True,
                    metavar="I,J,...", help="1-based facet indices of the A block")
+    p.set_defaults(run=_cmd_liaison)
 
     p = sub.add_parser("graph", parents=[common],
                        help="facet graph Gamma_t and connectivity")
@@ -148,20 +152,14 @@ def _build_parser():
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a report")
     p.add_argument("--remove", type=_parse_facet_indices, metavar="I,J,...",
                    help="run the removal experiment for this 1-based facet set")
+    p.set_defaults(run=_cmd_graph)
 
     p = sub.add_parser("collapse", parents=[common],
                        help="collapse away a set of forbidden vertices")
     p.add_argument("--forbid", type=_parse_ids, required=True,
                    metavar="V,W,...", help="vertex ids to eliminate")
+    p.set_defaults(run=_cmd_collapse)
     return parser
-
-
-def _emit(payload, as_json, text_lines):
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _flag(value):
@@ -174,8 +172,7 @@ def _cmd_classify(delta, args):
     if args.list_facets:
         payload = {"facets": {str(i + 1): list(f) for i, f in enumerate(delta.facets)}}
         lines = [f"{i + 1}: {{{','.join(map(str, f))}}}" for i, f in enumerate(delta.facets)]
-        _emit(payload, args.json, lines)
-        return 0
+        return payload, lines
     report = classification_report(delta, args.field)
     payload = report.to_json()
     payload["facets"] = [list(f) for f in delta.facets]
@@ -184,8 +181,7 @@ def _cmd_classify(delta, args):
         lines.append(f"{name}: {_flag(getattr(report, name))}")
     for key, value in sorted(report.witnesses.items()):
         lines.append(f"witness {key}: {value}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_homology(delta, args):
@@ -204,8 +200,7 @@ def _cmd_homology(delta, args):
     else:
         lines.append("all reduced Betti numbers vanish")
     lines.append(f"reduced euler characteristic: {betti.euler()}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_hochster(delta, args):
@@ -229,8 +224,7 @@ def _cmd_hochster(delta, args):
     lines.append(f"a_invariant: {payload['a_invariant']}")
     for i, sigma, dim in table.entries():
         lines.append(f"H^{i} at -{{{','.join(map(str, sigma))}}}: {dim}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_liaison(delta, args):
@@ -265,8 +259,7 @@ def _cmd_liaison(delta, args):
         lines.append(f"tconn: premises not met ({'; '.join(tconn['hypotheses_failed'])})")
     else:
         lines.append(f"tconn: {_flag(tconn['ok'])}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_graph(delta, args):
@@ -274,8 +267,7 @@ def _cmd_graph(delta, args):
 
     graph = gamma_graph(delta, args.t)
     if args.dot:
-        sys.stdout.write(graph.to_dot())
-        return 0
+        return None, graph.to_dot().splitlines()
     conn = connectivity_report(graph)
     payload = graph.to_json()
     payload["connectivity"] = conn.to_json()
@@ -298,8 +290,7 @@ def _cmd_graph(delta, args):
                                   "connected": None, "gamma2_edge": [i + 1, j + 1]}
             lines.append(f"removal of {[k + 1 for k in args.remove]}: "
                          f"rejected, facets {i + 1} and {j + 1} are adjacent in Gamma_2")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_collapse(delta, args):
@@ -324,18 +315,7 @@ def _cmd_collapse(delta, args):
                  f"steps taken: {len(trace.steps)}"]
     lines += [f"  collapse ({','.join(map(str, beta))}) < ({','.join(map(str, gamma))})"
               for beta, gamma in trace.steps]
-    _emit(payload, args.json, lines)
-    return 0
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "homology": _cmd_homology,
-    "hochster": _cmd_hochster,
-    "liaison": _cmd_liaison,
-    "graph": _cmd_graph,
-    "collapse": _cmd_collapse,
-}
+    return payload, lines
 
 
 def main(argv=None):
@@ -346,23 +326,26 @@ def main(argv=None):
         return exc.code
     try:
         with open(args.path, encoding="utf-8") as handle:
-            text = handle.read()
+            delta = parse_facet_file(handle.read())
     except OSError as exc:
         print(f"qgor: error: {exc}", file=sys.stderr)
         return 1
-    try:
-        delta = parse_facet_file(text)
-    except ParseError as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         print(f"qgor: error: {args.path}: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](delta, args)
+        payload, lines = args.run(delta, args)
     except CapacityExceeded as exc:
         print(f"qgor: capacity: {exc}", file=sys.stderr)
         return 2
     except (QgorError, ValueError) as exc:
         print(f"qgor: error: {exc}", file=sys.stderr)
         return 1
+    if args.json and payload is not None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ class EmptySelection(QgorError):
 
 
 class CapacityExceeded(QgorError):
-    """Face enumeration would exceed the configured face cap."""
+    """Work would exceed the configured face cap: the span of the facets
+    (the sum of 2^|F| over them), the boundary ids of a cell build, or
+    the entries touched by an elimination."""
 
 
 class NotASubcomplex(QgorError):

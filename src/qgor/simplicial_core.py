@@ -188,9 +188,12 @@ def from_facets(raw_facets, n_vertices=None):
     Raises
     ------
     VertexOutOfRange
-        If an id is not an int (or is a bool), is nonpositive or exceeds
-        an explicit n_vertices.
+        If an explicit n_vertices is not an int (or is a bool) or is
+        negative, or an id is not an int (or is a bool), is nonpositive
+        or exceeds an explicit n_vertices.
     """
+    if n_vertices is not None and (not isinstance(n_vertices, int) or isinstance(n_vertices, bool)):
+        raise VertexOutOfRange(f"n_vertices {n_vertices!r} is not an integer")
     cleaned = []
     for entry in raw_facets:
         # types first, while the entry is as given: face() would let True
@@ -311,5 +314,5 @@ def core(delta):
     cone = set(delta.facets[0]).intersection(*delta.facets[1:])
     if not cone:
         return delta
-    return from_facets([tuple(v for v in f if v not in cone) for f in delta.facets], delta.n_vertices)
+    return faces_avoiding(delta, cone)
 

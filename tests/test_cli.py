@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from _perfbench import gen
 
-from qgor import simplicial_core
+from qgor import cli, simplicial_core
 from qgor.cli import main, parse_facet_file
 from qgor.errors import CapacityExceeded, ParseError
 from qgor.fixtures import corpus, get_fixture
@@ -82,11 +82,24 @@ def test_parse_facet_file_errors():
 
 
 def test_parse_facet_file_header_must_come_first():
-    # once facet data has been seen, "n=5" is read as a facet line
+    # once a facet or a header has been seen, "n=5" is read as a facet line
+    for text in ("1 2\nn=5\n", "n=3\nn=5\n1 2\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_facet_file(text)
+        assert exc.value.line_number == 2
+        assert "not an integer" in str(exc.value)
+
+
+def test_parse_facet_file_refuses_a_vertex_above_the_header_on_its_line():
+    # the header is on line 3 and the offending facet on line 5
     with pytest.raises(ParseError) as exc:
-        parse_facet_file("1 2\nn=5\n")
+        parse_facet_file("# c\n# d\nn=2\n1 2\n1 3\n")
+    assert exc.value.line_number == 5
+    assert str(exc.value) == "line 5: header n=2 but vertex 3 appears"
+    # the first offending line is reported, before a later malformed one
+    with pytest.raises(ParseError) as exc:
+        parse_facet_file("n=2\n1 3\n1 x\n")
     assert exc.value.line_number == 2
-    assert "not an integer" in str(exc.value)
 
 
 def test_cli_classify_json(capsys):
@@ -220,6 +233,35 @@ def test_cli_exit_one(tmp_path, capsys):
     # asking for help is not an error
     code, out, _ = _run(capsys, "--help")
     assert code == 0 and out.startswith("usage:")
+
+
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.cplx"
+    path.write_bytes(b"\xff\xfe1\x00 \x002\x00\n\x00")
+    code, out, err = _run(capsys, "homology", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"qgor: error: {path}: ") and "utf-8" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_handlers_return_payload_and_lines_and_print_nothing(capsys):
+    path = _fixture_path("csaszar-torus")
+    runs = [["classify"], ["classify", "--list-facets"], ["homology"], ["hochster"],
+            ["liaison", "--facets-a", "1,2"], ["graph", "--remove", "1"], ["graph", "--dot"],
+            ["collapse", "--forbid", "1"]]
+    delta = parse_facet_file(pathlib.Path(path).read_text())
+    for command, *options in runs:
+        args = cli._build_parser().parse_args([command, path, *options])
+        payload, lines = args.run(delta, args)
+        assert capsys.readouterr().out == "", command
+        assert lines and all(isinstance(line, str) for line in lines), command
+        # main prints the lines, or the payload under --json; DOT has no payload
+        assert _run(capsys, command, path, *options)[1] == "\n".join(lines) + "\n"
+        if payload is None:
+            assert options == ["--dot"]
+            assert _run(capsys, command, path, *options, "--json")[1].startswith("graph ")
+        else:
+            assert _run_json(capsys, command, path, *options, "--json") == payload
 
 
 def test_cli_large_prime_field(capsys):

@@ -82,6 +82,16 @@ def test_from_facets_checks_id_types_before_canonicalizing():
         from_facets([(v for v in (2, 0, 0))])
 
 
+def test_from_facets_checks_the_type_of_n_vertices():
+    # a float or bool equal to an int is refused, like a str
+    for n_vertices in (2.0, True, "3"):
+        with pytest.raises(VertexOutOfRange) as exc:
+            from_facets([[1]], n_vertices)
+        assert str(exc.value) == f"n_vertices {n_vertices!r} is not an integer"
+    assert from_facets([[1]], None).n_vertices == 1
+    assert from_facets([[1]], 2).n_vertices == 2
+
+
 def test_void_and_empty_are_distinct():
     void = from_facets([])
     empty = from_facets([[]])
