@@ -11,13 +11,16 @@ dimension d over a field k:
 
 Each predicate is a read of one analysis of the complex: hochster's link
 view, with classify's views on top, each computed on first read, at most
-once, and only if read.  The ridge facts come off one signed ridge map,
-homology's, of the facets of top size: the ridge condition (a facet one
-size below the top is a ridge in one facet), strong connectivity (the
-components of the buckets, by union-find), orientability (the walk
-reduced_betti reads on a surface, which decides H~_d(Delta; Q) != 0 over
-every field) and the manifold scan's ridges, whose links are two points
-exactly when their buckets hold two facets.  Normality counts the
+once, and only if read.  The ridge facts come off the link view's one
+signed ridge map (homology._ridge_map of the facets of top size): the
+ridge condition (a facet one size below the top is a ridge in one
+facet), strong connectivity (the components of the buckets, by
+union-find), orientability (homology._top's walk over Q, the one
+reduced_betti reads on a surface), quasi-Gorenstein's H~_d(Delta) (the
+view's top, the same walk over the field, which decides it on a normal
+pseudomanifold, since a pure normal complex is strongly connected, so
+no elimination runs) and the manifold scan's ridges, whose links are two
+points exactly when their buckets hold two facets.  Normality counts the
 components of the links of the faces below the ridges, so it reads no
 homology, and the manifold scan reads the same faces' link homology; a
 facet's link is {empty}, the (-1)-sphere.  So the classification builds
@@ -33,7 +36,7 @@ from types import SimpleNamespace
 from .errors import NotAPseudomanifold, NotPure
 from .graphs import _components
 from .hochster import _Links
-from .homology import _orient, _ridge_map
+from .homology import _top
 from .simplicial_core import check_face_budget, core, face_key
 
 
@@ -94,13 +97,6 @@ class _Analysis(_Links):
         super().__init__(delta, field, memo)
 
     @cached_property
-    def ridges(self):
-        """homology._ridge_map of the facets of top size, which are every facet
-        of a pure complex.  Its buckets give the ridge condition, strong
-        connectivity, the orientation walk and the manifold scan's ridges."""
-        return _ridge_map([f for f in self.delta.facets if len(f) == self.d])
-
-    @cached_property
     def ridge_witness(self):
         """(face, number of facets through it) for the first face of size
         dim Delta, in canonical order, not in exactly two facets; None if
@@ -125,11 +121,10 @@ class _Analysis(_Links):
     @cached_property
     def orientable(self):
         """Whether the complex is a pseudomanifold whose facets can be signed
-        to cancel on every ridge, which is H~_d(Delta; Q) != 0:
-        homology._orient's walk over the ridge map, the one reduced_betti
-        reads on a surface, finds no ridge on which its signs disagree."""
+        to cancel on every ridge, which is H~_d(Delta; Q) != 0, read by
+        homology._top's walk over the ridge map over Q."""
         check_face_budget(self.delta.facets[-1:])  # the facet size reduced_betti refuses
-        return self.pseudomanifold and _orient(self.delta.facets, self.ridges)[1]
+        return self.pseudomanifold and _top(self.delta.facets, self.ridges, None) == 1
 
     @cached_property
     def normal(self):
@@ -155,8 +150,9 @@ class _Analysis(_Links):
 
     @cached_property
     def quasi_gorenstein(self):
-        """The one definition: a normal pseudomanifold with H~_dim != 0."""
-        return self.normal.ok and self.betti(())[self.delta.dim] != 0
+        """The one definition: a normal pseudomanifold with H~_dim != 0, read
+        off top's walk (a pure normal complex is strongly connected)."""
+        return self.normal.ok and self.top != 0
 
     @cached_property
     def manifold(self):

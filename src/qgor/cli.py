@@ -5,6 +5,8 @@ positive integer vertex ids, and `#` starts a comment line.  A header
 `n=<int>` fixes the ambient vertex count.  It comes before any facet,
 it appears at most once (a later `n=` line is read as a facet line),
 and a vertex above n is refused with the line number of its facet.
+Every integer, in the file and in the options, is ASCII decimal digits
+after an optional `-`, so `1_0`, `+1` and non-ASCII digits are refused.
 
 Exit codes: 0 for any produced report (hypothesis failures are fields
 inside the report, not process failures), 1 for I/O, decoding, parse
@@ -33,6 +35,16 @@ from .homology import FieldSpec, reduced_betti
 from .simplicial_core import from_facets
 
 
+def _int(text):
+    """The int that text spells in ASCII decimal digits after an optional
+    leading '-', as an argparse type: anything else raises
+    ArgumentTypeError, where int() also takes digit-group underscores, a
+    leading '+', spaces and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_facet_file(text):
     """Parse facet-file text into a canonical complex.
 
@@ -49,8 +61,8 @@ def parse_facet_file(text):
             continue
         if not facets and n_vertices is None and line.startswith("n="):
             try:
-                n_vertices = int(line[2:])
-            except ValueError:
+                n_vertices = _int(line[2:])
+            except argparse.ArgumentTypeError:
                 raise ParseError(line_number, f"bad header {line!r}")
             if n_vertices <= 0:
                 raise ParseError(line_number, f"vertex count must be positive, got {n_vertices}")
@@ -58,9 +70,9 @@ def parse_facet_file(text):
         entries = []
         for tok in line.split():
             try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(line_number, f"not an integer: {tok!r}")
+                v = _int(tok)
+            except argparse.ArgumentTypeError as exc:
+                raise ParseError(line_number, str(exc))
             if v <= 0:
                 raise ParseError(line_number, f"vertex ids are positive, got {v}")
             if n_vertices is not None and v > n_vertices:
@@ -91,10 +103,7 @@ def _parse_ids(text, facet_indices=False):
         tok = tok.strip()
         if not tok:
             continue
-        try:
-            v = int(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {tok!r}")
+        v = _int(tok)
         if v <= 0:
             raise argparse.ArgumentTypeError(
                 f"indices are 1-based positive, got {v}" if facet_indices
@@ -148,7 +157,7 @@ def _build_parser():
 
     p = sub.add_parser("graph", parents=[common],
                        help="facet graph Gamma_t and connectivity")
-    p.add_argument("--t", type=int, default=1, help="graph parameter (default 1)")
+    p.add_argument("--t", type=_int, default=1, help="graph parameter (default 1)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of a report")
     p.add_argument("--remove", type=_parse_facet_indices, metavar="I,J,...",
                    help="run the removal experiment for this 1-based facet set")

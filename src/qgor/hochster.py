@@ -16,27 +16,37 @@ its facets by counting components.  A link of dimension 2 or more is
 computed once per class of links equal up to an order-preserving
 renumbering of their vertices (isomorphic complexes, so one vector
 serves the class).  The scans walk each face with its link, as the
-levels hold them.  The table is the one full read of that view, every
-level.  Depth and the Reisner Cohen-Macaulay criterion, the a-invariant,
-the Buchsbaum predicate and the Serre condition (S_l) here, and
-classify's normality and manifold scans, are scans of it in canonical
-face order that stop as soon as their answer is fixed, and build no
-level past the last size that can change it: depth stops before size k
-once it has found i <= k + 1 (H^d never vanishes, so it never reads the
-ridges or the facets), the a-invariant at its answer, and Buchsbaum and
-(S_l) after size dim Delta - 1, since the links of larger faces have
-dimension <= 0 and hold no low homology.  Classify reads the ridges off
-its ridge map, so of these only the table and the a-invariant read the
-ridge and facet levels.  Over a field the cohomology dimensions of a
-link equal its homology dimensions, so link Betti vectors serve
-throughout.
+levels hold them.
+
+The view's one ridge map (homology._ridge_map of the facets of the top
+size D = d) serves the faces of sizes D - 1 and D with no level built:
+a ridge in k top facets has k points as its link, so H~_0 = k - 1, and
+a facet of size D - 1 or D has {empty}, so H~_{-1} = 1.  It also serves
+the top degree, H~_{D-1}(Delta), off one orientation walk
+(homology._top) when Delta is pure, no ridge lies in three facets and
+the walk reaches every facet; otherwise Delta's own vector is read.
+The table is the one full read of the view: the levels below D - 1,
+then the ridge map (for D <= 1, {empty} and points, every level).
+Depth and the Reisner Cohen-Macaulay criterion, the a-invariant, the
+Buchsbaum predicate and the Serre condition (S_l) here, and classify's
+normality and manifold scans, are scans of it in canonical face order
+that stop as soon as their answer is fixed, and build no level past the
+last size that can change it: depth stops before size k once it has
+found i <= k + 1 (H^d never vanishes, so it never reads the ridges or
+the facets), the a-invariant at its answer, reading the top degree at
+the empty face and the ridge map at the last two sizes, and Buchsbaum
+and (S_l) after size dim Delta - 1, since the links of larger faces
+have dimension <= 0 and hold no low homology.  So for D >= 2 no scan
+builds the level of the ridges or of the facets.  Over a field the
+cohomology dimensions of a link equal its homology dimensions, so link
+Betti vectors serve throughout.
 """
 
 from functools import cached_property
 from itertools import islice
 from types import SimpleNamespace
 
-from .homology import _graph_betti, reduced_betti
+from .homology import _graph_betti, _ridge_map, _top, reduced_betti
 from .simplicial_core import SimplicialComplex, _link_level, face, face_key
 
 
@@ -116,10 +126,13 @@ class _Links:
     level(k) maps the faces of size k to their link facets in lexicographic
     order.  Level 0 is the empty face, whose link is the complex itself; a
     level k >= 1 is built by _link_level on its first read, and each level
-    refuses what faces() refuses.  faces(stop) walks the (face, link facets)
-    pairs of the levels below stop in canonical order, building each level
-    only when the walk reaches it, so a scan builds only the sizes it can
-    still be changed by.  betti(sigma) is link_betti(link(sigma));
+    refuses what faces() refuses.  faces(stop) walks the (face, link
+    facets) pairs of the levels below stop in canonical order, building
+    each level only when the walk reaches it, so a scan builds only the
+    sizes it can still be changed by.  ridges, the ridge map of the top
+    facets, serves the sizes d - 1 and d of the table and the a-invariant
+    when d >= 2, and top, H~_{d-1}(Delta), which is read only for a
+    complex with a vertex.  betti(sigma) is link_betti(link(sigma));
     link_betti takes any link by its facets, such as a link of Delta_B
     filtered out of one of Delta, and goes through memo (facets -> Betti
     vector), which the views of a complex and its core, or of Delta,
@@ -173,13 +186,36 @@ class _Links:
         return vector
 
     @cached_property
+    def ridges(self):
+        """homology._ridge_map of the facets of top size d, which are every
+        facet of a pure complex."""
+        return _ridge_map([f for f in self.delta.facets if len(f) == self.d])
+
+    @cached_property
+    def top(self):
+        """H~_{d-1}(Delta): off _top's walk over the ridge map when Delta is
+        pure and the walk decides it, else off Delta's Betti vector, which
+        is read first when the memo holds it already (the classification's
+        depth scan computes it), so no walk is repeated work."""
+        walk = self.delta.facets not in self.memo and self.delta.is_pure()
+        top = _top(self.delta.facets, self.ridges, self.field.p) if walk else None
+        return self.betti(())[self.d - 1] if top is None else top
+
+    @cached_property
     def table(self):
-        """The one full read of the view: every face's Betti vector, as entries."""
+        """The one full read of the view: every face's Betti vector, as
+        entries.  For d >= 2 the sizes d - 1 and d come off the ridge map: a
+        ridge in k >= 2 top facets has k points as its link, so H~_0 = k - 1
+        at (d, r), and a facet F of size d - 1 or d has {empty}, so 1 at
+        (|F|, F)."""
         entries = {}
-        for sigma, lk in self.faces():
+        for sigma, lk in self.faces(self.d - 1 if self.d >= 2 else None):
             for r, dim_r in self.link_betti(lk).dims.items():
                 if dim_r:
                     entries[(r + len(sigma) + 1, sigma)] = dim_r
+        if self.d >= 2:
+            entries.update(((self.d, r), len(b) - 1) for r, b in self.ridges.items() if len(b) > 1)
+            entries.update(((len(f), f), 1) for f in self.delta.facets if len(f) >= self.d - 1)
         return LocalCohomologyTable(self.d, entries)
 
     @cached_property
@@ -207,8 +243,15 @@ class _Links:
     def a_invariant(self):
         # Faces come by size, and a maximal-dimension facet has the link
         # {empty}, whose H~_{-1} sits at i = d, so the scan ends by that size.
-        return -next(len(s) for s, lk in self.faces()
-                     if self.link_betti(lk)[self.d - len(s) - 1])
+        # For d >= 2 the empty face reads top, and the ridge map the last two
+        # sizes: a ridge gives i = d when its points are two or more.
+        ridge = self.d >= 2
+        if ridge and self.top:
+            return 0
+        for s, lk in islice(self.faces(self.d - 1 if ridge else None), ridge, None):
+            if self.link_betti(lk)[self.d - len(s) - 1]:
+                return -len(s)
+        return any(len(b) > 1 for b in self.ridges.values()) - self.d
 
     def low_homology(self, ell=None, nonempty=False):
         """The first (sigma, i) in canonical order with H~_i(lk sigma) != 0,

@@ -52,6 +52,8 @@ the triangles orient or p = 2, else 0 (a 2-cycle is fixed up to a unit
 across each shared edge, and is 0 at a free one), and H~_1 from the
 Euler characteristic (Munkres, Elements of Algebraic Topology, 1984,
 sections 22 and 43); one walk over the signed ridge map reads it all.
+The H~_2 rule is H~_n of any pure n-complex whose facets are so joined
+across ridges (_top), and hochster's link view reads H~_dim from it.
 In a manifold of dimension at most 3 every link of a nonempty face is a
 graph or a surface, and in a cone every link of a face missing the apex
 is a cone.
@@ -430,10 +432,13 @@ def _ridge_map(facets):
     return ridges
 
 
-def _orient(facets, ridges):
-    """Walk from facet 0 across the ridges of _ridge_map(facets) in exactly
-    two facets, signing each facet reached to cancel its neighbour on the
-    ridge: the number reached, and whether every crossing agrees."""
+def _top(facets, ridges, p):
+    """H~_n of the pure n-complex with these facets, off their ridge map,
+    when every ridge lies in at most two facets and a walk from facet 0
+    across the ridges in two facets, signing each facet reached to cancel
+    its neighbour there, reaches every facet: 1 if no ridge is free and
+    every crossing agrees or p = 2, else 0.  None when it does not decide:
+    a ridge in three or more facets ends the walk."""
     n = len(facets[0]) - 1
     sign = [0] * len(facets)
     sign[0] = 1
@@ -442,6 +447,8 @@ def _orient(facets, ridges):
     for k in reached:
         for r in combinations(facets[k], n):
             bucket = ridges[r]
+            if len(bucket) > 2:
+                return None
             if len(bucket) == 2:
                 (a, s), (b, t) = bucket
                 m, want = a + b - k, -sign[k] * s * t
@@ -450,7 +457,8 @@ def _orient(facets, ridges):
                     reached.append(m)
                 elif sign[m] != want:
                     agree = False
-    return len(reached), agree
+    if len(reached) == len(facets):  # then every ridge was seen
+        return int(all(len(b) == 2 for b in ridges.values()) and (agree or p == 2))
 
 
 def _nerve(facets):
@@ -489,10 +497,8 @@ def reduced_betti(delta, field):
     included (a graph that is a cone gets the cone's zeros there, on the
     same degrees).  Otherwise the vertex degrees are counted once.  A
     vertex in every facet makes a cone, which has every entry 0.  A pure
-    2-complex whose edges each lie in at most two triangles is a surface
-    when _orient reaches every triangle, and then H~_2 is 1 if no edge is
-    free and the signs agree or p = 2, else 0, and H~_1 = H~_2 - (-1 + V -
-    E + F).  Otherwise, when the nerve's span, the sum of 2^deg(v), is
+    2-complex is a surface when _top decides its H~_2, and then H~_1 =
+    H~_2 - (-1 + V - E + F).  Otherwise, when the nerve's span, the sum of 2^deg(v), is
     strictly below delta's, the answer is the nerve's; spans strictly
     decrease, so this ends.  What is left is eliminated, and _cells and
     rank refuse work past the face cap.
@@ -509,13 +515,10 @@ def reduced_betti(delta, field):
         return BettiVector(dict.fromkeys(range(d + 1), 0))
     if d == 2 and len(facets[0]) == 3:
         ridges = _ridge_map(facets)
-        sizes = set(map(len, ridges.values()))
-        if max(sizes) <= 2:
-            reached, orientable = _orient(facets, ridges)
-            if reached == len(facets):
-                top = int(sizes == {2} and (orientable or field.p == 2))
-                euler = len(degree) - len(ridges) + len(facets) - 1
-                return BettiVector({0: 0, 1: top - euler, 2: top})
+        top = _top(facets, ridges, field.p)
+        if top is not None:
+            euler = len(degree) - len(ridges) + len(facets) - 1
+            return BettiVector({0: 0, 1: top - euler, 2: top})
     if sum(map((1).__lshift__, degree)) < sum(map((1).__lshift__, map(len, facets))):
         nerve = reduced_betti(_nerve(facets), field)
         return BettiVector({j: nerve[j] for j in range(d + 1)})

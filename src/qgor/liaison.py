@@ -25,8 +25,11 @@ Delta_B, that share one memo: each link level and Betti vector is
 computed at most once, on first use (a link of dimension at most 1 off
 its facets, and a larger one once per class of links equal up to an
 order-preserving renumbering), and a check computes only what it reads.
-Quasi-Gorenstein is the analysis's view in classify; Buchsbaum and
-Cohen-Macaulay are the scans of hochster's link view it extends.
+Quasi-Gorenstein is the analysis's view in classify, read off Delta's
+ridge map with no elimination; Buchsbaum and Cohen-Macaulay are the
+scans of hochster's link view it extends.  The connectedness of Delta_B
+counts the components of its facets, so tconn eliminates neither Delta
+nor Delta_B.
 
 Link restriction and CM linkage compare the Hochster tables of Delta
 and Delta_B below the Krull dimension d, which can differ only at the
@@ -45,6 +48,7 @@ from types import SimpleNamespace
 
 from .classify import _Analysis
 from .errors import HypothesesNotMet, InvalidPartition, NotPure
+from .graphs import _components
 from .homology import relative_betti
 from .simplicial_core import check_facet_indices, face_key, restrict_to_facets
 
@@ -155,7 +159,8 @@ class _Liaison:
     vector serves both, and links of dimension 2 or more of the three
     equal up to an order-preserving renumbering share one vector).  The
     analyses of Delta and Delta_A build their link levels below the ridges
-    when a check reads them; Delta_B's is read only at its empty face."""
+    when a check reads them; Delta_B's is read only at its empty face, by
+    the sequence."""
 
     def __init__(self, delta, partition, field):
         if delta.is_void or delta.is_empty:
@@ -255,7 +260,7 @@ class _Liaison:
             (f"|A| = {a} < dim Delta + 1 = {d + 1}", a < d + 1)) if not held]
         if failed:
             raise HypothesesNotMet(failed)
-        return self.b.betti(())[0] == 0
+        return _components(self.b.delta.facets) == 1
 
 
 def lefschetz_report(delta, partition, field):
@@ -302,7 +307,8 @@ def tconn_check(delta, partition, field):
     Premises: Delta quasi-Gorenstein over the field, Delta_A
     Buchsbaum, and |A| < dim Delta + 1.  Premise failures raise
     HypothesesNotMet naming the culprits; on valid premises the
-    verdict is H~^0(Delta_B) = 0, and False would falsify the
+    verdict is H~^0(Delta_B) = 0, that is, Delta_B's facets form one
+    component, and False would falsify the
     underlying connectedness statement for this instance.
     """
     return _Liaison(delta, partition, field).tconn_check()

@@ -90,6 +90,37 @@ def test_parse_facet_file_header_must_come_first():
         assert "not an integer" in str(exc.value)
 
 
+def test_integers_are_ascii_decimal_digits():
+    # int() also reads digit-group underscores, a leading '+' and non-ASCII
+    # digits, which would turn malformed tokens into other vertices
+    for text, line in (("1_0 2\n", 1), ("1 2\n+1 3\n", 2), ("1 \u0663\n", 1),
+                       ("n=1_2\n1 2\n", 1), ("n=+3\n1 2\n", 1), ("n=\u0663\n1 2\n", 1),
+                       ("# c\nn=3\n1 2\n2 \u00b2\n", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse_facet_file(text)
+        assert exc.value.line_number == line, text
+        assert ("bad header" if "n=" in text.splitlines()[line - 1]
+                else "not an integer") in str(exc.value), text
+    # a negative id keeps its own message, and plain digits still parse
+    with pytest.raises(ParseError) as exc:
+        parse_facet_file("1 -2\n")
+    assert "vertex ids are positive, got -2" in str(exc.value)
+    assert parse_facet_file("n=12\n10 2\n").facets == ((2, 10),)
+
+
+def test_cli_integer_options_are_ascii_decimal_digits(capsys):
+    path = _fixture_path("csaszar-torus")
+    for argv in (("liaison", path, "--facets-a", "1_0"), ("liaison", path, "--facets-a", "+1"),
+                 ("graph", path, "--remove", "\u0661"), ("collapse", path, "--forbid", "1,2_0"),
+                 ("graph", path, "--t", "1_0"), ("graph", path, "--t", "+1"),
+                 ("graph", path, "--t", "\u0661")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1 and "not an integer" in err, argv
+    code, _, err = _run(capsys, "collapse", path, "--forbid", "-1")
+    assert code == 1 and "vertex ids are positive, got -1" in err
+    assert _run_json(capsys, "graph", path, "--t", "1", "--json")["t"] == 1
+
+
 def test_parse_facet_file_refuses_a_vertex_above_the_header_on_its_line():
     # the header is on line 3 and the offending facet on line 5
     with pytest.raises(ParseError) as exc:

@@ -23,12 +23,12 @@ from qgor import (
     QQ,
     TOutOfRange,
     classification_report,
-    classify,
     connectivity_report,
     core,
     from_facets,
     gamma_graph,
     graphs,
+    hochster,
     is_orientable,
     is_pseudomanifold,
     is_quasi_gorenstein,
@@ -683,8 +683,8 @@ def test_classify_predicates_build_one_ridge_map():
                  "is_orientable": lambda: is_orientable(delta),
                  "classification_report": lambda: classification_report(delta, GF2)}
         for name, call in calls.items():
-            with mock.patch.object(classify, "_ridge_map",
-                                   wraps=classify._ridge_map) as ridges, \
+            with mock.patch.object(hochster, "_ridge_map",
+                                   wraps=hochster._ridge_map) as ridges, \
                     mock.patch.object(graphs, "_subset_buckets",
                                       wraps=graphs._subset_buckets) as buckets:
                 try:

@@ -18,7 +18,14 @@ families), that nothing is kept from one call to the next, that a
 predicate builds only what it reads, that the liaison comparisons read
 only the faces of Delta_A and never build a link level of Delta_B, that
 a scan stops at its answer, and that it builds no link level past the
-last face size that can change that answer.
+last face size that can change that answer.  The reads off the ridge map
+(the table at the ridges and the facets, the a-invariant, H~_dim and
+quasi-Gorenstein) and tconn's component count are checked against
+references that read every face's link through link() and reduced_betti,
+on the families, seeded impure complexes and degenerate inputs over
+three fields; no public call builds the ridge or facet level of a
+complex with facets of size 2 or more, and quasi-Gorenstein and tconn on
+a subdivided 3-sphere build no cells.
 """
 
 import json
@@ -28,6 +35,8 @@ from unittest import mock
 
 import pytest
 from _perfbench import families, gen
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgor.classify
 import qgor.cli
@@ -297,6 +306,20 @@ def _spy_levels(monkeypatch):
     return built
 
 
+def _spy_walks(monkeypatch):
+    """A list that records the facets of every complex whose top homology
+    the link view reads off a walk over its ridge map (homology._top)."""
+    walks = []
+    original = qgor.hochster._top
+
+    def spy(facets, ridges, p):
+        walks.append(facets)
+        return original(facets, ridges, p)
+
+    monkeypatch.setattr(qgor.hochster, "_top", spy)
+    return walks
+
+
 def _facet_file(tmp_path, delta):
     path = tmp_path / "delta.cplx"
     path.write_text(f"n={delta.n_vertices}\n" + "".join(
@@ -323,7 +346,10 @@ def test_each_link_computed_once_per_call(monkeypatch, tmp_path, capsys):
                 counts.clear()
                 partition = FacetPartition.complementary(delta, [0])
                 link_restriction_check(delta, partition, field)
-                assert max(counts.values()) == 1, (delta, field, counts)
+                # points have no face below their ridges, and H~_0 of Delta
+                # comes off the ridge map, so they read no vector
+                assert counts or delta.dim == 0, (delta, field)
+                assert max(counts.values(), default=1) == 1, (delta, field, counts)
                 counts.clear()
                 lefschetz_report(delta, partition, field)
                 assert counts[delta.facets] == 1, (delta, field, counts)
@@ -412,6 +438,7 @@ def test_liaison_reads_only_the_faces_of_delta_a(monkeypatch, tmp_path, capsys):
 
 def test_analysis_builds_only_what_it_reads(monkeypatch):
     counts, _ = _count_betti(monkeypatch)
+    walks = _spy_walks(monkeypatch)
     tables = []
     view = qgor.hochster._Links.__dict__["table"]
     original = view.func
@@ -428,11 +455,15 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
     for delta in [fx.complex() for fx in corpus() if not fx.complex().is_empty]:
         for field in FIELDS:
             counts.clear()
+            walks.clear()
             qg = is_quasi_gorenstein(delta, field)
             assert not tables, (delta, field)
-            # Delta's own Betti vector, and only for a normal pseudomanifold
+            # no Betti vector: H~_dim(Delta) comes off one walk over the ridge
+            # map, and only for a normal pseudomanifold, which is strongly
+            # connected, so the walk decides it
             npm = normal_pseudomanifold_report(delta).ok
-            assert set(counts) == ({delta.facets} if npm else set()), (delta, field)
+            assert not counts, (delta, field, counts)
+            assert walks == ([delta.facets] if npm else []), (delta, field)
             assert qg <= npm
     # a cone over a core that is Buchsbaum but no normal pseudomanifold
     two = get_fixture("two-triangles").complex()
@@ -447,10 +478,12 @@ def test_analysis_builds_only_what_it_reads(monkeypatch):
 def test_scans_stop_at_their_answer(monkeypatch):
     counts, routes = _count_betti(monkeypatch)
     built = _spy_levels(monkeypatch)
-    # H~_2(sd-torus) != 0 fixes a = 0 at the empty face, before any level
+    walks = _spy_walks(monkeypatch)
+    # H~_2(sd-torus) != 0, read off one walk over its ridge map, fixes a = 0
+    # at the empty face, before any level and with no Betti vector
     sd_torus = gen.sd(gen.torus())
     assert a_invariant(sd_torus, GF2) == 0
-    assert counts == {sd_torus.facets: 1} and built == []
+    assert counts == {} and built == [] and walks == [sd_torus.facets]
     # Buchsbaum exempts the empty face, so Delta's own vector is never computed,
     # and H~_{-1} of a nonempty link is 0, so neither is a link of dimension <= 0
     for delta in [sd_torus] + [d for d in COMPLEXES if not d.is_empty and core(d) == d]:
@@ -584,9 +617,11 @@ def test_links_share_betti_vectors_by_class(monkeypatch):
             assert [table.entry(i, (7,)) for i in range(2, 2 + len(h7))] == h7, field
             assert [table.entry(i, (14,)) for i in range(2, 2 + len(h14))] == h14, field
     # sd(boundary of the 4-simplex): its 242 distinct links are 211 of
-    # dimension <= 1 ({empty}, 80 point pairs and 130 cycles), each read
-    # once off its facets, and 31 of dimension >= 2 (the vertex links and
-    # the complex) in 4 classes, one reduced_betti call each
+    # dimension <= 1 ({empty}, 80 point pairs and 130 cycles) and 31 of
+    # dimension >= 2 (the vertex links and the complex) in 4 classes.  The
+    # table reads {empty} and the point pairs, the links of the facets and
+    # the ridges, off the ridge map, each cycle once off its facets, and
+    # each class with one reduced_betti call
     sphere = gen.sd(gen.simplex_boundary(5))
     links = [link(sphere, s).facets for s in sphere.faces()]
     small = {lk for lk in links if len(lk[-1]) <= 2}
@@ -597,7 +632,7 @@ def test_links_share_betti_vectors_by_class(monkeypatch):
     for route in routes.values():
         route.clear()
     local_cohomology_table(sphere, GF2)
-    assert routes["_graph_betti"] == dict.fromkeys(small, 1)
+    assert routes["_graph_betti"] == dict.fromkeys((lk for lk in small if len(lk[-1]) == 2), 1)
     assert routes["reduced_betti"] == dict.fromkeys(large, 1)
     dims = sorted(len(lk[-1]) - 1 for lk in routes["reduced_betti"])
     assert dims == [2, 2, 2, 3], routes
@@ -703,6 +738,7 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
                            for f in combinations(range(1, 5), 3)])
     partition = FacetPartition.complementary(cycle, [0])
     want = {field: classification_report(cycle, field).to_json() for field in FIELDS}
+    tables = {field: local_cohomology_table(cycle, field) for field in FIELDS}
     monkeypatch.setattr(qgor.simplicial_core, "FACE_CAP", 64)
     for field in FIELDS:
         # H~_1 of a graph is E - V + c, and it fixes a = 0 and depth 2 = d with
@@ -712,28 +748,30 @@ def test_a_scan_refuses_only_what_it_reads(monkeypatch):
         report = depth_report(cycle, field)
         assert (report.depth, report.is_cohen_macaulay, report.witness) == (2, True, None)
         assert is_buchsbaum(cycle, field) == (True, None)
-        # the table reads the vertex level; the classification reads the
-        # vertices' edges off the ridge map, so it answers as under the
-        # default cap, and so do the manifold scan and liaison's
-        # quasi-Gorenstein premise
-        with pytest.raises(CapacityExceeded):
-            local_cohomology_table(cycle, field)
+        # the table, the classification, the manifold scan and liaison's
+        # quasi-Gorenstein premise read the vertices' edges off the ridge
+        # map, so they answer as under the default cap
+        assert local_cohomology_table(cycle, field) == tables[field]
         assert classification_report(cycle, field).to_json() == want[field]
         assert is_homology_manifold(cycle, field) == (True, True)
         assert tconn_check(cycle, partition, field) is True
         # three disjoint tetrahedron boundaries span 96: normality stops at
         # the disconnected empty face and the ridge condition holds, so the
-        # normal report and quasi-Gorenstein answer; Buchsbaum and the
-        # manifold scan read the vertex level
+        # normal report and quasi-Gorenstein answer; Buchsbaum, the manifold
+        # scan and the table read the vertex level
         assert normal_pseudomanifold_report(spheres).witnesses == {"normal": ()}
         assert not is_quasi_gorenstein(spheres, field) and not is_gorenstein(spheres, field)
-        for predicate in (classification_report, is_homology_manifold):
+        for predicate in (classification_report, is_homology_manifold, local_cohomology_table):
             with pytest.raises(CapacityExceeded):
                 predicate(spheres, field)
         # Buchsbaum exempts the empty face; the vertex links are three
         # disjoint edges, graphs, and the first is a witness
         assert is_buchsbaum(fano, field) == (False, ((1,), 0))
-        for predicate in (depth_report, a_invariant, classification_report):
+        # its edges each lie in one triangle, so the walk over its ridge map
+        # reaches one facet and decides nothing, and the table, depth and the
+        # a-invariant read its own Betti vector
+        for predicate in (depth_report, a_invariant, classification_report,
+                          local_cohomology_table):
             with pytest.raises(CapacityExceeded):
                 predicate(fano, field)
     # orienting the facets builds no cells
@@ -837,3 +875,142 @@ def test_liaison_run_matches_standalone_checks(field, tmp_path, capsys):
             assert code == 0, (delta, a)
             partition = FacetPartition.complementary(delta, a)
             assert payload == _standalone_payload(delta, partition, field), (delta, a)
+
+
+def _point_sets(rng):
+    return from_facets([[v] for v in range(1, rng.randint(2, 6))])
+
+
+def _impure(rng):
+    """A seeded complex of top size 2 to 4 with smaller facets beside the
+    top ones, one of them a size below the top, so it is a ridge in no
+    top facet and its link is {empty}."""
+    n, top = rng.randint(4, 8), rng.randint(2, 4)
+    facets = [rng.sample(range(1, n + 1), top) for _ in range(rng.randint(1, 5))]
+    facets += [rng.sample(range(1, n + 1), rng.randint(1, top - 1)) for _ in range(3)]
+    facets.append(rng.sample(range(n + 1, n + top + 1), top - 1))
+    return from_facets(facets)
+
+
+RIDGE_FAMILIES = families(random.Random(34))
+
+#: Name -> a seeded builder of the inputs the ridge view is checked on.
+RIDGE_CASES = {
+    "family": lambda rng: rng.choice(RIDGE_FAMILIES),
+    "impure": _impure,
+    "random": lambda rng: _random_complexes(rng.random(), 1)[0],
+    "mixed": lambda rng: _mixed_complexes(rng.random(), 1)[0],
+    "wedge": lambda rng: _wedge(rng.choice((2, 3, 4))),
+    "empty": lambda rng: from_facets([[]]),
+    "vertex": lambda rng: from_facets([[1]]),
+    "points": _point_sets,
+    "0-sphere": lambda rng: gen.simplex_boundary(2),
+    "cone": lambda rng: gen.cone(gen.sd(gen.rp2())),
+    "ball": lambda rng: gen.simplex(rng.randint(1, 5)),
+    "rp2": lambda rng: gen.rp2(),
+    "susp-sd-rp2": lambda rng: gen.suspension(gen.sd(gen.rp2())),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(RIDGE_CASES)), field=st.sampled_from(FIELDS),
+       rng=st.randoms(use_true_random=False))
+def test_ridge_view_matches_every_level(case, field, rng):
+    # The table, the a-invariant, H~_dim, quasi-Gorenstein and the tconn
+    # verdict against references that read every face's link through link()
+    # and reduced_betti, with no ridge map.
+    delta = RIDGE_CASES[case](rng)
+    d = delta.dim + 1
+    betti = {sigma: reduced_betti(link(delta, sigma), field) for sigma in delta.faces()}
+    table = {(r + len(sigma) + 1, sigma): dim_r
+             for sigma, b in betti.items() for r, dim_r in b.nonzero().items()}
+    assert local_cohomology_table(delta, field)._entries == table, (delta, field)
+    assert a_invariant(delta, field) == -min(
+        len(sigma) for sigma, b in betti.items() if b[d - len(sigma) - 1]), (delta, field)
+    if delta.is_empty:
+        return
+    top = betti[()][delta.dim]
+    assert qgor.hochster._Links(delta, field).top == top, (delta, field)
+    normal = all(b[-1] == b[0] == 0 for sigma, b in betti.items() if len(sigma) < delta.dim)
+    ridges = all(len(link(delta, r).facets) == 2 for r in delta.faces_of_dim(delta.dim - 1))
+    qg = delta.is_pure() and normal and ridges and top != 0
+    assert is_quasi_gorenstein(delta, field) == qg, (delta, field)
+    if not delta.is_pure() or len(delta.facets) < 2:
+        return
+    v = delta.facets[0][0]
+    for a in ([0], [i for i, f in enumerate(delta.facets) if v in f]):
+        if len(a) == len(delta.facets):
+            continue
+        partition = FacetPartition.complementary(delta, a)
+        delta_a = from_facets([delta.facets[i] for i in partition.a], delta.n_vertices)
+        delta_b = from_facets([delta.facets[i] for i in partition.b], delta.n_vertices)
+        buchsbaum = all(reduced_betti(link(delta_a, sigma), field)[i] == 0
+                        for sigma in delta_a.faces()[1:]
+                        for i in range(link(delta_a, sigma).dim))
+        held = [qg, buchsbaum, len(a) < d]
+        try:
+            got = tconn_check(delta, partition, field)
+        except HypothesesNotMet as exc:
+            assert not all(held) and len(exc.failed) == held.count(False), (delta, a, field)
+        else:
+            assert all(held), (delta, a, field)
+            assert got == (reduced_betti(delta_b, field)[0] == 0), (delta, a, field)
+
+
+def test_no_public_call_builds_the_ridge_or_facet_level(monkeypatch, tmp_path, capsys):
+    # For a top facet size D >= 2 the faces of sizes D - 1 and D, and
+    # H~_{D-1} wherever only that degree is read, come off the ridge map:
+    # no public call builds a link level of size D - 1 or more, for the
+    # complex, its core, Delta_A or Delta_B.
+    built = _spy_levels(monkeypatch)
+    impure = _nonpure_complexes(34, 10) + _mixed_complexes(34, 10)
+    cases = [d for d in families(random.Random(34)) + impure if not d.is_empty]
+    single = (local_cohomology_table, depth_report, a_invariant, is_buchsbaum,
+              classification_report, is_homology_manifold, is_quasi_gorenstein, is_gorenstein,
+              lambda delta, field: serre_condition(delta, field, 3),
+              lambda delta, field: normal_pseudomanifold_report(delta),
+              lambda delta, field: is_orientable(delta))
+    checks = (lefschetz_report, link_restriction_check, cm_linkage_check, tconn_check)
+    levels = 0
+    for delta in cases:
+        calls = [lambda f=f: f(delta, GF2) for f in single]
+        if delta.is_pure() and len(delta.facets) > 1:
+            partition = FacetPartition.complementary(delta, [0])
+            calls += [lambda c=c: c(delta, partition, GF2) for c in checks]
+            path = _facet_file(tmp_path, delta)
+            calls += [lambda: qgor.cli.main([sub, path] + args) for sub, args in (
+                ("classify", []), ("hochster", []), ("liaison", ["--facets-a", "1"]))]
+        for call in calls:
+            built.clear()
+            try:
+                call()
+            except (HypothesesNotMet, NotPure, qgor.NotAPseudomanifold):
+                pass
+            capsys.readouterr()
+            levels += len(built)
+            for facets, k in built:
+                top = len(facets[-1])
+                assert top < 2 or k < top - 1, (delta, facets, k)
+    assert levels > 1000, levels
+
+
+def test_quasi_gorenstein_and_tconn_eliminate_nothing():
+    # sd of the boundary of the 4-simplex: quasi-Gorenstein reads H~_3 off
+    # the walk over the ridge map, and tconn reads H~_0(Delta_B) off the
+    # components of Delta_B's facets, so neither builds a cell of Delta or
+    # Delta_B.  Delta_A's Buchsbaum links are disks, spheres and simplices,
+    # answered with no matrix.  A vertex star has more than 4 facets, so
+    # tconn refuses it on the size premise alone; one facet passes it.
+    base = gen.simplex_boundary(5)
+    delta, labels = gen.sd(base), gen.sd_labels(base)
+    star = labels[(1,)]
+    partition = FacetPartition.complementary(
+        delta, [i for i, f in enumerate(delta.facets) if star in f])
+    for field in FIELDS:
+        with mock.patch.object(qgor.homology, "_cells", wraps=qgor.homology._cells) as spy:
+            assert is_quasi_gorenstein(delta, field)
+            with pytest.raises(HypothesesNotMet) as exc:
+                tconn_check(delta, partition, field)
+            assert tconn_check(delta, FacetPartition.complementary(delta, [0]), field)
+        assert spy.call_count == 0, field
+        assert len(exc.value.failed) == 1 and exc.value.failed[0].startswith("|A|")
